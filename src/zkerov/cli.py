@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -29,9 +30,9 @@ from .engine import (
     FORCE_N_LIMIT,
     InternalConsistencyError,
     coefficient,
-    full_expansion,
     genus_part,
     scan,
+    strata,
 )
 
 EXIT_OK = 0
@@ -54,7 +55,7 @@ class RunConfig:
     format: str = "table"
     cache_dir: str | None = None
     verify: bool = False
-    max_n: int = 6
+    max_n: int | None = None
     force: bool = False
     # census-only switches
     bipartite: bool = False
@@ -205,10 +206,10 @@ def cmd_coeff(cfg: RunConfig) -> int:
 
 
 def cmd_expand(cfg: RunConfig) -> int:
-    parts = full_expansion(cfg.n, threads=cfg.threads, cache_dir=cfg.cache_dir, force=cfg.force)
+    result = scan(cfg.n, threads=cfg.threads, cache_dir=cfg.cache_dir, force=cfg.force)
+    parts = strata(result)
     if cfg.doubled_genus is not None:
         parts = [p for p in parts if p.doubled_genus == cfg.doubled_genus]
-    result = scan(cfg.n, threads=cfg.threads, cache_dir=cfg.cache_dir, force=cfg.force)
     doc_parts = []
     lines = [f"n={cfg.n} gluings={result.gluing_count}"]
     for p in parts:
@@ -394,6 +395,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"zkerov: internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenProcessPool as exc:
+        print(f"zkerov: internal failure: a worker process died ({exc})", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"zkerov: error: {exc}", file=sys.stderr)

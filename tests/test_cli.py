@@ -1,7 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import zkerov.cli as cli
 import zkerov.engine as engine
 from zkerov.cli import main
 
@@ -96,6 +98,64 @@ class TestExpand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_threads_do_not_change_bytes_through_the_pool(self, capsys):
+        assert 7 >= engine.POOL_MIN_N
+        engine._SCAN_MEMO.clear()
+        code1, out1, _ = run(capsys, "expand", "--n", "7", "--threads", "1", "--format", "json")
+        engine._SCAN_MEMO.clear()
+        code2, out2, _ = run(capsys, "expand", "--n", "7", "--threads", "2", "--format", "json")
+        engine._SCAN_MEMO.clear()
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_scans_once(self, capsys, monkeypatch):
+        calls = []
+        real_scan = engine.scan
+
+        def counting_scan(*args, **kwargs):
+            calls.append(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "scan", counting_scan)
+        monkeypatch.setattr(cli, "scan", counting_scan)
+        code, _doc, _ = run_json(capsys, "expand", "--n", "4", "--threads", "1")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_worker_crash_exits_three(self, capsys, monkeypatch):
+        class BrokenPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", BrokenPool)
+        engine._SCAN_MEMO.clear()
+        code, out, err = run(capsys, "expand", "--n", str(engine.POOL_MIN_N), "--threads", "2")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "worker process died" in err
+
+    def test_truncated_cache_is_rescanned(self, capsys, tmp_path):
+        engine._SCAN_MEMO.clear()
+        code, doc, _ = run_json(capsys, "expand", "--n", "5", "--cache", str(tmp_path))
+        assert code == 0
+        cache_file = tmp_path / "zkerov-cache-v1-n5.json"
+        cache_file.write_text(cache_file.read_text()[:100])
+        engine._SCAN_MEMO.clear()
+        code2, doc2, err = run_json(capsys, "expand", "--n", "5", "--cache", str(tmp_path))
+        engine._SCAN_MEMO.clear()
+        assert code2 == 0 and doc2 == doc
+        assert "invalid cache file" in err
+        json.loads(cache_file.read_text())
+
     def test_cache_file_is_written_and_reused(self, capsys, tmp_path):
         engine._SCAN_MEMO.clear()
         code, doc, _ = run_json(capsys, "expand", "--n", "3", "--cache", str(tmp_path))
@@ -145,6 +205,7 @@ class TestCensus:
     def test_reduced_twisted_preset_is_five(self, capsys):
         code, doc, _ = run_json(capsys, "census", "--reduced", "--twisted")
         assert code == 0
+        assert doc["ns"] == [1, 2, 3]
         assert doc["classCount"] == 5
         assert doc["convention"] == "dihedral"
 

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 import oracle
 import zkerov.engine as engine
-from zkerov.admissibility import Monomial
+from zkerov.admissibility import Monomial, enumerate_q
 from zkerov.engine import (
     InternalConsistencyError,
     cache_path,
@@ -15,7 +16,9 @@ from zkerov.engine import (
     rescaled_coefficient,
     rescaled_coefficient_exact,
     scan,
+    write_cache,
 )
+from zkerov.polygon import enumerate_gluings, glue
 
 
 def fresh_scan(n, **kw):
@@ -65,6 +68,53 @@ class TestScanAgainstBruteForce:
         assert {m.parts: c for m, c in plain.tallies.items()} == {
             m.parts: c for m, c in swapped.tallies.items()
         }
+
+
+def merged(results):
+    total = 0
+    tally: dict[tuple[int, ...], int] = {}
+    for count, part in results:
+        total += count
+        for key, c in part.items():
+            tally[key] = tally.get(key, 0) + c
+    return total, tally
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_glue_enumerate_q_reference(self, n, black_parity):
+        expected: dict[tuple[int, ...], int] = {}
+        gluings = 0
+        for g in enumerate_gluings(n):
+            gluings += 1
+            for _q, mono in enumerate_q(glue(g, black_parity)):
+                expected[mono.parts] = expected.get(mono.parts, 0) + 1
+        count, tally = engine._scan_branch((n, tuple(range(1, 2 * n)), black_parity))
+        assert count == gluings
+        assert tally == expected
+
+    def test_task_splits_merge_to_the_single_pass(self):
+        n = 6
+        single = engine._scan_branch((n, tuple(range(1, 2 * n)), 0))
+        by_partner = merged(engine._scan_branch((n, (fp,), 0)) for fp in range(1, 2 * n))
+        tasks = engine._prefix_tasks(n, 0)
+        assert len(tasks) == (2 * n - 1) * (2 * n - 3)
+        by_prefix = merged(engine._scan_branch(task) for task in tasks)
+        assert by_partner == single
+        assert by_prefix == single
+
+    def test_small_n_runs_in_process(self, monkeypatch):
+        serial = {n: fresh_scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        for n, expected in serial.items():
+            got = fresh_scan(n, threads=2)
+            assert got.tallies == expected.tallies
+        engine._SCAN_MEMO.clear()
 
 
 class TestCoefficient:
@@ -163,13 +213,59 @@ class TestCache:
 
     def test_cache_is_used_on_reload(self, tmp_path):
         fresh_scan(3, cache_dir=tmp_path)
-        # corrupt one tally; the loaded (not recomputed) value must surface
+        # corrupt a tally that validation cannot check (R3 lies outside the
+        # genus-one stratum); the loaded (not recomputed) value must surface
         path = cache_path(tmp_path, 3)
-        path.write_text(path.read_text().replace('"rawCount": "4"', '"rawCount": "41"'))
+        path.write_text(path.read_text().replace('"rawCount": "3"', '"rawCount": "31"'))
         engine._SCAN_MEMO.clear()
         reloaded = scan(3, cache_dir=tmp_path)
-        assert reloaded.tallies[Monomial((2,))] == 41
+        assert reloaded.tallies[Monomial((3,))] == 31
         engine._SCAN_MEMO.clear()
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cache(tmp_path, 5) is None
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        write_cache(tmp_path, fresh_scan(4))
+        assert [p.name for p in tmp_path.iterdir()] == [cache_path(tmp_path, 4).name]
+
+    def test_tampered_count_is_rescanned(self, tmp_path, capsys):
+        fresh_scan(5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 5)
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["tallies"] if e["mu"] == [4])
+        assert entry["rawCount"] == "65"
+        entry["rawCount"] = "66"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        capsys.readouterr()
+        engine._SCAN_MEMO.clear()
+        assert scan(5, cache_dir=tmp_path).tallies[Monomial((4,))] == 65
+        assert "invalid cache file" in capsys.readouterr().err
+        assert '"rawCount": "66"' not in path.read_text()
+        engine._SCAN_MEMO.clear()
+
+    @pytest.mark.parametrize("tamper", [
+        pytest.param(lambda d: d.update(schemaVersion=2), id="schema"),
+        pytest.param(lambda d: d.update(n=5), id="n"),
+        pytest.param(lambda d: d.update(gluings="104"), id="gluings"),
+        pytest.param(lambda d: d.update(tallies="none"), id="tallies-type"),
+        pytest.param(lambda d: d["tallies"].append({"mu": [1], "rawCount": "1"}), id="part-1"),
+        pytest.param(lambda d: d["tallies"].append({"mu": [6], "rawCount": "1"}), id="V>n+1"),
+        pytest.param(lambda d: d["tallies"].append({"mu": [2, 2], "rawCount": "0"}), id="zero"),
+        pytest.param(lambda d: d["tallies"].append(dict(d["tallies"][0])), id="duplicate"),
+        pytest.param(lambda d: d.update(tallies=[e for e in d["tallies"] if e["mu"] != [3]]),
+                     id="genus-one"),
+    ])
+    def test_invalid_documents_are_misses(self, tmp_path, capsys, tamper):
+        path = write_cache(tmp_path, fresh_scan(4))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        assert load_cache(tmp_path, 4) is None
+        assert "invalid cache file" in capsys.readouterr().err
+
+    def test_truncated_file_is_a_miss(self, tmp_path, capsys):
+        path = write_cache(tmp_path, fresh_scan(4))
+        path.write_text(path.read_text()[:40])
+        assert load_cache(tmp_path, 4) is None
+        assert "invalid cache file" in capsys.readouterr().err
