@@ -8,9 +8,9 @@ package); the default is this checkout's ``src`` labelled ``change``.  Pass
 two sides, for example ``--side parent=/tmp/parent/src --side change=src``,
 to record a before/after pair on the same machine in one file.
 
-Every timing is one ``scan`` call without a cache in a fresh interpreter
-(the engine memoizes scans per process).  Sides alternate within each
-repeat, and the reported figure is the median over repeats:
+Every timing is one ``scan`` call without a cache in a fresh interpreter,
+so no side inherits another's imports or warm state.  Sides alternate
+within each repeat, and the reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` for n = 5..8;
 * ``scan_2t_s``: ``scan(8, threads=2)``;

@@ -9,7 +9,6 @@ construction is built from.
 from .admissibility import (
     BipartiteGraph,
     Monomial,
-    admissible_colorings,
     bipartite_graph,
     candidate_colorings,
     enumerate_q,
@@ -42,7 +41,6 @@ from .polygon import (
     WHITE,
     GluedMap,
     Gluing,
-    Polygon,
     double_factorial,
     enumerate_gluings,
     enumerate_twisted_gluings,

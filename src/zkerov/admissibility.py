@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .partitions import compositions, multiset_permutations
+from .partitions import compositions
 from .polygon import GluedMap
 
 
@@ -234,23 +234,3 @@ def enumerate_q(g: GraphLike) -> Iterator[tuple[dict[int, int], Monomial]]:
         if hall_condition(graph, q):
             yield q, Monomial(tuple(q.values()))
 
-
-def admissible_colorings(g: GraphLike, mono: Monomial) -> int:
-    """Number of admissible q-colorings of the map with value multiset mono.
-
-    Zero when the map is not bipartite or its black/total vertex counts do
-    not match the monomial.  Counted directly over distinct assignments of
-    the part multiset, independently of enumerate_q.
-    """
-    if isinstance(g, GluedMap) and not g.bipartite:
-        return 0
-    graph = _as_graph(g)
-    blacks = sorted(graph.blacks)
-    if len(blacks) != mono.black_count or graph.vertex_count != mono.vertex_count:
-        return 0
-    count = 0
-    for values in multiset_permutations(mono.parts):
-        q = {v: values[i] for i, v in enumerate(blacks)}
-        if hall_condition(graph, q):
-            count += 1
-    return count

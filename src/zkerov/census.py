@@ -59,12 +59,6 @@ class ColoredMultigraph:
     def copy(self) -> "ColoredMultigraph":
         return ColoredMultigraph(dict(self.colors), list(self.edges))
 
-    def degrees(self) -> dict[int, int]:
-        return _degrees(self)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(_degrees(self).values()))
-
 
 def underlying_multigraph(m: GluedMap) -> ColoredMultigraph:
     return ColoredMultigraph(

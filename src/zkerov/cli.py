@@ -18,19 +18,17 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import census as census_mod
 from . import selftest as selftest_mod
 from .admissibility import Monomial
-from .closedform import partition_polynomial, family_sum_polynomial, symmetrized_polynomial
+from .closedform import partition_polynomial
 from .engine import (
     DEFAULT_N_LIMIT,
     FORCE_N_LIMIT,
     InternalConsistencyError,
     coefficient,
-    genus_part,
     scan,
     strata,
 )
@@ -43,27 +41,6 @@ EXIT_INTERNAL = 3
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    n: int | None = None
-    mu: tuple[int, ...] | None = None
-    doubled_genus: int | None = None
-    threads: int = 1
-    format: str = "table"
-    cache_dir: str | None = None
-    verify: bool = False
-    max_n: int | None = None
-    force: bool = False
-    # census-only switches
-    bipartite: bool = False
-    reduced: bool = False
-    reduced_bipartite: bool = False
-    contributing: bool = False
-    twisted: bool = False
-    dihedral: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,34 +109,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for name in ("n", "threads", "format", "cache_dir", "force"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if getattr(ns, "mu", None) is not None:
-        cfg.mu = _parse_mu(ns.mu)
-    if getattr(ns, "genus_doubled", None) is not None:
-        cfg.doubled_genus = ns.genus_doubled
-    cfg.verify = getattr(ns, "verify", False)
-    if getattr(ns, "max_n", None) is not None:
-        cfg.max_n = ns.max_n
-    for name in ("bipartite", "reduced", "contributing", "twisted", "dihedral"):
-        setattr(cfg, name, getattr(ns, name, False))
-    cfg.reduced_bipartite = getattr(ns, "reduced_bipartite", False)
-    if cfg.n is not None and cfg.n < 1:
-        raise UsageError(f"--n must be >= 1, got {cfg.n}")
-    if cfg.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {cfg.threads}")
-    return cfg
+def _validate(args: argparse.Namespace) -> None:
+    """Usage checks argparse cannot express; replaces --mu by its parts."""
+    if getattr(args, "mu", None) is not None:
+        args.mu = _parse_mu(args.mu)
+    for name, least in (("n", 1), ("threads", 1), ("max_n", 1), ("genus_doubled", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _emit(doc: dict[str, Any], cfg: RunConfig, table: str) -> None:
-    if cfg.format == "json":
+def _emit(doc: dict[str, Any], args: argparse.Namespace, table: str) -> None:
+    if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         sys.stdout.write(table if table.endswith("\n") else table + "\n")
@@ -182,36 +147,36 @@ def _term_rows(poly_terms: dict[Monomial, int], raw: dict[Monomial, int] | None 
 # subcommands
 
 
-def cmd_coeff(cfg: RunConfig) -> int:
-    mono = Monomial(cfg.mu)
+def cmd_coeff(args: argparse.Namespace) -> int:
+    mono = Monomial(args.mu)
     raw, coeff = coefficient(
-        cfg.n, mono, threads=cfg.threads, cache_dir=cfg.cache_dir, force=cfg.force
+        args.n, mono, threads=args.threads, cache_dir=args.cache_dir, force=args.force
     )
     v = mono.vertex_count
     doc = {
         "command": "coeff",
-        "n": cfg.n,
+        "n": args.n,
         "mu": _mu_json(mono.parts),
         "vertexCount": v,
-        "doubledGenus": cfg.n + 1 - v,
+        "doubledGenus": args.n + 1 - v,
         "rawCount": str(raw),
         "coefficient": str(coeff),
     }
     table = (
-        f"n={cfg.n} mu={mono.label()} vertices={v} doubledGenus={cfg.n + 1 - v}\n"
+        f"n={args.n} mu={mono.label()} vertices={v} doubledGenus={args.n + 1 - v}\n"
         f"rawCount={raw} coefficient={coeff}"
     )
-    _emit(doc, cfg, table)
+    _emit(doc, args, table)
     return EXIT_OK
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    result = scan(cfg.n, threads=cfg.threads, cache_dir=cfg.cache_dir, force=cfg.force)
+def cmd_expand(args: argparse.Namespace) -> int:
+    result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
     parts = strata(result)
-    if cfg.doubled_genus is not None:
-        parts = [p for p in parts if p.doubled_genus == cfg.doubled_genus]
+    if args.genus_doubled is not None:
+        parts = [p for p in parts if p.doubled_genus == args.genus_doubled]
     doc_parts = []
-    lines = [f"n={cfg.n} gluings={result.gluing_count}"]
+    lines = [f"n={args.n} gluings={result.gluing_count}"]
     for p in parts:
         rows = []
         lines.append(f"doubledGenus={p.doubled_genus}:")
@@ -228,44 +193,28 @@ def cmd_expand(cfg: RunConfig) -> int:
         })
     doc = {
         "command": "expand",
-        "n": cfg.n,
+        "n": args.n,
         "gluings": str(result.gluing_count),
         "parts": doc_parts,
     }
-    _emit(doc, cfg, "\n".join(lines))
+    _emit(doc, args, "\n".join(lines))
     return EXIT_OK
 
 
-def cmd_genus1(cfg: RunConfig) -> int:
-    closed = partition_polynomial(cfg.n)
+def cmd_genus1(args: argparse.Namespace) -> int:
+    closed = partition_polynomial(args.n)
     rows = [row for _m, row in _term_rows(closed.terms)]
-    lines = [f"n={cfg.n} genus-one closed form:"]
+    lines = [f"n={args.n} genus-one closed form:"]
     for mono, _row in _term_rows(closed.terms):
         lines.append(f"  {mono.label():<20} {closed.terms[mono]}")
     if not closed.terms:
         lines.append("  (empty)")
-    doc: dict[str, Any] = {"command": "genus1", "n": cfg.n, "terms": rows}
+    doc: dict[str, Any] = {"command": "genus1", "n": args.n, "terms": rows}
 
     code = EXIT_OK
-    if cfg.verify:
-        mismatches: list[str] = []
-        reference = {m.parts: v for m, v in closed.terms.items()}
-        for name, other in (
-            ("tuple-family sum", family_sum_polynomial(cfg.n)),
-            ("symmetrized sum", symmetrized_polynomial(cfg.n)),
-        ):
-            got = {m.parts: v for m, v in other.terms.items()}
-            if got != reference:
-                mismatches.append(f"{name} disagrees: {got} != {reference}")
-        enum_part = genus_part(
-            cfg.n, 2, threads=cfg.threads, cache_dir=cfg.cache_dir, force=cfg.force
-        )
-        enum_terms = {m.parts: v for m, v in enum_part.terms.items()}
-        enum_raw = {m.parts: v for m, v in enum_part.raw_counts.items()}
-        if enum_terms != reference:
-            mismatches.append(f"enumeration disagrees: {enum_terms} != {reference}")
-        if enum_raw != enum_terms:
-            mismatches.append("genus-one rescale factor is not 1")
+    if args.verify:
+        result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
+        mismatches = selftest_mod.genus1_mismatches(args.n, result)
         doc["verification"] = {
             "status": "ok" if not mismatches else "mismatch",
             "routes": ["per-partition", "tuple-family sum", "symmetrized sum", "enumeration"],
@@ -276,23 +225,23 @@ def cmd_genus1(cfg: RunConfig) -> int:
         lines.extend(f"  {m}" for m in mismatches)
         if mismatches:
             code = EXIT_VERIFY
-    _emit(doc, cfg, "\n".join(lines))
+    _emit(doc, args, "\n".join(lines))
     return code
 
 
-def cmd_census(cfg: RunConfig) -> int:
-    convention = census_mod.DIHEDRAL if cfg.dihedral else census_mod.CYCLIC
-    doubled_genus = cfg.doubled_genus
-    if cfg.n is not None:
-        ns: Sequence[int] = [cfg.n]
-    elif cfg.twisted and cfg.reduced:
+def cmd_census(args: argparse.Namespace) -> int:
+    convention = census_mod.DIHEDRAL if args.dihedral else census_mod.CYCLIC
+    doubled_genus = args.genus_doubled
+    if args.n is not None:
+        ns: Sequence[int] = [args.n]
+    elif args.twisted and args.reduced:
         # the pinned reduced-census preset: pooled small n, dihedral identity
-        ns = range(1, (cfg.max_n if cfg.max_n else 3) + 1)
+        ns = range(1, (3 if args.max_n is None else args.max_n) + 1)
         convention = census_mod.DIHEDRAL
         if doubled_genus is None:
             doubled_genus = 2
-    elif cfg.reduced_bipartite and cfg.contributing:
-        ns = range(1, (cfg.max_n if cfg.max_n else 6) + 1)
+    elif args.reduced_bipartite and args.contributing:
+        ns = range(1, (6 if args.max_n is None else args.max_n) + 1)
         if doubled_genus is None:
             doubled_genus = 2
     else:
@@ -301,17 +250,17 @@ def cmd_census(cfg: RunConfig) -> int:
 
     classes = census_mod.census_classes(
         ns,
-        universe="twisted" if cfg.twisted else "matchings",
+        universe="twisted" if args.twisted else "matchings",
         doubled_genus=doubled_genus,
-        reduced_only=cfg.reduced,
-        reduced_bipartite_only=cfg.reduced_bipartite,
-        bipartite_only=cfg.bipartite,
-        contributing_only=cfg.contributing,
+        reduced_only=args.reduced,
+        reduced_bipartite_only=args.reduced_bipartite,
+        bipartite_only=args.bipartite,
+        contributing_only=args.contributing,
         convention=convention,
     )
     rows = []
     lines = [
-        f"universe={'twisted' if cfg.twisted else 'matchings'} convention={convention} "
+        f"universe={'twisted' if args.twisted else 'matchings'} convention={convention} "
         f"ns={list(ns)} classes={len(classes)}"
     ]
     for c in classes:
@@ -341,25 +290,25 @@ def cmd_census(cfg: RunConfig) -> int:
         )
     doc = {
         "command": "census",
-        "universe": "twisted" if cfg.twisted else "matchings",
+        "universe": "twisted" if args.twisted else "matchings",
         "convention": convention,
         "ns": list(ns),
         "filters": {
             "doubledGenus": doubled_genus,
-            "bipartite": cfg.bipartite,
-            "reduced": cfg.reduced,
-            "reducedBipartite": cfg.reduced_bipartite,
-            "contributing": cfg.contributing,
+            "bipartite": args.bipartite,
+            "reduced": args.reduced,
+            "reducedBipartite": args.reduced_bipartite,
+            "contributing": args.contributing,
         },
         "classCount": len(classes),
         "classes": rows,
     }
-    _emit(doc, cfg, "\n".join(lines))
+    _emit(doc, args, "\n".join(lines))
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    checks = selftest_mod.run_selftest(max_n=cfg.max_n, threads=cfg.threads)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    checks = selftest_mod.run_selftest(max_n=args.max_n, threads=args.threads)
     ok = all(c.passed for c in checks)
     rows = [{"name": c.name, "status": "ok" if c.passed else "fail", "detail": c.detail}
             for c in checks]
@@ -367,11 +316,11 @@ def cmd_selftest(cfg: RunConfig) -> int:
     lines.append(f"selftest: {'all checks passed' if ok else 'FAILURES PRESENT'}")
     doc = {
         "command": "selftest",
-        "maxN": cfg.max_n,
+        "maxN": args.max_n,
         "status": "ok" if ok else "fail",
         "checks": rows,
     }
-    _emit(doc, cfg, "\n".join(lines))
+    _emit(doc, args, "\n".join(lines))
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -386,10 +335,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        cfg = _config(ns)
-        return _COMMANDS[cfg.subcommand](cfg)
+        _validate(args)
+        return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"zkerov: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,19 +27,10 @@ from .admissibility import Monomial
 from .engine import InternalConsistencyError
 from .partitions import compositions_any_length, partitions
 
-FAMILY_SUM = "ordered-tuple-families"
-SYMMETRIZED_SUM = "symmetrized"
-PER_PARTITION = "per-partition"
-
-
 @dataclass(frozen=True)
 class ClosedFormResult:
     n: int
     terms: dict[Monomial, int]
-    provenance: str
-
-    def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.terms, key=lambda m: m.parts, reverse=True)
 
 
 def _bracket(parts: tuple[int, ...]) -> Fraction:
@@ -50,13 +41,6 @@ def _bracket(parts: tuple[int, ...]) -> Fraction:
         + Fraction(1, 4) * s1
         + Fraction(1, 6) * (s1 * s1 - s2)
     )
-
-
-def _bracket_combined(parts: tuple[int, ...]) -> Fraction:
-    """Same bracket through the single-fraction route (S2 + 6*S1 + 4*S1^2)/24."""
-    s1 = sum(parts)
-    s2 = sum(a * a for a in parts)
-    return Fraction(s2 + 6 * s1 + 4 * s1 * s1, 24)
 
 
 def _multiplicity_factor(mu: Monomial) -> int:
@@ -104,7 +88,7 @@ def symmetrized_polynomial(n: int) -> ClosedFormResult:
         mono = Monomial(tup)
         acc[mono] = acc.get(mono, Fraction(0)) + term
     terms = {m: _as_int(v, f"term {m.parts} at n={n}") for m, v in acc.items()}
-    return ClosedFormResult(n=n, terms=terms, provenance=SYMMETRIZED_SUM)
+    return ClosedFormResult(n=n, terms=terms)
 
 
 def family_tuple_values(n: int, tup: tuple[int, ...]) -> tuple[Fraction, Fraction, Fraction]:
@@ -144,7 +128,7 @@ def family_sum_polynomial(n: int) -> ClosedFormResult:
         mono = Monomial(tup)
         acc[mono] = acc.get(mono, Fraction(0)) + t1 + t2 + t3
     terms = {m: _as_int(v, f"term {m.parts} at n={n}") for m, v in acc.items()}
-    return ClosedFormResult(n=n, terms=terms, provenance=FAMILY_SUM)
+    return ClosedFormResult(n=n, terms=terms)
 
 
 def partition_polynomial(n: int) -> ClosedFormResult:
@@ -157,7 +141,7 @@ def partition_polynomial(n: int) -> ClosedFormResult:
             continue
         mono = Monomial(parts)
         terms[mono] = partition_coefficient(n, mono)
-    return ClosedFormResult(n=n, terms=terms, provenance=PER_PARTITION)
+    return ClosedFormResult(n=n, terms=terms)
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,8 @@ def rescaled_coefficient_exact(n: int, mono: Monomial, raw_count: int) -> int | 
     sign = -1 if (n + 1 + v) % 2 else 1
     shift = v - (n - 1)
     if shift >= 0:
-        return sign * raw_count * (1 << shift)
+        # shifting a zero count costs nothing, however large mu's parts are
+        return sign * raw_count << shift
     quotient, remainder = divmod(raw_count, 1 << -shift)
     if remainder == 0:
         return sign * quotient
@@ -104,11 +105,9 @@ class GenusPolynomial:
     raw_counts: dict[Monomial, int]
     terms: dict[Monomial, int | Fraction]
 
-    def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.raw_counts, key=lambda m: m.parts, reverse=True)
-
     def inexact_monomials(self) -> list[Monomial]:
-        return [m for m in self.sorted_monomials() if isinstance(self.terms[m], Fraction)]
+        inexact = [m for m, v in self.terms.items() if isinstance(v, Fraction)]
+        return sorted(inexact, key=lambda m: m.parts, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -311,9 +310,6 @@ def _prefix_tasks(n: int, black_parity: int) -> list[tuple[int, tuple[tuple[int,
     return tasks
 
 
-_SCAN_MEMO: dict[tuple[int, int], ScanResult] = {}
-
-
 def scan(
     n: int,
     *,
@@ -322,17 +318,12 @@ def scan(
     black_parity: int = 0,
     force: bool = False,
 ) -> ScanResult:
-    """Full tally pass over every matching of the 2n-gon (memoized per run)."""
+    """Full tally pass over every matching of the 2n-gon, or its tallies
+    from the cache when ``cache_dir`` holds a valid file for n."""
     _check_limit(n, force)
-    memo_key = (n, black_parity)
-    got = _SCAN_MEMO.get(memo_key)
-    if got is not None:
-        return got
-
     if cache_dir is not None and black_parity == 0:
         cached = load_cache(cache_dir, n)
         if cached is not None:
-            _SCAN_MEMO[memo_key] = cached
             return cached
 
     if threads == 1 or n < POOL_MIN_N:
@@ -359,7 +350,6 @@ def scan(
         gluing_count=total,
         tallies={Monomial(parts): c for parts, c in merged.items()},
     )
-    _SCAN_MEMO[memo_key] = result
     if cache_dir is not None and black_parity == 0:
         write_cache(cache_dir, result)
     return result
@@ -390,11 +380,7 @@ def genus_part(
     """The homogeneous part with vertex count V = n + 1 - doubledGenus."""
     if doubled_genus < 0:
         raise ValueError(f"doubledGenus must be >= 0, got {doubled_genus}")
-    result = scan(n, threads=threads, cache_dir=cache_dir, force=force)
-    target_v = n + 1 - doubled_genus
-    raw = {m: c for m, c in result.tallies.items() if m.vertex_count == target_v}
-    terms = {m: rescaled_coefficient_exact(n, m, c) for m, c in raw.items()}
-    return GenusPolynomial(n=n, doubled_genus=doubled_genus, raw_counts=raw, terms=terms)
+    return strata(scan(n, threads=threads, cache_dir=cache_dir, force=force), doubled_genus)[0]
 
 
 def full_expansion(
@@ -408,12 +394,15 @@ def full_expansion(
     return strata(scan(n, threads=threads, cache_dir=cache_dir, force=force))
 
 
-def strata(result: ScanResult) -> list[GenusPolynomial]:
-    """The genus strata of one scan, doubledGenus ascending."""
+def strata(result: ScanResult, doubled_genus: int | None = None) -> list[GenusPolynomial]:
+    """The genus strata of one scan, doubledGenus ascending; with
+    ``doubled_genus``, just that stratum, empty when no term has it."""
     n = result.n
-    by_genus: dict[int, dict[Monomial, int]] = {}
+    by_genus: dict[int, dict[Monomial, int]] = {} if doubled_genus is None else {doubled_genus: {}}
     for m, c in result.tallies.items():
-        by_genus.setdefault(n + 1 - m.vertex_count, {})[m] = c
+        dg = n + 1 - m.vertex_count
+        if doubled_genus in (None, dg):
+            by_genus.setdefault(dg, {})[m] = c
     return [
         GenusPolynomial(
             n=n,
@@ -454,6 +443,13 @@ def write_cache(cache_dir: str | Path, result: ScanResult) -> Path:
     return path
 
 
+def _decimal(value: Any, what: str) -> int:
+    # write_cache renders every count as a string of ASCII digits
+    if not (isinstance(value, str) and value.isascii() and value.isdecimal()):
+        raise ValueError(f"{what} is {value!r}, expected a decimal string")
+    return int(value)
+
+
 def _parse_cache(doc: Any, n: int) -> ScanResult:
     # imported here: closedform imports this module
     from .closedform import partition_polynomial
@@ -464,13 +460,15 @@ def _parse_cache(doc: Any, n: int) -> ScanResult:
         raise ValueError(f"schemaVersion is {doc.get('schemaVersion')!r}")
     if doc.get("n") != n:
         raise ValueError(f"n is {doc.get('n')!r}, expected {n}")
-    gluings = int(doc["gluings"])
+    gluings = _decimal(doc["gluings"], "gluings")
     if gluings != double_factorial(2 * n - 1):
         raise ValueError(f"gluings is {gluings}, expected {double_factorial(2 * n - 1)}")
     tallies: dict[Monomial, int] = {}
     for entry in doc["tallies"]:
-        mono = Monomial(tuple(int(a) for a in entry["mu"]))
-        raw = int(entry["rawCount"])
+        if any(type(a) is not int for a in entry["mu"]):
+            raise ValueError(f"mu is {entry['mu']!r}, expected a list of integers")
+        mono = Monomial(tuple(entry["mu"]))
+        raw = _decimal(entry["rawCount"], "rawCount")
         if mono.vertex_count > n + 1 or raw < 1 or mono in tallies:
             raise ValueError(f"impossible entry mu={entry['mu']} rawCount={raw}")
         tallies[mono] = raw

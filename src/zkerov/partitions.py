@@ -1,4 +1,4 @@
-"""Small exact-combinatorics helpers: partitions, compositions, multiset permutations."""
+"""Small exact-combinatorics helpers: partitions and compositions."""
 
 from __future__ import annotations
 
@@ -41,25 +41,3 @@ def partitions(total: int, min_part: int = 2) -> Iterator[tuple[int, ...]]:
 
     yield from rec(total, total)
 
-
-def multiset_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a value multiset, lexicographically ascending."""
-    counts = {v: 0 for v in sorted(values)}
-    for v in values:
-        counts[v] += 1
-    k = len(values)
-    out: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(out) == k:
-            yield tuple(out)
-            return
-        for v, c in counts.items():
-            if c:
-                counts[v] = c - 1
-                out.append(v)
-                yield from rec()
-                out.pop()
-                counts[v] = c
-
-    yield from rec()

@@ -76,36 +76,6 @@ class Gluing(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Polygon:
-    """The labeled 2n-gon: corner/side indexing and the color convention."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-
-    @property
-    def corner_count(self) -> int:
-        return 2 * self.n
-
-    @property
-    def side_count(self) -> int:
-        return 2 * self.n
-
-    def side_corners(self, i: int) -> tuple[int, int]:
-        return i, (i + 1) % (2 * self.n)
-
-    def side_label(self, i: int) -> int:
-        """1-based side label (side i carries label i+1)."""
-        return i + 1
-
-    @staticmethod
-    def corner_color(c: int) -> str:
-        return BLACK if c % 2 == 0 else WHITE
-
-
-@dataclass(frozen=True)
 class GluedMap:
     """The one-face map obtained from a gluing.
 
@@ -128,10 +98,6 @@ class GluedMap:
     @property
     def vertex_count(self) -> int:
         return len(self.degree)
-
-    def edge_endpoints(self) -> list[tuple[int, int]]:
-        """Endpoint pairs (u, v), u <= v, one per map edge (multi-edges kept)."""
-        return [uv for uv, _labels in self.graph_edges]
 
 
 def enumerate_gluings(n: int) -> Iterator[Gluing]:
@@ -158,12 +124,8 @@ def enumerate_twisted_gluings(n: int) -> Iterator[Gluing]:
             yield Gluing(pairing, tuple(tw))
 
 
-def _involutions(m: int, first_partner: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Fixed-point-free involutions on 0..m-1 in canonical order.
-
-    ``first_partner`` restricts to pairings with pairing[0] == first_partner
-    (used to partition the enumeration into independent branches).
-    """
+def _involutions(m: int) -> Iterator[tuple[int, ...]]:
+    """Fixed-point-free involutions on 0..m-1 in canonical order."""
     pairing = [-1] * m
 
     def rec(start: int) -> Iterator[tuple[int, ...]]:
@@ -181,12 +143,7 @@ def _involutions(m: int, first_partner: int | None = None) -> Iterator[tuple[int
                 pairing[j] = -1
         pairing[i] = -1
 
-    if first_partner is None:
-        yield from rec(0)
-    else:
-        pairing[0] = first_partner
-        pairing[first_partner] = 0
-        yield from rec(1)
+    yield from rec(0)
 
 
 def glue(gluing: Gluing, black_parity: int = 0) -> GluedMap:
@@ -277,22 +234,9 @@ def glue(gluing: Gluing, black_parity: int = 0) -> GluedMap:
 
 def rotate_gluing(g: Gluing, r: int) -> Gluing:
     """Rotate by r map-edge steps: every side index shifts by 2r mod 2n."""
-    n = g.n
-    if not 0 <= r < n:
-        raise ValueError(f"rotation must satisfy 0 <= r < n, got r={r}, n={n}")
-    m = 2 * n
-    s = 2 * r
-    p = g.pairing
-    new_p = [0] * m
-    for i in range(m):
-        new_p[(i + s) % m] = (p[i] + s) % m
-    new_tw = None
-    if g.twists is not None:
-        tw = [False] * m
-        for i in range(m):
-            tw[(i + s) % m] = g.twists[i]
-        new_tw = tuple(tw)
-    return Gluing(tuple(new_p), new_tw)
+    if not 0 <= r < g.n:
+        raise ValueError(f"rotation must satisfy 0 <= r < n, got r={r}, n={g.n}")
+    return shift_gluing(g, 2 * r)
 
 
 def shift_gluing(g: Gluing, t: int) -> Gluing:

@@ -1,9 +1,12 @@
-"""Self-contained verification battery behind the ``selftest`` subcommand.
+"""The verification checks: one registry behind ``selftest``, the acceptance
+suite and ``genus1 --verify``.
 
-Each check mirrors one of the project's acceptance criteria at a scale
-bounded by ``max_n``.  Checks never raise; failures (including unexpected
-exceptions) are reported in the returned list so the CLI can render one
-line per check and exit 2 when anything failed.
+Each entry of CHECKS is ``(name, acceptance criterion or None, fn)``, where
+``fn(max_n, threads)`` runs the check at a scale bounded by ``max_n`` and
+returns a one-line detail, raising on failure.  run_check never raises:
+failures (including unexpected exceptions) come back as a failed
+CheckResult so the CLI can render one line per check and exit 2 when
+anything failed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .census import (
     verify_decoration_accounting,
 )
 from .closedform import partition_polynomial, lassalle_scan, family_sum_polynomial, symmetrized_polynomial
-from .engine import full_expansion, genus_part
+from .engine import ScanResult, full_expansion, genus_part, strata
 from .polygon import (
     Gluing,
     double_factorial,
@@ -58,14 +61,29 @@ class CheckResult:
     detail: str
 
 
-def _run(name: str, fn: Callable[[], str]) -> CheckResult:
-    try:
-        return CheckResult(name, True, fn())
-    except Exception as exc:
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+def genus1_mismatches(n: int, result: ScanResult) -> list[str]:
+    """Disagreements among the four genus-one routes at n: the per-partition
+    closed form against the tuple-family sum, the symmetrized sum and the
+    genus-one stratum of ``result``; empty when all four agree."""
+    reference = {m.parts: v for m, v in partition_polynomial(n).terms.items()}
+    mismatches = []
+    for name, other in (
+        ("tuple-family sum", family_sum_polynomial(n)),
+        ("symmetrized sum", symmetrized_polynomial(n)),
+    ):
+        got = {m.parts: v for m, v in other.terms.items()}
+        if got != reference:
+            mismatches.append(f"{name} disagrees: {got} != {reference}")
+    part = strata(result, 2)[0]
+    enum_terms = {m.parts: v for m, v in part.terms.items()}
+    if enum_terms != reference:
+        mismatches.append(f"enumeration disagrees: {enum_terms} != {reference}")
+    if {m.parts: v for m, v in part.raw_counts.items()} != enum_terms:
+        mismatches.append("genus-one rescale factor is not 1")
+    return mismatches
 
 
-def _check_gluing_counts(max_n: int) -> str:
+def _check_gluing_counts(max_n: int, _threads: int) -> str:
     counts = []
     for n in range(1, max_n + 1):
         got = sum(1 for _ in enumerate_gluings(n))
@@ -75,7 +93,7 @@ def _check_gluing_counts(max_n: int) -> str:
     return f"matching counts {counts} match the double factorials"
 
 
-def _check_twisted_counts(max_n: int) -> str:
+def _check_twisted_counts(max_n: int, _threads: int) -> str:
     top = min(max_n, 4)
     for n in range(1, top + 1):
         got = sum(1 for _ in enumerate_twisted_gluings(n))
@@ -84,7 +102,7 @@ def _check_twisted_counts(max_n: int) -> str:
     return f"twisted counts match (2n-1)!!*2^n for n<= {top}"
 
 
-def _check_glue_invariants(max_n: int) -> str:
+def _check_glue_invariants(max_n: int, _threads: int) -> str:
     top = min(max_n, 5)
     maps = 0
     for n in range(1, top + 1):
@@ -98,7 +116,7 @@ def _check_glue_invariants(max_n: int) -> str:
     return f"{maps} maps satisfy the degree-sum, Euler, and bipartite invariants"
 
 
-def _check_rotation_equivariance(max_n: int) -> str:
+def _check_rotation_equivariance(max_n: int, _threads: int) -> str:
     top = min(max_n, 4)
     checked = 0
     for n in range(1, top + 1):
@@ -115,7 +133,7 @@ def _check_rotation_equivariance(max_n: int) -> str:
     return f"{checked} rotated maps keep degree multiset, Euler characteristic, colors"
 
 
-def _check_oracle_equivalence(max_n: int) -> str:
+def _check_oracle_equivalence(max_n: int, _threads: int) -> str:
     top = min(max_n, 6)
     pairs = 0
     for n in range(1, top + 1):
@@ -137,7 +155,7 @@ def _check_oracle_equivalence(max_n: int) -> str:
                 pairing[b] = a
             m = glue(Gluing(tuple(pairing)))
             for q in candidate_colorings(m):
-                assert hall_condition(m, q) == orientation_walk_condition(m, q)
+                assert hall_condition(m, q) == orientation_walk_condition(m, q), (pairing, q)
                 sampled += 1
     extra = f" plus {sampled} sampled pairs at n=7" if sampled else ""
     return f"both oracles agree on all {pairs} (map, q) pairs for n<= {top}{extra}"
@@ -146,13 +164,10 @@ def _check_oracle_equivalence(max_n: int) -> str:
 def _check_genus1_agreement(max_n: int, threads: int) -> str:
     checked = 0
     for n in range(3, max_n + 1):
-        reference = {m.parts: v for m, v in partition_polynomial(n).terms.items()}
-        assert {m.parts: v for m, v in family_sum_polynomial(n).terms.items()} == reference, n
-        assert {m.parts: v for m, v in symmetrized_polynomial(n).terms.items()} == reference, n
-        part = genus_part(n, 2, threads=threads)
-        assert {m.parts: v for m, v in part.terms.items()} == reference, n
-        assert part.raw_counts == part.terms, f"genus-1 rescale factor != 1 at n={n}"
-        checked += len(reference)
+        result = engine.scan(n, threads=threads)
+        mismatches = genus1_mismatches(n, result)
+        assert not mismatches, f"n={n}: " + "; ".join(mismatches)
+        checked += sum(1 for m in result.tallies if m.vertex_count == n - 1)
     return f"three closed forms == enumeration on {checked} genus-one coefficients, n=3..{max_n}"
 
 
@@ -181,7 +196,7 @@ def _check_rescale_integrality(max_n: int, threads: int) -> str:
     return f"{terms} rescaled coefficients are exact integers for n<= {top}"
 
 
-def _check_pinned_census_counts(max_n: int) -> str:
+def _check_pinned_census_counts(max_n: int, _threads: int) -> str:
     details = []
     if max_n >= 3:
         small = small_reduced_census(3)
@@ -194,7 +209,7 @@ def _check_pinned_census_counts(max_n: int) -> str:
     return "; ".join(details) if details else "skipped (max_n too small)"
 
 
-def _check_orbit_stabilizer(max_n: int) -> str:
+def _check_orbit_stabilizer(max_n: int, _threads: int) -> str:
     top = min(max_n, 6)
     classes_seen = 0
     for n in range(1, top + 1):
@@ -206,10 +221,12 @@ def _check_orbit_stabilizer(max_n: int) -> str:
     # a filtered family: genus-one maps at n=3 total four gluings in two orbits
     fam = census_classes(3, doubled_genus=2, bipartite_only=True)
     assert sorted(c.orbit_size for c in fam) == [1, 3]
+    direct = sum(1 for g in enumerate_gluings(3) if glue(g).doubled_genus == 2)
+    assert direct == 4, f"{direct} genus-one gluings at n=3, expected 4"
     return f"orbit*stabilizer == n for all {classes_seen} classes, n<= {top}"
 
 
-def _check_decoration_count() -> str:
+def _check_decoration_count(_max_n: int, _threads: int) -> str:
     cases = 0
     for m in range(1, 5):
         for k in range(6):
@@ -218,7 +235,7 @@ def _check_decoration_count() -> str:
     return f"{cases} decoration counts match explicit placement generation"
 
 
-def _check_decoration_accounting(max_n: int) -> str:
+def _check_decoration_accounting(max_n: int, _threads: int) -> str:
     bases = [c for c in contributing_reduced_bipartite_census(min(max_n, 6)) if c.n <= 4]
     cases = 0
     for c in bases:
@@ -232,7 +249,7 @@ def _check_decoration_accounting(max_n: int) -> str:
     return f"labeled-map accounting holds for {cases} decoration targets on {len(bases)} bases"
 
 
-def _check_reduction(max_n: int) -> str:
+def _check_reduction(max_n: int, _threads: int) -> str:
     top = min(max_n, 6)
     targets = {canonical_key(underlying_multigraph(glue(c.representative)))
                for c in contributing_reduced_bipartite_census(6)}
@@ -250,7 +267,7 @@ def _check_reduction(max_n: int) -> str:
     return f"{reduced_maps} contributing genus-one maps reduce confluently into the 7 classes"
 
 
-def _check_determinism(max_n: int) -> str:
+def _check_determinism(max_n: int, _threads: int) -> str:
     n = min(max_n, 5)
     one = engine._scan_branch((n, tuple(range(1, 2 * n)), 0))
     split = [engine._scan_branch((n, tuple(range(1, 2 * n))[k::3], 0)) for k in range(3)]
@@ -263,7 +280,7 @@ def _check_determinism(max_n: int) -> str:
     return f"partitioned enumeration merge equals the single pass at n={n}"
 
 
-def _check_color_swap(max_n: int) -> str:
+def _check_color_swap(max_n: int, _threads: int) -> str:
     n = min(max_n, 4)
     plain = engine._scan_branch((n, tuple(range(1, 2 * n)), 0))[1]
     swapped = engine._scan_branch((n, tuple(range(1, 2 * n)), 1))[1]
@@ -271,39 +288,50 @@ def _check_color_swap(max_n: int) -> str:
     return f"per-monomial totals are invariant under the black/white swap at n={n}"
 
 
-def _check_degenerate_genus1(threads: int) -> str:
+def _check_degenerate_genus1(_max_n: int, threads: int) -> str:
     part = genus_part(2, 2, threads=threads)
     assert part.terms == {} and part.raw_counts == {}
     return "the genus-one stratum at n=2 is empty"
 
 
-def _check_lassalle() -> str:
+def _check_lassalle(_max_n: int, _threads: int) -> str:
     report = lassalle_scan(12)
     assert report.ok, report.violations
     assert all(v > 0 for _n, _mu, v in report.rows)
     return f"{len(report.rows)} genus-one coefficients up to n=12 are positive integers"
 
 
+CHECKS: tuple[tuple[str, int | None, Callable[[int, int], str]], ...] = (
+    ("gluing-counts", 1, _check_gluing_counts),
+    ("twisted-counts", None, _check_twisted_counts),
+    ("glue-invariants", None, _check_glue_invariants),
+    ("rotation-equivariance", None, _check_rotation_equivariance),
+    ("oracle-equivalence", 4, _check_oracle_equivalence),
+    ("genus1-agreement", 2, _check_genus1_agreement),
+    ("pinned-values", 3, _check_pinned_values),
+    ("rescale-integrality", 9, _check_rescale_integrality),
+    ("census-pinned-counts", 6, _check_pinned_census_counts),
+    ("orbit-stabilizer", 8, _check_orbit_stabilizer),
+    ("decoration-count", 7, _check_decoration_count),
+    ("decoration-accounting", 8, _check_decoration_accounting),
+    ("reduction-closure", None, _check_reduction),
+    ("parallel-determinism", None, _check_determinism),
+    ("color-swap", None, _check_color_swap),
+    ("degenerate-genus1", 11, _check_degenerate_genus1),
+    ("lassalle-positivity", 5, _check_lassalle),
+)
+
+
+def run_check(name: str, max_n: int, threads: int) -> CheckResult:
+    """Run one registered check; a failure or exception is a failed result."""
+    fn = {check: fn for check, _criterion, fn in CHECKS}[name]
+    try:
+        return CheckResult(name, True, fn(max_n, threads))
+    except Exception as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+
 def run_selftest(max_n: int = 6, threads: int = 1) -> list[CheckResult]:
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    checks = [
-        _run("gluing-counts", lambda: _check_gluing_counts(max_n)),
-        _run("twisted-counts", lambda: _check_twisted_counts(max_n)),
-        _run("glue-invariants", lambda: _check_glue_invariants(max_n)),
-        _run("rotation-equivariance", lambda: _check_rotation_equivariance(max_n)),
-        _run("oracle-equivalence", lambda: _check_oracle_equivalence(max_n)),
-        _run("genus1-agreement", lambda: _check_genus1_agreement(max_n, threads)),
-        _run("pinned-values", lambda: _check_pinned_values(max_n, threads)),
-        _run("rescale-integrality", lambda: _check_rescale_integrality(max_n, threads)),
-        _run("census-pinned-counts", lambda: _check_pinned_census_counts(max_n)),
-        _run("orbit-stabilizer", lambda: _check_orbit_stabilizer(max_n)),
-        _run("decoration-count", _check_decoration_count),
-        _run("decoration-accounting", lambda: _check_decoration_accounting(max_n)),
-        _run("reduction-closure", lambda: _check_reduction(max_n)),
-        _run("parallel-determinism", lambda: _check_determinism(max_n)),
-        _run("color-swap", lambda: _check_color_swap(max_n)),
-        _run("degenerate-genus1", lambda: _check_degenerate_genus1(threads)),
-        _run("lassalle-positivity", _check_lassalle),
-    ]
-    return checks
+    return [run_check(name, max_n, threads) for name, _criterion, _fn in CHECKS]

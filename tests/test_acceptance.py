@@ -1,193 +1,84 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and
-timings.  Criterion 9 (rescaling integrality for n <= 6) is implemented
-exactly as stated and is expected to FAIL: the raw counts of R_4 (701)
-and R_2 (1348) at n=6 are verifiably not divisible by the required
-powers of two, so those two coefficients are exact half-integers.  The
-analysis lives in the project notes; the test is intentionally left red
-rather than weakened.
+Every criterion but 10 runs the checks of the ``selftest`` registry that
+carry its number, at max_n=8, so the suite and ``zkerov selftest`` share
+one copy of each check.  Run with ``pytest tests/test_acceptance.py -v -s``
+to see the lines and timings.  Criterion 9 (rescaling integrality for
+n <= 6) is implemented exactly as stated and is expected to FAIL: the raw
+counts of R_4 (701) and R_2 (1348) at n=6 are verifiably not divisible by
+the required powers of two, so those two coefficients are exact
+half-integers.  The analysis lives in the project notes; the test is
+intentionally left red rather than weakened.
 """
 
 import json
-import random
 import time
 
-import zkerov.engine as engine
-from zkerov.admissibility import Monomial, candidate_colorings, hall_condition, orientation_walk_condition
-from zkerov.census import (
-    census_classes,
-    contributing_reduced_bipartite_census,
-    decoration_count,
-    small_reduced_census,
-    verify_decoration_accounting,
-)
 from zkerov.cli import main
-from zkerov.closedform import partition_polynomial, lassalle_scan, family_sum_polynomial, symmetrized_polynomial
-from zkerov.engine import coefficient, genus_part, scan
-from zkerov.polygon import Gluing, double_factorial, enumerate_gluings, glue
+from zkerov.selftest import CHECKS, run_check
 
 WORKERS = 4
-
-EXPECTED_GLUING_COUNTS = [1, 3, 15, 105, 945, 10395, 135135, 2027025]
-
-PINNED_GENUS1 = {
-    (3, (2,)): 4,
-    (4, (3,)): 21,
-    (5, (2, 2)): 20,
-    (5, (4,)): 65,
-    (6, (3, 2)): 143,
-    (6, (5,)): 155,
-}
+MAX_N = 8
 
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {detail}")
 
 
-def test_criterion_01_gluing_counts():
+def check_criterion(number: int, bound_s: float | None = None) -> None:
+    """Run the registry checks of one criterion, within ``bound_s`` seconds."""
     t0 = time.perf_counter()
-    counts = [sum(1 for _ in enumerate_gluings(n)) for n in range(1, 9)]
+    results = [run_check(name, MAX_N, WORKERS) for name, crit, _fn in CHECKS if crit == number]
     elapsed = time.perf_counter() - t0
-    ok = counts == EXPECTED_GLUING_COUNTS and elapsed < 30
-    report(1, ok, f"gluing counts {counts} in {elapsed:.1f}s single-threaded")
-    assert counts == EXPECTED_GLUING_COUNTS
-    assert elapsed < 30
+    in_time = bound_s is None or elapsed < bound_s
+    ok = bool(results) and all(r.passed for r in results) and in_time
+    report(number, ok, "; ".join(r.detail for r in results)
+           + f" ({elapsed:.1f}s with {WORKERS} workers)")
+    assert results, f"no registry check carries criterion {number}"
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
+    assert in_time, f"took {elapsed:.1f}s, bound {bound_s}s"
+
+
+def test_criterion_01_gluing_counts():
+    check_criterion(1, bound_s=30)
 
 
 def test_criterion_02_genus_one_three_way_and_enumeration():
-    t0 = time.perf_counter()
-    checked = 0
-    for n in range(3, 9):
-        reference = {m.parts: v for m, v in partition_polynomial(n).terms.items()}
-        family = {m.parts: v for m, v in family_sum_polynomial(n).terms.items()}
-        symmetrized = {m.parts: v for m, v in symmetrized_polynomial(n).terms.items()}
-        assert family == reference, f"tuple-family sum differs at n={n}"
-        assert symmetrized == reference, f"symmetrized sum differs at n={n}"
-        part = genus_part(n, 2, threads=WORKERS)
-        enum_terms = {m.parts: v for m, v in part.terms.items()}
-        assert enum_terms == reference, f"enumeration differs at n={n}"
-        assert part.raw_counts == part.terms, f"genus-one rescale factor != 1 at n={n}"
-        checked += len(reference)
-    elapsed = time.perf_counter() - t0
-    ok = elapsed <= 60
-    report(2, ok, f"{checked} genus-one coefficients agree across four routes, "
-                  f"n=3..8, {elapsed:.1f}s with {WORKERS} workers")
-    assert ok
+    check_criterion(2, bound_s=60)
 
 
 def test_criterion_03_pinned_values_rederived():
-    for (n, parts), expected in PINNED_GENUS1.items():
-        raw, coeff = coefficient(n, Monomial(parts), threads=WORKERS)
-        assert (raw, coeff) == (expected, expected), (n, parts, raw, coeff)
-    report(3, True, f"all {len(PINNED_GENUS1)} pinned values re-derived by enumeration")
+    check_criterion(3)
 
 
 def test_criterion_04_oracle_equivalence():
-    t0 = time.perf_counter()
-    pairs = 0
-    for n in range(1, 7):
-        for g in enumerate_gluings(n):
-            m = glue(g)
-            for q in candidate_colorings(m):
-                assert hall_condition(m, q) == orientation_walk_condition(m, q), (g, q)
-                pairs += 1
-    rng = random.Random(20260808)
-    sampled = 0
-    while sampled < 10_000:
-        perm = list(range(14))
-        rng.shuffle(perm)
-        pairing = [0] * 14
-        for k in range(0, 14, 2):
-            a, b = perm[k], perm[k + 1]
-            pairing[a] = b
-            pairing[b] = a
-        m = glue(Gluing(tuple(pairing)))
-        for q in candidate_colorings(m):
-            assert hall_condition(m, q) == orientation_walk_condition(m, q), (pairing, q)
-            sampled += 1
-    elapsed = time.perf_counter() - t0
-    report(4, True, f"oracles agree on all {pairs} pairs for n<=6 "
-                    f"and {sampled} sampled pairs at n=7 ({elapsed:.1f}s)")
+    check_criterion(4)
 
 
 def test_criterion_05_lassalle_scan():
-    t0 = time.perf_counter()
-    result = lassalle_scan(12)
-    elapsed = time.perf_counter() - t0
-    ok = result.ok and all(v > 0 for _n, _mu, v in result.rows) and elapsed < 1
-    report(5, ok, f"{len(result.rows)} closed-form coefficients up to n=12 "
-                  f"are positive integers ({elapsed * 1000:.0f}ms)")
-    assert ok
+    check_criterion(5, bound_s=1)
 
 
 def test_criterion_06_census_counts():
-    small = small_reduced_census(3)
-    contributing = contributing_reduced_bipartite_census(6)
-    ok = len(small) == 5 and len(contributing) == 7
-    report(6, ok, f"reduced twisted census: {len(small)} classes (pinned dihedral); "
-                  f"contributing reduced-bipartite census: {len(contributing)} classes (cyclic)")
-    assert len(small) == 5
-    assert len(contributing) == 7
+    check_criterion(6)
 
 
 def test_criterion_07_decoration_counts():
-    cases = 0
-    for m in range(1, 5):
-        for k in range(6):
-            decoration_count(m, k, verify=True)
-            cases += 1
-    report(7, True, f"{cases} decoration counts equal explicit placement generation")
+    check_criterion(7)
 
 
 def test_criterion_08_orbit_stabilizer_and_labeled_accounting():
-    t0 = time.perf_counter()
-    for n in range(1, 7):
-        classes = census_classes(n)
-        assert sum(c.orbit_size for c in classes) == double_factorial(2 * n - 1)
-        for c in classes:
-            assert c.orbit_size * c.stabilizer_order == n, c
-    filtered = census_classes(3, doubled_genus=2, bipartite_only=True)
-    direct = sum(1 for g in enumerate_gluings(3) if glue(g).doubled_genus == 2)
-    assert sum(c.orbit_size for c in filtered) == direct == 4
-    bases = [c for c in contributing_reduced_bipartite_census(6) if c.n <= 4]
-    cases = 0
-    for c in bases:
-        m = glue(c.representative)
-        b0, w0 = len(m.black_vertices), len(m.white_vertices)
-        for kp in range(3):
-            for lv in range(4):
-                result = verify_decoration_accounting(c, b0 + kp, w0 + kp + lv)
-                assert result.ok, result
-                cases += 1
-    elapsed = time.perf_counter() - t0
-    report(8, True, f"orbit*stabilizer == n for all classes n<=6; labeled-map "
-                    f"accounting holds for {cases} targets on {len(bases)} bases ({elapsed:.1f}s)")
+    check_criterion(8)
 
 
 def test_criterion_09_rescaling_integrality():
-    inexact: list[tuple[int, tuple[int, ...], int]] = []
-    for n in range(1, 7):
-        result = scan(n, threads=WORKERS)
-        for mono, raw in result.tallies.items():
-            shortfall = (n - 1) - mono.vertex_count
-            if shortfall > 0 and raw % (1 << shortfall):
-                inexact.append((n, mono.parts, raw))
-    ok = not inexact
-    report(9, ok, "zero inexact divisions for n<=6" if ok else
-           f"inexact power-of-two divisions found: {inexact} "
-           "(verified by independent brute force; see the analysis notes)")
-    assert not inexact, (
-        "the stated integrality claim fails at n=6: raw counts "
-        f"{inexact} are not divisible by the required powers of two"
-    )
+    check_criterion(9)
 
 
 def test_criterion_10_expand_determinism(capsys):
-    engine._SCAN_MEMO.clear()
     code1 = main(["expand", "--n", "6", "--threads", "1", "--format", "json"])
     out1 = capsys.readouterr().out
-    engine._SCAN_MEMO.clear()
     code2 = main(["expand", "--n", "6", "--threads", "8", "--format", "json"])
     out2 = capsys.readouterr().out
     ok = code1 == code2 == 0 and out1 == out2
@@ -200,7 +91,4 @@ def test_criterion_10_expand_determinism(capsys):
 
 
 def test_criterion_11_degenerate_genus_one():
-    part = genus_part(2, 2)
-    ok = part.terms == {} and part.raw_counts == {}
-    report(11, ok, "the genus-one stratum at n=2 is empty")
-    assert ok
+    check_criterion(11)

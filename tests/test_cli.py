@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zkerov.cli as cli
 import zkerov.engine as engine
@@ -48,10 +52,59 @@ class TestCoeff:
             main(["coeff", "--n", "3"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("gluings", ["1e400", "15.7"])
+    def test_non_string_gluings_in_cache_are_rescanned(self, capsys, tmp_path, gluings):
+        code, doc, _ = run_json(capsys, "coeff", "--n", "3", "--mu", "2", "--cache", str(tmp_path))
+        assert code == 0
+        cache_file = tmp_path / "zkerov-cache-v1-n3.json"
+        text = cache_file.read_text()
+        cache_file.write_text(text.replace('"gluings": "15"', f'"gluings": {gluings}'))
+        code2, doc2, err = run_json(capsys, "coeff", "--n", "3", "--mu", "2", "--cache", str(tmp_path))
+        assert code2 == 0 and doc2 == doc
+        assert "invalid cache file" in err
+        assert cache_file.read_text() == text
+
     def test_inexact_halving_exits_three(self, capsys):
         code, _out, err = run(capsys, "coeff", "--n", "6", "--mu", "4")
         assert code == 3
         assert "internal consistency" in err
+
+
+def quiet_main(*args):
+    """main() with stdout and stderr captured; returns (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(args))
+    return code, out.getvalue()
+
+
+def is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestMuParsing:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=2), min_size=1, max_size=6))
+    def test_parts_of_two_or_more_are_accepted_and_sorted(self, parts):
+        mu = ",".join(map(str, parts))
+        code, out = quiet_main("coeff", "--n", "3", "--mu", mu, "--threads", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["mu"] == sorted(parts, reverse=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(), min_size=1, max_size=6).filter(lambda ps: min(ps) < 2))
+    def test_a_part_below_two_exits_one(self, parts):
+        mu = ",".join(map(str, parts))
+        assert quiet_main("coeff", "--n", "3", f"--mu={mu}", "--threads", "1") == (1, "")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=12).filter(lambda t: not all(is_int(p) for p in t.split(","))))
+    def test_text_that_is_not_integers_exits_one(self, text):
+        assert quiet_main("coeff", "--n", "3", f"--mu={text}", "--threads", "1") == (1, "")
 
 
 class TestExpand:
@@ -85,26 +138,26 @@ class TestExpand:
         assert code == 0
         assert [p["doubledGenus"] for p in doc["parts"]] == [0]
 
+    def test_negative_genus_filter_exits_one(self, capsys):
+        code, out, err = run(capsys, "expand", "--n", "3", "--genus-doubled", "-1")
+        assert code == 1 and out == ""
+        assert "--genus-doubled must be >= 0" in err
+
     def test_limit_requires_force(self, capsys):
         code, _out, err = run(capsys, "expand", "--n", "9")
         assert code == 1
         assert "force" in err
 
     def test_threads_do_not_change_bytes(self, capsys):
-        engine._SCAN_MEMO.clear()
         code1, out1, _ = run(capsys, "expand", "--n", "4", "--threads", "1", "--format", "json")
-        engine._SCAN_MEMO.clear()
         code2, out2, _ = run(capsys, "expand", "--n", "4", "--threads", "3", "--format", "json")
         assert code1 == code2 == 0
         assert out1 == out2
 
     def test_threads_do_not_change_bytes_through_the_pool(self, capsys):
         assert 7 >= engine.POOL_MIN_N
-        engine._SCAN_MEMO.clear()
         code1, out1, _ = run(capsys, "expand", "--n", "7", "--threads", "1", "--format", "json")
-        engine._SCAN_MEMO.clear()
         code2, out2, _ = run(capsys, "expand", "--n", "7", "--threads", "2", "--format", "json")
-        engine._SCAN_MEMO.clear()
         assert code1 == code2 == 0
         assert out1 == out2
 
@@ -137,27 +190,22 @@ class TestExpand:
                 raise BrokenProcessPool("a child process terminated abruptly")
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", BrokenPool)
-        engine._SCAN_MEMO.clear()
         code, out, err = run(capsys, "expand", "--n", str(engine.POOL_MIN_N), "--threads", "2")
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "worker process died" in err
 
     def test_truncated_cache_is_rescanned(self, capsys, tmp_path):
-        engine._SCAN_MEMO.clear()
         code, doc, _ = run_json(capsys, "expand", "--n", "5", "--cache", str(tmp_path))
         assert code == 0
         cache_file = tmp_path / "zkerov-cache-v1-n5.json"
         cache_file.write_text(cache_file.read_text()[:100])
-        engine._SCAN_MEMO.clear()
         code2, doc2, err = run_json(capsys, "expand", "--n", "5", "--cache", str(tmp_path))
-        engine._SCAN_MEMO.clear()
         assert code2 == 0 and doc2 == doc
         assert "invalid cache file" in err
         json.loads(cache_file.read_text())
 
     def test_cache_file_is_written_and_reused(self, capsys, tmp_path):
-        engine._SCAN_MEMO.clear()
         code, doc, _ = run_json(capsys, "expand", "--n", "3", "--cache", str(tmp_path))
         assert code == 0
         cache_file = tmp_path / "zkerov-cache-v1-n3.json"
@@ -167,10 +215,8 @@ class TestExpand:
         assert payload["n"] == 3
         assert payload["gluings"] == "15"
         assert {"mu": [2], "rawCount": "4"} in payload["tallies"]
-        engine._SCAN_MEMO.clear()
         code2, doc2, _ = run_json(capsys, "expand", "--n", "3", "--cache", str(tmp_path))
         assert code2 == 0 and doc2 == doc
-        engine._SCAN_MEMO.clear()
 
 
 class TestGenus1:
@@ -214,6 +260,12 @@ class TestCensus:
         assert code == 0
         assert doc["classCount"] == 7
         assert doc["convention"] == "cyclic"
+
+    @pytest.mark.parametrize("max_n", ["0", "-2"])
+    def test_max_n_below_one_exits_one(self, capsys, max_n):
+        code, out, err = run(capsys, "census", "--reduced", "--twisted", "--max-n", max_n)
+        assert code == 1 and out == ""
+        assert "--max-n must be >= 1" in err
 
     def test_without_n_or_preset_exits_one(self, capsys):
         code, _out, err = run(capsys, "census")

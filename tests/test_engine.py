@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 import zkerov.engine as engine
@@ -19,11 +25,6 @@ from zkerov.engine import (
     write_cache,
 )
 from zkerov.polygon import enumerate_gluings, glue
-
-
-def fresh_scan(n, **kw):
-    engine._SCAN_MEMO.clear()
-    return scan(n, **kw)
 
 
 class TestRescaling:
@@ -56,13 +57,12 @@ class TestScanAgainstBruteForce:
         assert {m.parts: c for m, c in result.tallies.items()} == expected_tallies
 
     def test_worker_count_does_not_change_results(self):
-        serial = fresh_scan(5, threads=1)
-        parallel = fresh_scan(5, threads=3)
+        serial = scan(5, threads=1)
+        parallel = scan(5, threads=3)
         assert serial.gluing_count == parallel.gluing_count
         assert serial.tallies == parallel.tallies
 
     def test_color_swap_symmetry(self):
-        engine._SCAN_MEMO.clear()
         plain = scan(4, black_parity=0)
         swapped = scan(4, black_parity=1)
         assert {m.parts: c for m, c in plain.tallies.items()} == {
@@ -105,16 +105,15 @@ class TestScanKernel:
         assert by_prefix == single
 
     def test_small_n_runs_in_process(self, monkeypatch):
-        serial = {n: fresh_scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
+        serial = {n: scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
 
         def no_pool(*_args, **_kwargs):
             raise AssertionError("a process pool was created")
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
         for n, expected in serial.items():
-            got = fresh_scan(n, threads=2)
+            got = scan(n, threads=2)
             assert got.tallies == expected.tallies
-        engine._SCAN_MEMO.clear()
 
 
 class TestCoefficient:
@@ -200,7 +199,7 @@ class TestFullExpansion:
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        result = fresh_scan(3, cache_dir=tmp_path)
+        result = scan(3, cache_dir=tmp_path)
         path = cache_path(tmp_path, 3)
         assert path.exists()
         text = path.read_text()
@@ -212,25 +211,23 @@ class TestCache:
         assert loaded.tallies == result.tallies
 
     def test_cache_is_used_on_reload(self, tmp_path):
-        fresh_scan(3, cache_dir=tmp_path)
+        scan(3, cache_dir=tmp_path)
         # corrupt a tally that validation cannot check (R3 lies outside the
         # genus-one stratum); the loaded (not recomputed) value must surface
         path = cache_path(tmp_path, 3)
         path.write_text(path.read_text().replace('"rawCount": "3"', '"rawCount": "31"'))
-        engine._SCAN_MEMO.clear()
         reloaded = scan(3, cache_dir=tmp_path)
         assert reloaded.tallies[Monomial((3,))] == 31
-        engine._SCAN_MEMO.clear()
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cache(tmp_path, 5) is None
 
     def test_write_leaves_no_temporary_file(self, tmp_path):
-        write_cache(tmp_path, fresh_scan(4))
+        write_cache(tmp_path, scan(4))
         assert [p.name for p in tmp_path.iterdir()] == [cache_path(tmp_path, 4).name]
 
     def test_tampered_count_is_rescanned(self, tmp_path, capsys):
-        fresh_scan(5, cache_dir=tmp_path)
+        scan(5, cache_dir=tmp_path)
         path = cache_path(tmp_path, 5)
         doc = json.loads(path.read_text())
         entry = next(e for e in doc["tallies"] if e["mu"] == [4])
@@ -238,11 +235,9 @@ class TestCache:
         entry["rawCount"] = "66"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         capsys.readouterr()
-        engine._SCAN_MEMO.clear()
         assert scan(5, cache_dir=tmp_path).tallies[Monomial((4,))] == 65
         assert "invalid cache file" in capsys.readouterr().err
         assert '"rawCount": "66"' not in path.read_text()
-        engine._SCAN_MEMO.clear()
 
     @pytest.mark.parametrize("tamper", [
         pytest.param(lambda d: d.update(schemaVersion=2), id="schema"),
@@ -255,9 +250,12 @@ class TestCache:
         pytest.param(lambda d: d["tallies"].append(dict(d["tallies"][0])), id="duplicate"),
         pytest.param(lambda d: d.update(tallies=[e for e in d["tallies"] if e["mu"] != [3]]),
                      id="genus-one"),
+        pytest.param(lambda d: d.update(gluings=105), id="gluings-number"),
+        pytest.param(lambda d: d["tallies"][0].update(rawCount=1), id="rawCount-number"),
+        pytest.param(lambda d: d["tallies"][0].update(mu=[5.0]), id="mu-float"),
     ])
     def test_invalid_documents_are_misses(self, tmp_path, capsys, tamper):
-        path = write_cache(tmp_path, fresh_scan(4))
+        path = write_cache(tmp_path, scan(4))
         doc = json.loads(path.read_text())
         tamper(doc)
         path.write_text(json.dumps(doc))
@@ -265,7 +263,48 @@ class TestCache:
         assert "invalid cache file" in capsys.readouterr().err
 
     def test_truncated_file_is_a_miss(self, tmp_path, capsys):
-        path = write_cache(tmp_path, fresh_scan(4))
+        path = write_cache(tmp_path, scan(4))
         path.write_text(path.read_text()[:40])
         assert load_cache(tmp_path, 4) is None
         assert "invalid cache file" in capsys.readouterr().err
+
+
+N3_DOC = {
+    "schemaVersion": 1,
+    "n": 3,
+    "gluings": "15",
+    "tallies": [
+        {"mu": [4], "rawCount": "1"},
+        {"mu": [3], "rawCount": "3"},
+        {"mu": [2], "rawCount": "4"},
+    ],
+}
+N3_FIELDS = [
+    ("schemaVersion",), ("n",), ("gluings",), ("tallies",), ("tallies", 0),
+    ("tallies", 2, "mu"), ("tallies", 2, "mu", 0), ("tallies", 1, "rawCount"),
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def with_field(path, value):
+    """N3_DOC with the entry at ``path`` replaced by ``value``."""
+    doc = copy.deepcopy(N3_DOC)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | st.builds(with_field, st.sampled_from(N3_FIELDS), json_values))
+def test_load_cache_returns_a_valid_result_or_none(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache_path(tmp, 3).write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(io.StringIO()):
+            loaded = load_cache(tmp, 3)
+    assert loaded is None or (loaded.n == 3 and loaded.gluing_count == 15)

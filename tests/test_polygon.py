@@ -3,11 +3,8 @@ import itertools
 import pytest
 
 from zkerov.polygon import (
-    BLACK,
     MIXED,
-    WHITE,
     Gluing,
-    Polygon,
     double_factorial,
     enumerate_gluings,
     enumerate_twisted_gluings,
@@ -59,16 +56,6 @@ def test_gluing_validate():
         Gluing((1, 0, 2, 3)).validate()  # not an involution
     with pytest.raises(ValueError):
         Gluing((1, 0), (True, False)).validate()  # twist flags disagree
-
-
-def test_polygon_conventions():
-    p = Polygon(3)
-    assert p.corner_count == p.side_count == 6
-    assert p.side_corners(5) == (5, 0)
-    assert p.side_label(0) == 1
-    assert p.corner_color(0) == BLACK and p.corner_color(1) == WHITE
-    with pytest.raises(ValueError):
-        Polygon(0)
 
 
 def test_glue_digon():
