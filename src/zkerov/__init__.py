@@ -28,12 +28,10 @@ from .engine import (
     GenusPolynomial,
     InternalConsistencyError,
     ScanResult,
-    coefficient,
-    full_expansion,
-    genus_part,
     rescaled_coefficient,
     rescaled_coefficient_exact,
     scan,
+    strata,
 )
 from .polygon import (
     BLACK,

@@ -25,9 +25,8 @@ class Monomial:
     """A free-cumulant monomial R_{a_1}...R_{a_k}, stored as the partition
     (a_1 >= ... >= a_k), all parts >= 2.
 
-    Equivalently a color-multiplicity map s: color i -> s_i; the number of
-    black vertices of a matching map is k and its total vertex count is
-    a_1 + ... + a_k.
+    The number of black vertices of a matching map is k and its total
+    vertex count is a_1 + ... + a_k.
     """
 
     parts: tuple[int, ...]
@@ -37,21 +36,6 @@ class Monomial:
             raise ValueError(f"monomial parts must be >= 2, got {self.parts}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 
-    @classmethod
-    def from_s_map(cls, s: Mapping[int, int]) -> "Monomial":
-        parts: list[int] = []
-        for color, mult in s.items():
-            if mult < 0:
-                raise ValueError(f"multiplicity must be >= 0, got s[{color}]={mult}")
-            parts.extend([color] * mult)
-        return cls(tuple(parts))
-
-    def s_map(self) -> dict[int, int]:
-        s: dict[int, int] = {}
-        for a in self.parts:
-            s[a] = s.get(a, 0) + 1
-        return s
-
     @property
     def black_count(self) -> int:
         return len(self.parts)
@@ -59,10 +43,6 @@ class Monomial:
     @property
     def vertex_count(self) -> int:
         return sum(self.parts)
-
-    @property
-    def white_count(self) -> int:
-        return self.vertex_count - self.black_count
 
     def label(self) -> str:
         return "*".join(f"R{a}" for a in self.parts) if self.parts else "1"

@@ -28,7 +28,7 @@ from .engine import (
     DEFAULT_N_LIMIT,
     FORCE_N_LIMIT,
     InternalConsistencyError,
-    coefficient,
+    rescaled_coefficient,
     scan,
     strata,
 )
@@ -130,13 +130,9 @@ def _emit(doc: dict[str, Any], args: argparse.Namespace, table: str) -> None:
         sys.stdout.write(table if table.endswith("\n") else table + "\n")
 
 
-def _mu_json(parts: tuple[int, ...]) -> list[int]:
-    return list(parts)
-
-
 def _term_rows(poly_terms: dict[Monomial, int], raw: dict[Monomial, int] | None = None):
     for mono in sorted(poly_terms, key=lambda m: m.parts, reverse=True):
-        row = {"mu": _mu_json(mono.parts)}
+        row = {"mu": list(mono.parts)}
         if raw is not None:
             row["rawCount"] = str(raw[mono])
         row["coefficient"] = str(poly_terms[mono])
@@ -149,14 +145,14 @@ def _term_rows(poly_terms: dict[Monomial, int], raw: dict[Monomial, int] | None 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
     mono = Monomial(args.mu)
-    raw, coeff = coefficient(
-        args.n, mono, threads=args.threads, cache_dir=args.cache_dir, force=args.force
-    )
+    result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
+    raw = result.tallies.get(mono, 0)
+    coeff = rescaled_coefficient(args.n, mono, raw)
     v = mono.vertex_count
     doc = {
         "command": "coeff",
         "n": args.n,
-        "mu": _mu_json(mono.parts),
+        "mu": list(mono.parts),
         "vertexCount": v,
         "doubledGenus": args.n + 1 - v,
         "rawCount": str(raw),
@@ -188,7 +184,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         doc_parts.append({
             "doubledGenus": p.doubled_genus,
             "terms": rows,
-            "inexactCoefficients": [_mu_json(m.parts) for m in p.inexact_monomials()],
+            # every coefficient is an integer; the key stays for schema stability
+            "inexactCoefficients": [],
         })
     doc = {
         "command": "expand",

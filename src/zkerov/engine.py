@@ -76,20 +76,12 @@ rescaled_coefficient_exact = rescaled_coefficient
 @dataclass(frozen=True)
 class GenusPolynomial:
     """Terms of one genus stratum: monomial -> coefficient, plus the
-    unsigned (M,q) pair counts.
-
-    ``inexact_monomials`` lists the terms whose coefficient is not an
-    integer; the signed counts make it empty, and reports keep the list.
-    """
+    unsigned (M,q) pair counts."""
 
     n: int
     doubled_genus: int
     raw_counts: dict[Monomial, int]
     terms: dict[Monomial, int]
-
-    def inexact_monomials(self) -> list[Monomial]:
-        inexact = [m for m, v in self.terms.items() if not isinstance(v, int)]
-        return sorted(inexact, key=lambda m: m.parts, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -112,28 +104,14 @@ def _check_limit(n: int, force: bool) -> None:
         )
 
 
-# composition lists are tiny and shared across millions of leaves
-_COMP_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-
-def _comps(total: int, parts: int) -> list[tuple[int, ...]]:
-    key = (total, parts)
-    got = _COMP_CACHE.get(key)
-    if got is None:
-        got = list(compositions(total, parts, 1))
-        _COMP_CACHE[key] = got
-    return got
-
-
 def _scan_branch(
-    task: tuple[int, tuple[int | tuple[int, ...], ...], int],
+    task: tuple[int, tuple[tuple[int, ...], ...], int],
 ) -> tuple[int, dict[tuple[int, ...], int]]:
     """Tally all matchings that extend one of the given prefixes.
 
     ``task`` is ``(n, prefixes, black_parity)``.  A prefix is a tuple of
     partners: the first is the partner of side 0, each next one the partner
-    of the lowest side still free.  A bare int is the one-partner prefix, so
-    ``(n, range(1, 2n), parity)`` is the whole pass.
+    of the lowest side still free; ``(n, ((),), parity)`` is the whole pass.
 
     Returns (matching count, {monomial parts: raw count}).
     """
@@ -202,7 +180,7 @@ def _scan_branch(
             nbr_count[a] = nbr[a].bit_count()
         need = [0] * full
         keys = []
-        for comp in _comps(w, b):
+        for comp in compositions(w, b, 1):
             ok = True
             for a in range(1, full - 1):
                 low = a & -a
@@ -263,7 +241,7 @@ def _scan_branch(
     for prefix in prefixes:
         free = tuple(range(m))
         applied = []
-        for j in prefix if isinstance(prefix, tuple) else (prefix,):
+        for j in prefix:
             applied.append(apply_pair(free[0], j))
             free = tuple(s for s in free[1:] if s != j)
         if free:
@@ -279,7 +257,7 @@ def _scan_branch(
     return count, tally
 
 
-def _prefix_tasks(n: int, black_parity: int) -> list[tuple[int, tuple[tuple[int, int]], int]]:
+def _prefix_tasks(n: int) -> list[tuple[int, tuple[tuple[int, int]], int]]:
     """One task per (partner of side 0, partner of the first free side):
     (2n-1)(2n-3) tasks of similar size, so a pool stays evenly loaded."""
     m = 2 * n
@@ -288,7 +266,7 @@ def _prefix_tasks(n: int, black_parity: int) -> list[tuple[int, tuple[tuple[int,
         first_free = 2 if first == 1 else 1
         for second in range(first_free + 1, m):
             if second != first:
-                tasks.append((n, ((first, second),), black_parity))
+                tasks.append((n, ((first, second),), 0))
     return tasks
 
 
@@ -297,21 +275,20 @@ def scan(
     *,
     threads: int = 1,
     cache_dir: str | Path | None = None,
-    black_parity: int = 0,
     force: bool = False,
 ) -> ScanResult:
     """Full tally pass over every matching of the 2n-gon, or its tallies
     from the cache when ``cache_dir`` holds a valid file for n."""
     _check_limit(n, force)
-    if cache_dir is not None and black_parity == 0:
+    if cache_dir is not None:
         cached = load_cache(cache_dir, n)
         if cached is not None:
             return cached
 
     if threads == 1 or n < POOL_MIN_N:
-        raw_results = [_scan_branch((n, tuple(range(1, 2 * n)), black_parity))]
+        raw_results = [_scan_branch((n, ((),), 0))]
     else:
-        tasks = _prefix_tasks(n, black_parity)
+        tasks = _prefix_tasks(n)
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             raw_results = list(pool.map(_scan_branch, tasks))
 
@@ -332,48 +309,9 @@ def scan(
         gluing_count=total,
         tallies={Monomial(parts): c for parts, c in merged.items()},
     )
-    if cache_dir is not None and black_parity == 0:
+    if cache_dir is not None:
         write_cache(cache_dir, result)
     return result
-
-
-def coefficient(
-    n: int,
-    mono: Monomial,
-    *,
-    threads: int = 1,
-    cache_dir: str | Path | None = None,
-    force: bool = False,
-) -> tuple[int, int]:
-    """(raw count, exact coefficient) of a monomial in the n-th polynomial."""
-    result = scan(n, threads=threads, cache_dir=cache_dir, force=force)
-    raw = result.tallies.get(mono, 0)
-    return raw, rescaled_coefficient(n, mono, raw)
-
-
-def genus_part(
-    n: int,
-    doubled_genus: int,
-    *,
-    threads: int = 1,
-    cache_dir: str | Path | None = None,
-    force: bool = False,
-) -> GenusPolynomial:
-    """The homogeneous part with vertex count V = n + 1 - doubledGenus."""
-    if doubled_genus < 0:
-        raise ValueError(f"doubledGenus must be >= 0, got {doubled_genus}")
-    return strata(scan(n, threads=threads, cache_dir=cache_dir, force=force), doubled_genus)[0]
-
-
-def full_expansion(
-    n: int,
-    *,
-    threads: int = 1,
-    cache_dir: str | Path | None = None,
-    force: bool = False,
-) -> list[GenusPolynomial]:
-    """All occurring genus strata, doubledGenus ascending."""
-    return strata(scan(n, threads=threads, cache_dir=cache_dir, force=force))
 
 
 def strata(result: ScanResult, doubled_genus: int | None = None) -> list[GenusPolynomial]:
@@ -396,6 +334,10 @@ def strata(result: ScanResult, doubled_genus: int | None = None) -> list[GenusPo
     ]
 
 
+# a file where a directory belongs, or the reverse: a usage error, not a miss
+_UNUSABLE_PATH = (FileExistsError, NotADirectoryError, IsADirectoryError)
+
+
 def cache_path(cache_dir: str | Path, n: int) -> Path:
     return Path(cache_dir) / f"zkerov-cache-v{CACHE_SCHEMA_VERSION}-n{n}.json"
 
@@ -404,7 +346,6 @@ def write_cache(cache_dir: str | Path, result: ScanResult) -> Path:
     """Write the tallies of one n; a temporary file in the same directory is
     renamed over the target, so readers never see a partial file."""
     path = cache_path(cache_dir, result.n)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "schemaVersion": CACHE_SCHEMA_VERSION,
         "n": result.n,
@@ -414,14 +355,18 @@ def write_cache(cache_dir: str | Path, result: ScanResult) -> Path:
             for m in sorted(result.tallies, key=lambda m: m.parts, reverse=True)
         ],
     }
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except _UNUSABLE_PATH as exc:
+        raise ValueError(f"unusable cache path {path}: {exc.strerror}") from exc
     return path
 
 
@@ -447,8 +392,8 @@ def _parse_cache(doc: Any, n: int) -> ScanResult:
         raise ValueError(f"gluings is {gluings}, expected {double_factorial(2 * n - 1)}")
     tallies: dict[Monomial, int] = {}
     for entry in doc["tallies"]:
-        if any(type(a) is not int for a in entry["mu"]):
-            raise ValueError(f"mu is {entry['mu']!r}, expected a list of integers")
+        if not entry["mu"] or any(type(a) is not int for a in entry["mu"]):
+            raise ValueError(f"mu is {entry['mu']!r}, expected a nonempty list of integers")
         mono = Monomial(tuple(entry["mu"]))
         raw = _decimal(entry["rawCount"], "rawCount")
         if mono.vertex_count > n + 1 or raw < 1 or mono in tallies:
@@ -469,13 +414,18 @@ def load_cache(cache_dir: str | Path, n: int) -> ScanResult | None:
 
     A file that does not parse or fails validation (schema, n, gluing total,
     part and vertex bounds, genus-one stratum against the closed form) is a
-    miss too, reported on stderr.
+    miss too, reported on stderr.  A path that cannot hold the file raises
+    ValueError.
     """
     path = cache_path(cache_dir, n)
-    if not path.exists():
-        return None
     try:
-        return _parse_cache(json.loads(path.read_text(encoding="utf-8")), n)
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except _UNUSABLE_PATH as exc:
+        raise ValueError(f"unusable cache path {path}: {exc.strerror}") from exc
+    try:
+        return _parse_cache(json.loads(data.decode("utf-8")), n)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"zkerov: warning: ignoring invalid cache file {path}: {exc}", file=sys.stderr)
         return None

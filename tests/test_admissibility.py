@@ -34,13 +34,7 @@ class TestMonomial:
         assert m.parts == (3, 2, 2)
         assert m.black_count == 3
         assert m.vertex_count == 7
-        assert m.white_count == 4
-        assert m.s_map() == {3: 1, 2: 2}
         assert m.label() == "R3*R2*R2"
-
-    def test_from_s_map_roundtrip(self):
-        m = Monomial.from_s_map({2: 1, 4: 2})
-        assert m.parts == (4, 4, 2)
 
     def test_rejects_small_parts(self):
         with pytest.raises(ValueError):

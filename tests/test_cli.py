@@ -135,6 +135,12 @@ class TestExpand:
             {"mu": [2], "rawCount": "4", "coefficient": "4"}
         ]
 
+    def test_empty_stratum_filter_gives_no_parts(self, capsys):
+        # the square has no genus-one term: the filter drops every stratum
+        code, doc, _ = run_json(capsys, "expand", "--n", "2", "--genus-doubled", "2")
+        assert code == 0
+        assert doc["parts"] == []
+
     def test_digon_has_single_stratum(self, capsys):
         code, doc, _ = run_json(capsys, "expand", "--n", "1")
         assert code == 0
@@ -206,6 +212,14 @@ class TestExpand:
         assert code2 == 0 and doc2 == doc
         assert "invalid cache file" in err
         json.loads(cache_file.read_text())
+
+    def test_unusable_cache_path_exits_one(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        code, out, err = run(capsys, "expand", "--n", "3", "--cache", str(not_a_dir))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("zkerov: error: unusable cache path ") and str(not_a_dir) in err
 
     def test_cache_file_is_written_and_reused(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, "expand", "--n", "3", "--cache", str(tmp_path))

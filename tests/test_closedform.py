@@ -10,7 +10,7 @@ from zkerov.closedform import (
     family_tuple_values,
     symmetrized_polynomial,
 )
-from zkerov.engine import genus_part
+from zkerov.engine import scan, strata
 from zkerov.partitions import compositions_any_length, partitions
 
 
@@ -101,7 +101,7 @@ class TestPolynomials:
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_enumeration_matches_closed_form(self, n):
-        enum = genus_part(n, 2)
+        [enum] = strata(scan(n), 2)
         assert {m.parts: c for m, c in enum.terms.items()} == terms_dict(partition_polynomial(n))
         assert enum.raw_counts == enum.terms
 
