@@ -1,4 +1,5 @@
-"""Time ``engine.scan`` on one or more source trees and write BENCH_scan.json.
+"""Time ``engine.scan``, the census presets and the gluing enumerators on one
+or more source trees and write BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
@@ -8,13 +9,19 @@ package); the default is this checkout's ``src`` labelled ``change``.  Pass
 two sides, for example ``--side parent=/tmp/parent/src --side change=src``,
 to record a before/after pair on the same machine in one file.
 
-Every timing is one ``scan`` call without a cache in a fresh interpreter,
-so no side inherits another's imports or warm state.  Sides alternate
-within each repeat, and the reported figure is the median over repeats:
+Every timing is one call in a fresh interpreter, so no side inherits
+another's imports or warm state.  Sides alternate within each repeat, and
+the reported figure is the median over repeats:
 
-* ``scan_1t_s``: single-thread ``scan(n)`` for n = 5..8;
+* ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8;
 * ``scan_2t_s``: ``scan(8, threads=2)``;
-* ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings.
+* ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings;
+* ``census_twisted_s``: ``census --reduced --twisted --max-n 6`` and
+  ``census_contrib_s``: ``census --reduced-bipartite --contributing
+  --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
+  ranges the ``reference`` workload of ``perfbench/`` uses);
+* ``enumerate_gluings_s`` (n=7) and ``enumerate_twisted_gluings_s``
+  (n=6): a full pass of the enumerator with no genus requested.
 
 Standard library only.
 """
@@ -33,22 +40,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE_NS = (5, 6, 7, 8)
 PARALLEL = (8, 2)  # (n, threads)
+CENSUS = {
+    "census_twisted_s": ("6", ["--reduced", "--twisted", "--max-n", "6"]),
+    "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),
+}
+ENUMERATE = {"enumerate_gluings_s": 7, "enumerate_twisted_gluings_s": 6}
 
 CHILD = """
-import json, sys, time
-from zkerov.engine import scan
-n, threads = int(sys.argv[1]), int(sys.argv[2])
-t0 = time.perf_counter()
-result = scan(n, threads=threads)
+import contextlib, io, json, sys, time
+kind, args = sys.argv[1], sys.argv[2:]
+if kind == "scan":
+    from zkerov.engine import scan
+    t0 = time.perf_counter()
+    count = scan(int(args[0]), threads=int(args[1])).gluing_count
+elif kind == "census":
+    from zkerov.cli import main
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(["census", *args, "--format", "json"]) == 0
+    count = json.loads(out.getvalue())["classCount"]
+else:
+    from zkerov import polygon
+    enumerate_fn = getattr(polygon, kind)
+    t0 = time.perf_counter()
+    count = sum(1 for _ in enumerate_fn(int(args[0])))
 elapsed = time.perf_counter() - t0
-print(json.dumps({"seconds": elapsed, "matchings": result.gluing_count}))
+print(json.dumps({"seconds": elapsed, "count": count}))
 """
 
 
-def time_scan(src: Path, n: int, threads: int) -> dict:
+def run_child(src: Path, kind: str, args: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(n), str(threads)],
+        [sys.executable, "-c", CHILD, kind, *args],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -94,42 +119,51 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
-    configs = [(n, 1) for n in SINGLE_NS] + [PARALLEL]
-    samples: dict[str, dict[tuple[int, int], list[float]]] = {
-        label: {c: [] for c in configs} for label, _src in sides
+    # one entry per timed call: sample key -> (child kind, child arguments)
+    jobs: dict[str, tuple[str, list[str]]] = {
+        f"n{n}_t1": ("scan", [str(n), "1"]) for n in SINGLE_NS
     }
-    matchings: dict[int, int] = {}
+    jobs[f"n{PARALLEL[0]}_t{PARALLEL[1]}"] = ("scan", [str(PARALLEL[0]), str(PARALLEL[1])])
+    for key, (_n, flags) in CENSUS.items():
+        jobs[key] = ("census", flags)
+    for kind, n in ENUMERATE.items():
+        jobs[kind] = (kind.removesuffix("_s"), [str(n)])
+
+    samples: dict[str, dict[str, list[float]]] = {
+        label: {key: [] for key in jobs} for label, _src in sides
+    }
+    counts: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
     for rep in range(args.repeats):
         order = sides if rep % 2 == 0 else sides[::-1]
-        for n, threads in configs:
+        for key, (kind, child_args) in jobs.items():
             for label, src in order:
-                got = time_scan(src, n, threads)
-                samples[label][(n, threads)].append(got["seconds"])
-                matchings[n] = got["matchings"]
-                print(f"rep {rep + 1}/{args.repeats} {label} n={n} threads={threads}: "
+                got = run_child(src, kind, child_args)
+                samples[label][key].append(got["seconds"])
+                counts[label][key] = got["count"]
+                print(f"rep {rep + 1}/{args.repeats} {label} {key}: "
                       f"{got['seconds']:.3f} s", file=sys.stderr)
 
     report: dict = {
-        "benchmark": "engine.scan",
+        "benchmark": "engine.scan, census presets, gluing enumerators",
         "machine": machine_info(),
         "repeats": args.repeats,
         "statistic": "median",
         "sides": {},
     }
     for label, _src in sides:
-        per = samples[label]
-        single = {str(n): statistics.median(per[(n, 1)]) for n in SINGLE_NS}
+        med = {key: statistics.median(xs) for key, xs in samples[label].items()}
         n2, t2 = PARALLEL
         report["sides"][label] = {
-            "scan_1t_s": {k: round(v, 4) for k, v in single.items()},
-            f"scan_{t2}t_s": {str(n2): round(statistics.median(per[PARALLEL]), 4)},
+            "scan_1t_s": {str(n): round(med[f"n{n}_t1"], 4) for n in SINGLE_NS},
+            f"scan_{t2}t_s": {str(n2): round(med[f"n{n2}_t{t2}"], 4)},
             "ns_per_matching": {
-                k: round(v / matchings[int(k)] * 1e9, 1) for k, v in single.items()
+                str(n): round(med[f"n{n}_t1"] / counts[label][f"n{n}_t1"] * 1e9, 1)
+                for n in SINGLE_NS
             },
-            "samples_s": {
-                f"n{n}_t{threads}": [round(x, 4) for x in xs]
-                for (n, threads), xs in per.items()
-            },
+            **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
+            **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
+            "counts": {key: counts[label][key] for key in [*CENSUS, *ENUMERATE]},
+            "samples_s": {key: [round(x, 4) for x in xs] for key, xs in samples[label].items()},
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)

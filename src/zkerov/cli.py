@@ -65,10 +65,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zkerov", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, n_required: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, *, n_required: bool = False,
+                   threads_help: str = "worker processes for the enumeration pass") -> None:
         p.add_argument("--n", type=int, required=n_required, help="number of map edges")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for the enumeration pass")
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=threads_help)
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--cache", dest="cache_dir", metavar="DIR", default=None,
                        help="directory for per-n tally cache files")
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
                    help="cross-check all three closed forms against enumeration")
 
     p = sub.add_parser("census", help="symmetry classes of gluings")
-    add_common(p)
+    add_common(p, threads_help="accepted and ignored: census runs in one process")
     p.add_argument("--genus-doubled", type=int, default=None)
     p.add_argument("--bipartite", action="store_true", help="matching universe filter")
     p.add_argument("--reduced", action="store_true", help="min degree 3 and bridgeless")

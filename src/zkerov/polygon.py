@@ -100,50 +100,120 @@ class GluedMap:
         return len(self.degree)
 
 
-def enumerate_gluings(n: int) -> Iterator[Gluing]:
-    """All (2n-1)!! side matchings, lowest unmatched side paired first,
-    partners in increasing order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    for pairing in _involutions(2 * n):
-        yield Gluing(pairing)
+def enumerate_gluings(n: int, *, doubled_genus: int | None = None) -> Iterator[Gluing]:
+    """All (2n-1)!! side matchings with the color-preserving identification,
+    lowest unmatched side paired first, partners in increasing order.
+
+    With ``doubled_genus`` only the matchings whose glued map has that
+    doubled genus are generated, in the same relative order (see
+    ``_gluings`` for the pruning).
+    """
+    return _gluings(n, False, doubled_genus)
 
 
-def enumerate_twisted_gluings(n: int) -> Iterator[Gluing]:
-    """All (2n-1)!! * 2^n (matching, twist-flag) combinations."""
+def enumerate_twisted_gluings(n: int, *, doubled_genus: int | None = None) -> Iterator[Gluing]:
+    """All (2n-1)!! * 2^n (matching, twist-flag) combinations.
+
+    Order: lowest unmatched side paired first, partners increasing, and for
+    each partner STRAIGHT before TWISTED; a pair's flag is chosen when the
+    pair is placed, so the matching does not vary slowest.  ``doubled_genus``
+    filters as in ``enumerate_gluings``.
+    """
+    return _gluings(n, True, doubled_genus)
+
+
+def _gluings(n: int, twisted: bool, doubled_genus: int | None) -> Iterator[Gluing]:
+    """Depth-first generation of gluings, one side pair per level.
+
+    Without a genus, the recursion only fills in partners and flags (a
+    separate branch, so that a full pass does no union-find work).  With
+    one, it keeps the corner classes in a union-find that undoes its merges
+    on backtrack, and drops a subtree once its glued map can no longer have
+    V = n + 1 - doubled_genus vertices.  A pair makes two unions, each of
+    which merges two classes or none, so with L live classes and r pairs
+    still to place the finished map has between L - 2r and L vertices:
+    the subtree is kept while L - 2r <= V <= L.  At a leaf (r = 0) this
+    is L == V, so every gluing yielded has the requested doubled genus and
+    no gluing that has it is dropped.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m = 2 * n
-    for pairing in _involutions(m):
-        pair_list = [(i, j) for i, j in enumerate(pairing) if i < j]
-        for bits in range(1 << n):
-            tw = [False] * m
-            for k, (i, j) in enumerate(pair_list):
-                if bits >> k & 1:
-                    tw[i] = tw[j] = True
-            yield Gluing(pairing, tuple(tw))
-
-
-def _involutions(m: int) -> Iterator[tuple[int, ...]]:
-    """Fixed-point-free involutions on 0..m-1 in canonical order."""
     pairing = [-1] * m
+    flags = [STRAIGHT] * m
+    choices = (STRAIGHT, TWISTED) if twisted else (STRAIGHT,)
+    target = None if doubled_genus is None else n + 1 - doubled_genus
+    parent = list(range(m))
+    size = [1] * m
+    new = tuple.__new__  # skips the Python-level NamedTuple constructor
 
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        i = start
-        while i < m and pairing[i] >= 0:
-            i += 1
-        if i == m:
-            yield tuple(pairing)
-            return
-        for j in range(i + 1, m):
-            if pairing[j] < 0:
-                pairing[i] = j
-                pairing[j] = i
-                yield from rec(i + 1)
-                pairing[j] = -1
+    def rec(i: int, left: int, live: int) -> Iterator[Gluing]:
+        # i is the lowest free side, ``left`` the pairs still to place
+        # (this one included), ``live`` the corner classes so far
+        i1 = i + 1
+        for j in range(i1, m):
+            if pairing[j] >= 0:
+                continue
+            pairing[i] = j
+            pairing[j] = i
+            k = i1
+            while k < m and pairing[k] >= 0:
+                k += 1
+            j1 = (j + 1) % m
+            for flag in choices:
+                if target is None:
+                    flags[i] = flags[j] = flag
+                    if k == m:
+                        yield new(Gluing, (tuple(pairing), tuple(flags) if twisted else None))
+                    else:
+                        yield from rec(k, left - 1, live)
+                    continue
+                # without flags, the color-preserving pattern (module docstring)
+                if (flag if twisted else (i ^ j) & 1):
+                    a, b, c, d = i, j1, i1, j
+                else:
+                    a, b, c, d = i, j, i1, j1
+                after = live
+                x = y = -1
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    x = b
+                    after -= 1
+                while parent[c] != c:
+                    c = parent[c]
+                while parent[d] != d:
+                    d = parent[d]
+                if c != d:
+                    if size[c] < size[d]:
+                        c, d = d, c
+                    parent[d] = c
+                    size[c] += size[d]
+                    y = d
+                    after -= 1
+                if after - 2 * (left - 1) <= target <= after:
+                    flags[i] = flags[j] = flag
+                    if k == m:
+                        yield new(Gluing, (tuple(pairing), tuple(flags) if twisted else None))
+                    else:
+                        yield from rec(k, left - 1, after)
+                if y >= 0:
+                    size[parent[y]] -= size[y]
+                    parent[y] = y
+                if x >= 0:
+                    size[parent[x]] -= size[x]
+                    parent[x] = x
+            pairing[j] = -1
         pairing[i] = -1
 
-    yield from rec(0)
+    if target is None or 0 <= target <= m:  # the same bound at the root
+        yield from rec(0, n, m)
 
 
 def glue(gluing: Gluing, black_parity: int = 0) -> GluedMap:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from reference import admissible_colorings
+import zkerov.census as census_mod
 from zkerov.admissibility import Monomial
 from zkerov.census import (
     CYCLIC,
@@ -28,6 +29,7 @@ from zkerov.census import (
     underlying_multigraph,
     verify_decoration_accounting,
 )
+from zkerov.engine import InternalConsistencyError
 from zkerov.polygon import BLACK, WHITE, Gluing, double_factorial, enumerate_gluings, glue
 
 THETA_STAB3 = Gluing((3, 4, 5, 0, 1, 2))
@@ -237,6 +239,22 @@ class TestCensusClasses:
             convention=CYCLIC,
         )
         assert len(cyclic) == 7  # strictly finer than the 5 dihedral classes
+
+    @pytest.mark.parametrize("universe,top", [("matchings", 5), ("twisted", 4)])
+    def test_genus_filter_selects_classes_of_the_full_census(self, universe, top):
+        for n in range(1, top + 1):
+            everything = census_classes(n, universe=universe)
+            for dg in range(n + 1):
+                assert census_classes(n, universe=universe, doubled_genus=dg) == [
+                    c for c in everything if c.doubled_genus == dg
+                ]
+
+    def test_genus_mismatch_is_an_internal_error(self, monkeypatch):
+        # an enumerator that ignores the genus request yields genus 0 and 1 maps too
+        monkeypatch.setattr(census_mod, "enumerate_gluings",
+                            lambda n, doubled_genus=None: enumerate_gluings(n))
+        with pytest.raises(InternalConsistencyError):
+            census_classes(3, doubled_genus=2)
 
     def test_contributing_filter_requires_cyclic(self):
         with pytest.raises(ValueError):

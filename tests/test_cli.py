@@ -296,7 +296,7 @@ class TestSelftest:
         assert doc["status"] == "ok"
         assert all(c["status"] == "ok" for c in doc["checks"])
 
-    def test_reports_known_integrality_defect_at_six(self, capsys):
+    def test_green_at_six(self, capsys):
         # the zonal coefficients at n=6 are integers, so every check holds
         code, doc, _ = run_json(capsys, "selftest", "--max-n", "6")
         assert code == 0

@@ -18,6 +18,10 @@ CASES = [
     ("census-reduced-twisted", ["census", "--reduced", "--twisted"], 0),
     ("census-reduced-bipartite-contributing-max-n5",
      ["census", "--reduced-bipartite", "--contributing", "--max-n", "5"], 0),
+    # the ranges of the benchmark's reference workload
+    ("census-reduced-twisted-max-n6", ["census", "--reduced", "--twisted", "--max-n", "6"], 0),
+    ("census-reduced-bipartite-contributing-max-n7",
+     ["census", "--reduced-bipartite", "--contributing", "--max-n", "7"], 0),
     ("selftest-max-n5", ["selftest", "--max-n", "5"], 0),
     # exit 0: the zonal coefficients at n=6 are integers (test_kerov_oracle.py)
     ("selftest-max-n6", ["selftest", "--max-n", "6"], 0),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -34,6 +35,33 @@ def test_twisted_gluing_counts(n, expected):
 def test_enumeration_rejects_zero():
     with pytest.raises(ValueError):
         next(enumerate_gluings(0))
+    with pytest.raises(ValueError):
+        next(enumerate_twisted_gluings(0, doubled_genus=0))
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_gluings, enumerate_twisted_gluings])
+def test_genus_filter_equals_brute_force(enumerate_fn):
+    for n in range(1, 6):
+        everything = list(enumerate_fn(n))
+        assert len(set(everything)) == len(everything)
+        by_genus: dict[int, list] = {}
+        for g in everything:
+            by_genus.setdefault(glue(g).doubled_genus, []).append(g)
+        # out-of-range targets (-1, n + 1) have no gluings at all
+        for dg in range(-1, n + 2):
+            got = list(enumerate_fn(n, doubled_genus=dg))
+            assert len(set(got)) == len(got)
+            assert set(got) == set(by_genus.get(dg, []))
+            # the pruned pass keeps the unfiltered order
+            assert got == by_genus.get(dg, [])
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_gluings, enumerate_twisted_gluings])
+def test_planar_gluings_are_counted_by_catalan(enumerate_fn):
+    # plane trees with n edges; the count shares nothing with the union-find
+    counts = [sum(1 for _ in enumerate_fn(n, doubled_genus=0)) for n in range(1, 8)]
+    assert counts == [math.comb(2 * n, n) // (n + 1) for n in range(1, 8)]
+    assert counts[5:] == [132, 429]
 
 
 def test_enumeration_is_deterministic_and_duplicate_free():
