@@ -1,5 +1,6 @@
-"""Time ``engine.scan``, the census presets and the gluing enumerators on one
-or more source trees and write BENCH_scan.json.
+"""Time ``engine.scan``, the census presets, the gluing enumerators and the
+ordered-tuple closed forms on one or more source trees and write
+BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
@@ -21,7 +22,14 @@ the reported figure is the median over repeats:
   --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
   ranges the ``reference`` workload of ``perfbench/`` uses);
 * ``enumerate_gluings_s`` (n=7) and ``enumerate_twisted_gluings_s``
-  (n=6): a full pass of the enumerator with no genus requested.
+  (n=6): a full pass of the enumerator with no genus requested;
+* ``closedform_symmetrized_s`` and ``closedform_family_sum_s``:
+  ``symmetrized_polynomial(26)`` and ``family_sum_polynomial(26)``, the two
+  genus-one routes that sum over every ordered tuple (46,368 at n=26).
+
+The ``counts`` of each side hold the class counts of the census presets,
+the number of gluings enumerated and the number of terms of each closed
+form, so that two sides can be seen to have done the same work.
 
 Standard library only.
 """
@@ -45,6 +53,11 @@ CENSUS = {
     "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),
 }
 ENUMERATE = {"enumerate_gluings_s": 7, "enumerate_twisted_gluings_s": 6}
+CLOSEDFORM_N = 26
+CLOSEDFORM = {
+    "closedform_symmetrized_s": "symmetrized_polynomial",
+    "closedform_family_sum_s": "family_sum_polynomial",
+}
 
 CHILD = """
 import contextlib, io, json, sys, time
@@ -60,6 +73,11 @@ elif kind == "census":
     with contextlib.redirect_stdout(out):
         assert main(["census", *args, "--format", "json"]) == 0
     count = json.loads(out.getvalue())["classCount"]
+elif kind == "closedform":
+    from zkerov import closedform
+    route = getattr(closedform, args[0])
+    t0 = time.perf_counter()
+    count = len(route(int(args[1])).terms)
 else:
     from zkerov import polygon
     enumerate_fn = getattr(polygon, kind)
@@ -128,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
         jobs[key] = ("census", flags)
     for kind, n in ENUMERATE.items():
         jobs[kind] = (kind.removesuffix("_s"), [str(n)])
+    for key, route in CLOSEDFORM.items():
+        jobs[key] = ("closedform", [route, str(CLOSEDFORM_N)])
 
     samples: dict[str, dict[str, list[float]]] = {
         label: {key: [] for key in jobs} for label, _src in sides
@@ -144,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{got['seconds']:.3f} s", file=sys.stderr)
 
     report: dict = {
-        "benchmark": "engine.scan, census presets, gluing enumerators",
+        "benchmark": "engine.scan, census presets, gluing enumerators, closed forms",
         "machine": machine_info(),
         "repeats": args.repeats,
         "statistic": "median",
@@ -162,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
             },
             **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
-            "counts": {key: counts[label][key] for key in [*CENSUS, *ENUMERATE]},
+            **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM},
+            "counts": {key: counts[label][key] for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM]},
             "samples_s": {key: [round(x, 4) for x in xs] for key, xs in samples[label].items()},
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -28,6 +28,7 @@ from .engine import (
     DEFAULT_N_LIMIT,
     FORCE_N_LIMIT,
     InternalConsistencyError,
+    check_limit,
     rescaled_coefficient,
     scan,
     strata,
@@ -66,12 +67,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, n_required: bool = False,
-                   threads_help: str = "worker processes for the enumeration pass") -> None:
+                   threads_help: str = "worker processes for the enumeration pass",
+                   cache: bool = True) -> None:
         p.add_argument("--n", type=int, required=n_required, help="number of map edges")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=threads_help)
         p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument("--cache", dest="cache_dir", metavar="DIR", default=None,
-                       help="directory for per-n tally cache files")
+        if cache:
+            p.add_argument("--cache", dest="cache_dir", metavar="DIR", default=None,
+                           help="directory for per-n tally cache files")
         p.add_argument("--force", action="store_true",
                        help=f"allow n up to {FORCE_N_LIMIT} (default limit {DEFAULT_N_LIMIT})")
 
@@ -89,7 +92,8 @@ def build_parser() -> _Parser:
                    help="cross-check all three closed forms against enumeration")
 
     p = sub.add_parser("census", help="symmetry classes of gluings")
-    add_common(p, threads_help="accepted and ignored: census runs in one process")
+    # census keeps no tallies, so it takes no --cache
+    add_common(p, threads_help="accepted and ignored: census runs in one process", cache=False)
     p.add_argument("--genus-doubled", type=int, default=None)
     p.add_argument("--bipartite", action="store_true", help="matching universe filter")
     p.add_argument("--reduced", action="store_true", help="min degree 3 and bridgeless")
@@ -243,6 +247,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     else:
         raise UsageError("census needs --n, or one of the presets "
                          "(--twisted --reduced | --reduced-bipartite --contributing)")
+    check_limit(max(ns), args.force)
 
     classes = census_mod.census_classes(
         ns,

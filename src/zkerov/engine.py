@@ -93,7 +93,7 @@ class ScanResult:
     tallies: dict[Monomial, int]  # monomial -> number of admissible (M,q) pairs
 
 
-def _check_limit(n: int, force: bool) -> None:
+def check_limit(n: int, force: bool) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > FORCE_N_LIMIT:
@@ -279,7 +279,7 @@ def scan(
 ) -> ScanResult:
     """Full tally pass over every matching of the 2n-gon, or its tallies
     from the cache when ``cache_dir`` holds a valid file for n."""
-    _check_limit(n, force)
+    check_limit(n, force)
     if cache_dir is not None:
         cached = load_cache(cache_dir, n)
         if cached is not None:

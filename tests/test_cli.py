@@ -288,6 +288,32 @@ class TestCensus:
         assert code == 1
         assert "census" in err
 
+    def test_n_above_default_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "9")
+        assert code == 1 and out == ""
+        assert "default limit 8" in err and "--force" in err
+
+    def test_n_above_hard_limit_exits_one_with_force(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "11", "--force")
+        assert code == 1 and out == ""
+        assert "hard limit 10" in err
+
+    def test_preset_max_n_above_default_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "census", "--reduced", "--twisted", "--max-n", "9")
+        assert code == 1 and out == ""
+        assert "n=9 exceeds the default limit" in err
+
+    def test_cache_is_rejected(self, capsys, tmp_path):
+        # census keeps no tallies; --cache, even with a path no cache could
+        # use, is a usage error rather than silently ignored
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--n", "2", "--force", "--cache", str(not_a_dir / "sub")])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: --cache" in out.err
+
 
 class TestSelftest:
     def test_green_at_small_scale(self, capsys):

@@ -1,6 +1,13 @@
 import pytest
 
-from reference import bracket_combined
+from reference import (
+    bracket_combined,
+    bracket_fraction,
+    family_sum_fraction,
+    family_values_fraction,
+    symmetrized_fraction,
+)
+from zkerov import closedform
 from zkerov.admissibility import Monomial
 from zkerov.closedform import (
     partition_coefficient,
@@ -10,7 +17,7 @@ from zkerov.closedform import (
     family_tuple_values,
     symmetrized_polynomial,
 )
-from zkerov.engine import scan, strata
+from zkerov.engine import InternalConsistencyError, scan, strata
 from zkerov.partitions import compositions_any_length, partitions
 
 
@@ -119,6 +126,43 @@ class TestBracketIdentity:
 
         for tup in compositions_any_length(9, 2):
             assert _bracket(tup) > 0
+
+
+class TestFractionReference:
+    """The integer-over-denominator evaluation against the literal
+    Fraction formulas of tests/reference.py."""
+
+    def test_tuple_values_equal_fraction_forms(self):
+        for n in range(1, 17):
+            for tup in compositions_any_length(n - 1, 2):
+                assert closedform._bracket(tup) == bracket_fraction(tup), tup
+                assert family_tuple_values(n, tup) == family_values_fraction(n, tup), (n, tup)
+
+    def test_routes_equal_fraction_routes_up_to_twenty(self):
+        for n in range(1, 21):
+            for route, reference in (
+                (symmetrized_polynomial, symmetrized_fraction),
+                (family_sum_polynomial, family_sum_fraction),
+            ):
+                expected = reference(n)
+                assert all(v.denominator == 1 for v in expected.values()), (n, route)
+                assert terms_dict(route(n)) == expected, (n, route)
+
+
+class TestIntegralityGuard:
+    def test_scaled_sum_off_by_one_raises(self, monkeypatch):
+        scaled = closedform._scaled_bracket
+        monkeypatch.setattr(closedform, "_scaled_bracket", lambda parts: scaled(parts) + 1)
+        # n=3: 3 * (32 + 1) = 99 is not a multiple of 24
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            symmetrized_polynomial(3)
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            partition_coefficient(3, Monomial((2,)))
+
+    def test_family_denominator_too_large_raises(self, monkeypatch):
+        monkeypatch.setattr(closedform, "FAMILY_DENOMINATOR", 10**40)
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            family_sum_polynomial(6)
 
 
 class TestLassalleScan:
