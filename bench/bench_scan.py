@@ -1,6 +1,6 @@
-"""Time ``engine.scan``, the census presets, the gluing enumerators and the
-ordered-tuple closed forms on one or more source trees and write
-BENCH_scan.json.
+"""Time ``engine.scan``, the census presets, the gluing enumerators, the
+ordered-tuple closed forms and ``selftest`` on one or more source trees and
+write BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
@@ -25,11 +25,15 @@ the reported figure is the median over repeats:
   (n=6): a full pass of the enumerator with no genus requested;
 * ``closedform_symmetrized_s`` and ``closedform_family_sum_s``:
   ``symmetrized_polynomial(26)`` and ``family_sum_polynomial(26)``, the two
-  genus-one routes that sum over every ordered tuple (46,368 at n=26).
+  genus-one routes that sum over every ordered tuple (46,368 at n=26);
+* ``selftest_s``: ``selftest --max-n 6 --threads 1``, one ``cli.main``
+  call with its JSON discarded (every check of the registry, each n
+  scanned as often as the tree's ``run_selftest`` scans it).
 
 The ``counts`` of each side hold the class counts of the census presets,
-the number of gluings enumerated and the number of terms of each closed
-form, so that two sides can be seen to have done the same work.
+the number of gluings enumerated, the number of terms of each closed form
+and the number of selftest checks passed, so that two sides can be seen to
+have done the same work.
 
 Standard library only.
 """
@@ -58,6 +62,7 @@ CLOSEDFORM = {
     "closedform_symmetrized_s": "symmetrized_polynomial",
     "closedform_family_sum_s": "family_sum_polynomial",
 }
+SELFTEST_MAX_N = "6"
 
 CHILD = """
 import contextlib, io, json, sys, time
@@ -73,6 +78,14 @@ elif kind == "census":
     with contextlib.redirect_stdout(out):
         assert main(["census", *args, "--format", "json"]) == 0
     count = json.loads(out.getvalue())["classCount"]
+elif kind == "selftest":
+    from zkerov.cli import main
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(["selftest", "--max-n", args[0], "--threads", "1",
+                     "--format", "json"]) == 0
+    count = sum(c["status"] == "ok" for c in json.loads(out.getvalue())["checks"])
 elif kind == "closedform":
     from zkerov import closedform
     route = getattr(closedform, args[0])
@@ -148,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         jobs[kind] = (kind.removesuffix("_s"), [str(n)])
     for key, route in CLOSEDFORM.items():
         jobs[key] = ("closedform", [route, str(CLOSEDFORM_N)])
+    jobs["selftest_s"] = ("selftest", [SELFTEST_MAX_N])
 
     samples: dict[str, dict[str, list[float]]] = {
         label: {key: [] for key in jobs} for label, _src in sides
@@ -164,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{got['seconds']:.3f} s", file=sys.stderr)
 
     report: dict = {
-        "benchmark": "engine.scan, census presets, gluing enumerators, closed forms",
+        "benchmark": "engine.scan, census presets, gluing enumerators, closed forms, selftest",
         "machine": machine_info(),
         "repeats": args.repeats,
         "statistic": "median",
@@ -183,7 +197,9 @@ def main(argv: list[str] | None = None) -> int:
             **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
             **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM},
-            "counts": {key: counts[label][key] for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM]},
+            "selftest_s": {SELFTEST_MAX_N: round(med["selftest_s"], 4)},
+            "counts": {key: counts[label][key]
+                       for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM, "selftest_s"]},
             "samples_s": {key: [round(x, 4) for x in xs] for key, xs in samples[label].items()},
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

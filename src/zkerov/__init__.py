@@ -17,10 +17,8 @@ from .admissibility import (
 )
 from .closedform import (
     ClosedFormResult,
-    PositivityReport,
     partition_coefficient,
     partition_polynomial,
-    lassalle_scan,
     family_sum_polynomial,
     symmetrized_polynomial,
 )

@@ -66,10 +66,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zkerov", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, n_required: bool = False,
+    def add_common(p: argparse.ArgumentParser, *, n: bool = True, n_required: bool = False,
                    threads_help: str = "worker processes for the enumeration pass",
                    cache: bool = True) -> None:
-        p.add_argument("--n", type=int, required=n_required, help="number of map edges")
+        if n:
+            p.add_argument("--n", type=int, required=n_required, help="number of map edges")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=threads_help)
         p.add_argument("--format", choices=("json", "table"), default="table")
         if cache:
@@ -107,7 +108,8 @@ def build_parser() -> _Parser:
                    help="pool n=1..max-n when --n is not given")
 
     p = sub.add_parser("selftest", help="run the verification battery")
-    add_common(p)
+    # selftest checks the kernel at n=1..max-n, never the cache
+    add_common(p, n=False, cache=False)
     p.add_argument("--max-n", type=int, default=6)
 
     return parser
@@ -309,7 +311,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    checks = selftest_mod.run_selftest(max_n=args.max_n, threads=args.threads)
+    checks = selftest_mod.run_selftest(max_n=args.max_n, threads=args.threads, force=args.force)
     ok = all(c.passed for c in checks)
     rows = [{"name": c.name, "status": "ok" if c.passed else "fail", "detail": c.detail}
             for c in checks]

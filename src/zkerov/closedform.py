@@ -161,37 +161,3 @@ def partition_polynomial(n: int) -> ClosedFormResult:
         mono = Monomial(parts)
         terms[mono] = partition_coefficient(n, mono)
     return ClosedFormResult(n=n, terms=terms)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    max_n: int
-    rows: list[tuple[int, tuple[int, ...], int]]  # (n, partition, coefficient)
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def lassalle_scan(max_n: int) -> PositivityReport:
-    """Check every genus-one closed-form coefficient up to max_n is a
-    positive integer."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    rows: list[tuple[int, tuple[int, ...], int]] = []
-    violations: list[str] = []
-    for n in range(3, max_n + 1):
-        for parts in partitions(n - 1, 2):
-            mono = Monomial(parts)
-            try:
-                value = partition_coefficient(n, mono)
-            except InternalConsistencyError as exc:
-                violations.append(str(exc))
-                continue
-            rows.append((n, mono.parts, value))
-            if value <= 0:
-                violations.append(
-                    f"non-positive coefficient {value} for mu={mono.parts} at n={n}"
-                )
-    return PositivityReport(max_n=max_n, rows=rows, violations=violations)

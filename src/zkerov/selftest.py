@@ -2,8 +2,10 @@
 suite and ``genus1 --verify``.
 
 Each entry of CHECKS is ``(name, acceptance criterion or None, fn)``, where
-``fn(max_n, threads)`` runs the check at a scale bounded by ``max_n`` and
-returns a one-line detail, raising on failure.  run_check never raises:
+``fn(max_n, scan_of)`` runs the check at a scale bounded by ``max_n`` and
+returns a one-line detail, raising on failure.  ``scan_of(n)`` returns the
+ScanResult of n; run_selftest memoizes it for the length of one run, so the
+checks share one scan per n.  run_check never raises:
 failures (including unexpected exceptions) come back as a failed
 CheckResult so the CLI can render one line per check and exit 2 when
 anything failed.
@@ -31,11 +33,18 @@ from .census import (
     small_reduced_census,
     is_contributing,
     reduce_map,
+    stabilizer_order,
     underlying_multigraph,
     verify_decoration_accounting,
 )
-from .closedform import partition_polynomial, lassalle_scan, family_sum_polynomial, symmetrized_polynomial
-from .engine import ScanResult, rescaled_coefficient, scan, strata
+from .closedform import (
+    family_sum_polynomial,
+    partition_coefficient,
+    partition_polynomial,
+    symmetrized_polynomial,
+)
+from .engine import ScanResult, rescaled_coefficient, strata
+from .partitions import partitions
 from .polygon import (
     Gluing,
     double_factorial,
@@ -44,6 +53,8 @@ from .polygon import (
     glue,
     rotate_gluing,
 )
+
+ScanOf = Callable[[int], ScanResult]
 
 PINNED_GENUS1_VALUES = {
     (3, (2,)): 4,
@@ -84,7 +95,7 @@ def genus1_mismatches(n: int, result: ScanResult) -> list[str]:
     return mismatches
 
 
-def _check_gluing_counts(max_n: int, _threads: int) -> str:
+def _check_gluing_counts(max_n: int, _scan_of: ScanOf) -> str:
     counts = []
     for n in range(1, max_n + 1):
         got = sum(1 for _ in enumerate_gluings(n))
@@ -94,7 +105,7 @@ def _check_gluing_counts(max_n: int, _threads: int) -> str:
     return f"matching counts {counts} match the double factorials"
 
 
-def _check_twisted_counts(max_n: int, _threads: int) -> str:
+def _check_twisted_counts(max_n: int, _scan_of: ScanOf) -> str:
     top = min(max_n, 4)
     for n in range(1, top + 1):
         got = sum(1 for _ in enumerate_twisted_gluings(n))
@@ -103,7 +114,7 @@ def _check_twisted_counts(max_n: int, _threads: int) -> str:
     return f"twisted counts match (2n-1)!!*2^n for n<= {top}"
 
 
-def _check_glue_invariants(max_n: int, _threads: int) -> str:
+def _check_glue_invariants(max_n: int, _scan_of: ScanOf) -> str:
     top = min(max_n, 5)
     maps = 0
     for n in range(1, top + 1):
@@ -117,7 +128,7 @@ def _check_glue_invariants(max_n: int, _threads: int) -> str:
     return f"{maps} maps satisfy the degree-sum, Euler, and bipartite invariants"
 
 
-def _check_rotation_equivariance(max_n: int, _threads: int) -> str:
+def _check_rotation_equivariance(max_n: int, _scan_of: ScanOf) -> str:
     top = min(max_n, 4)
     checked = 0
     for n in range(1, top + 1):
@@ -134,7 +145,7 @@ def _check_rotation_equivariance(max_n: int, _threads: int) -> str:
     return f"{checked} rotated maps keep degree multiset, Euler characteristic, colors"
 
 
-def _check_oracle_equivalence(max_n: int, _threads: int) -> str:
+def _check_oracle_equivalence(max_n: int, _scan_of: ScanOf) -> str:
     top = min(max_n, 6)
     pairs = 0
     for n in range(1, top + 1):
@@ -162,41 +173,41 @@ def _check_oracle_equivalence(max_n: int, _threads: int) -> str:
     return f"both oracles agree on all {pairs} (map, q) pairs for n<= {top}{extra}"
 
 
-def _check_genus1_agreement(max_n: int, threads: int) -> str:
+def _check_genus1_agreement(max_n: int, scan_of: ScanOf) -> str:
     checked = 0
     for n in range(3, max_n + 1):
-        result = scan(n, threads=threads)
+        result = scan_of(n)
         mismatches = genus1_mismatches(n, result)
         assert not mismatches, f"n={n}: " + "; ".join(mismatches)
         checked += sum(1 for m in result.tallies if m.vertex_count == n - 1)
     return f"three closed forms == enumeration on {checked} genus-one coefficients, n=3..{max_n}"
 
 
-def _check_pinned_values(max_n: int, threads: int) -> str:
+def _check_pinned_values(max_n: int, scan_of: ScanOf) -> str:
     hit = 0
     for (n, parts), expected in PINNED_GENUS1_VALUES.items():
         if n > max_n:
             continue
         mono = Monomial(parts)
-        raw = scan(n, threads=threads).tallies.get(mono, 0)
+        raw = scan_of(n).tallies.get(mono, 0)
         coeff = rescaled_coefficient(n, mono, raw)
         assert raw == coeff == expected, (n, parts, raw, coeff, expected)
         hit += 1
     return f"{hit} pinned genus-one values reproduced by enumeration"
 
 
-def _check_rescale_integrality(max_n: int, threads: int) -> str:
+def _check_rescale_integrality(max_n: int, scan_of: ScanOf) -> str:
     top = min(max_n, 6)
     terms = 0
     for n in range(1, top + 1):
-        for part in strata(scan(n, threads=threads)):
+        for part in strata(scan_of(n)):
             bad = [m for m, v in part.terms.items() if type(v) is not int]
             assert not bad, f"non-integer coefficients at n={n}: {bad}"
             terms += len(part.terms)
     return f"{terms} rescaled coefficients are exact integers for n<= {top}"
 
 
-def _check_pinned_census_counts(max_n: int, _threads: int) -> str:
+def _check_pinned_census_counts(max_n: int, _scan_of: ScanOf) -> str:
     details = []
     if max_n >= 3:
         small = small_reduced_census(3)
@@ -209,14 +220,14 @@ def _check_pinned_census_counts(max_n: int, _threads: int) -> str:
     return "; ".join(details) if details else "skipped (max_n too small)"
 
 
-def _check_orbit_stabilizer(max_n: int, _threads: int) -> str:
+def _check_orbit_stabilizer(max_n: int, _scan_of: ScanOf) -> str:
     top = min(max_n, 6)
     classes_seen = 0
     for n in range(1, top + 1):
         classes = census_classes(n)
         assert sum(c.orbit_size for c in classes) == double_factorial(2 * n - 1)
         for c in classes:
-            assert c.orbit_size * c.stabilizer_order == n, c
+            assert c.stabilizer_order == stabilizer_order(c.representative), c
         classes_seen += len(classes)
     # a filtered family: genus-one maps at n=3 total four gluings in two orbits
     fam = census_classes(3, doubled_genus=2, bipartite_only=True)
@@ -226,7 +237,7 @@ def _check_orbit_stabilizer(max_n: int, _threads: int) -> str:
     return f"orbit*stabilizer == n for all {classes_seen} classes, n<= {top}"
 
 
-def _check_decoration_count(_max_n: int, _threads: int) -> str:
+def _check_decoration_count(_max_n: int, _scan_of: ScanOf) -> str:
     cases = 0
     for m in range(1, 5):
         for k in range(6):
@@ -236,7 +247,7 @@ def _check_decoration_count(_max_n: int, _threads: int) -> str:
     return f"{cases} decoration counts match explicit placement generation"
 
 
-def _check_decoration_accounting(max_n: int, _threads: int) -> str:
+def _check_decoration_accounting(max_n: int, _scan_of: ScanOf) -> str:
     bases = [c for c in contributing_reduced_bipartite_census(min(max_n, 6)) if c.n <= 4]
     cases = 0
     for c in bases:
@@ -250,7 +261,7 @@ def _check_decoration_accounting(max_n: int, _threads: int) -> str:
     return f"labeled-map accounting holds for {cases} decoration targets on {len(bases)} bases"
 
 
-def _check_reduction(max_n: int, _threads: int) -> str:
+def _check_reduction(max_n: int, _scan_of: ScanOf) -> str:
     top = min(max_n, 6)
     targets = {canonical_key(underlying_multigraph(glue(c.representative)))
                for c in contributing_reduced_bipartite_census(6)}
@@ -268,7 +279,7 @@ def _check_reduction(max_n: int, _threads: int) -> str:
     return f"{reduced_maps} contributing genus-one maps reduce confluently into the 7 classes"
 
 
-def _check_determinism(max_n: int, _threads: int) -> str:
+def _check_determinism(max_n: int, _scan_of: ScanOf) -> str:
     n = min(max_n, 5)
     one = engine._scan_branch((n, ((),), 0))
     split = [engine._scan_branch((n, tuple((j,) for j in range(1 + k, 2 * n, 3)), 0))
@@ -282,7 +293,7 @@ def _check_determinism(max_n: int, _threads: int) -> str:
     return f"partitioned enumeration merge equals the single pass at n={n}"
 
 
-def _check_color_swap(max_n: int, _threads: int) -> str:
+def _check_color_swap(max_n: int, _scan_of: ScanOf) -> str:
     n = min(max_n, 4)
     plain = engine._scan_branch((n, ((),), 0))[1]
     swapped = engine._scan_branch((n, ((),), 1))[1]
@@ -290,20 +301,24 @@ def _check_color_swap(max_n: int, _threads: int) -> str:
     return f"per-monomial totals are invariant under the black/white swap at n={n}"
 
 
-def _check_degenerate_genus1(_max_n: int, threads: int) -> str:
-    part = strata(scan(2, threads=threads), 2)[0]
+def _check_degenerate_genus1(_max_n: int, scan_of: ScanOf) -> str:
+    part = strata(scan_of(2), 2)[0]
     assert part.terms == {} and part.raw_counts == {}
     return "the genus-one stratum at n=2 is empty"
 
 
-def _check_lassalle(_max_n: int, _threads: int) -> str:
-    report = lassalle_scan(12)
-    assert report.ok, report.violations
-    assert all(v > 0 for _n, _mu, v in report.rows)
-    return f"{len(report.rows)} genus-one coefficients up to n=12 are positive integers"
+def _check_lassalle(_max_n: int, _scan_of: ScanOf) -> str:
+    # partition_coefficient itself raises on a fraction or a negative value
+    count = 0
+    for n in range(3, 13):
+        for parts in partitions(n - 1, 2):
+            value = partition_coefficient(n, Monomial(parts))
+            assert value > 0, f"non-positive coefficient {value} for mu={parts} at n={n}"
+            count += 1
+    return f"{count} genus-one coefficients up to n=12 are positive integers"
 
 
-CHECKS: tuple[tuple[str, int | None, Callable[[int, int], str]], ...] = (
+CHECKS: tuple[tuple[str, int | None, Callable[[int, ScanOf], str]], ...] = (
     ("gluing-counts", 1, _check_gluing_counts),
     ("twisted-counts", None, _check_twisted_counts),
     ("glue-invariants", None, _check_glue_invariants),
@@ -324,16 +339,23 @@ CHECKS: tuple[tuple[str, int | None, Callable[[int, int], str]], ...] = (
 )
 
 
-def run_check(name: str, max_n: int, threads: int) -> CheckResult:
+def run_check(name: str, max_n: int, scan_of: ScanOf) -> CheckResult:
     """Run one registered check; a failure or exception is a failed result."""
     fn = {check: fn for check, _criterion, fn in CHECKS}[name]
     try:
-        return CheckResult(name, True, fn(max_n, threads))
+        return CheckResult(name, True, fn(max_n, scan_of))
     except Exception as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_selftest(max_n: int = 6, threads: int = 1) -> list[CheckResult]:
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    return [run_check(name, max_n, threads) for name, _criterion, _fn in CHECKS]
+def run_selftest(max_n: int = 6, threads: int = 1, force: bool = False) -> list[CheckResult]:
+    """Run every check at scale ``max_n``, scanning each n at most once."""
+    engine.check_limit(max_n, force)
+    scans: dict[int, ScanResult] = {}
+
+    def scan_of(n: int) -> ScanResult:
+        if n not in scans:
+            scans[n] = engine.scan(n, threads=threads, force=force)
+        return scans[n]
+
+    return [run_check(name, max_n, scan_of) for name, _criterion, _fn in CHECKS]

@@ -202,6 +202,14 @@ class TestCensusClasses:
             for c in classes:
                 assert c.orbit_size * c.stabilizer_order == n
 
+    def test_stabilizer_order_equals_direct_count(self):
+        # the published order is group_order // orbit_size; the direct count
+        # rotates the representative and shares nothing with the orbit
+        classes = [c for n in range(1, 7) for c in census_classes(n)]
+        assert len(classes) == 2038
+        for c in classes:
+            assert c.stabilizer_order == stabilizer_order(c.representative), c
+
     def test_representative_is_lexicographically_least(self):
         from zkerov.polygon import rotate_gluing
 

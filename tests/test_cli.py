@@ -328,3 +328,28 @@ class TestSelftest:
         assert code == 0
         failing = [c["name"] for c in doc["checks"] if c["status"] == "fail"]
         assert failing == []
+
+    def test_max_n_above_default_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "selftest", "--max-n", "9")
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "zkerov: error: n=9 exceeds the default limit 8; pass force=True (--force)"
+        ]
+
+    def test_max_n_above_hard_limit_exits_one_with_force(self, capsys):
+        code, out, err = run(capsys, "selftest", "--max-n", "11", "--force")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["zkerov: error: n=11 exceeds the hard limit 10"]
+
+    @pytest.mark.parametrize("flag,value", [("--n", "3"), ("--cache", "DIR")])
+    def test_n_and_cache_are_rejected(self, capsys, tmp_path, flag, value):
+        # selftest checks the kernel at n=1..max-n and never reads a cache
+        if flag == "--cache":
+            not_a_dir = tmp_path / "cache"
+            not_a_dir.write_text("")
+            value = str(not_a_dir / "sub")
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--max-n", "2", flag, value])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"unrecognized arguments: {flag}" in out.err

@@ -12,7 +12,6 @@ from zkerov.admissibility import Monomial
 from zkerov.closedform import (
     partition_coefficient,
     partition_polynomial,
-    lassalle_scan,
     family_sum_polynomial,
     family_tuple_values,
     symmetrized_polynomial,
@@ -163,19 +162,3 @@ class TestIntegralityGuard:
         monkeypatch.setattr(closedform, "FAMILY_DENOMINATOR", 10**40)
         with pytest.raises(InternalConsistencyError, match="not an integer"):
             family_sum_polynomial(6)
-
-
-class TestLassalleScan:
-    def test_positive_up_to_twelve(self):
-        report = lassalle_scan(12)
-        assert report.ok
-        assert all(value > 0 for _n, _mu, value in report.rows)
-
-    def test_trivial_scan_is_empty_success(self):
-        report = lassalle_scan(2)
-        assert report.ok and report.rows == []
-
-    def test_row_count_matches_partitions(self):
-        report = lassalle_scan(9)
-        expected = sum(len(list(partitions(n - 1, 2))) for n in range(3, 10))
-        assert len(report.rows) == expected
