@@ -15,8 +15,12 @@ another's imports or warm state.  Sides alternate within each repeat, and
 the reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8;
-* ``scan_2t_s``: ``scan(8, threads=2)``;
+* ``scan_2t_s``: ``scan(n, threads=2)`` for n = 8 and 9 (``force=True``
+  above the default limit);
 * ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings;
+* ``leaves``: the matchings the scan kernel visits at n = 5..8, counted
+  after the timed call: one kernel call over every branch of the orbit
+  sum, or (2n-1)!! for a tree whose kernel is the full pass;
 * ``census_twisted_s``: ``census --reduced --twisted --max-n 6`` and
   ``census_contrib_s``: ``census --reduced-bipartite --contributing
   --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
@@ -51,7 +55,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE_NS = (5, 6, 7, 8)
-PARALLEL = (8, 2)  # (n, threads)
+PARALLEL = ((8, 2), (9, 2))  # (n, threads)
 CENSUS = {
     "census_twisted_s": ("6", ["--reduced", "--twisted", "--max-n", "6"]),
     "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),
@@ -68,9 +72,10 @@ CHILD = """
 import contextlib, io, json, sys, time
 kind, args = sys.argv[1], sys.argv[2:]
 if kind == "scan":
-    from zkerov.engine import scan
+    from zkerov import engine
+    n, threads = int(args[0]), int(args[1])
     t0 = time.perf_counter()
-    count = scan(int(args[0]), threads=int(args[1])).gluing_count
+    count = engine.scan(n, threads=threads, force=n > engine.DEFAULT_N_LIMIT).gluing_count
 elif kind == "census":
     from zkerov.cli import main
     out = io.StringIO()
@@ -97,7 +102,14 @@ else:
     t0 = time.perf_counter()
     count = sum(1 for _ in enumerate_fn(int(args[0])))
 elapsed = time.perf_counter() - t0
-print(json.dumps({"seconds": elapsed, "count": count}))
+extra = {}
+if kind == "scan" and threads == 1:
+    # the matchings the kernel visits, counted after the timed call
+    if hasattr(engine, "_branches"):
+        extra["leaves"] = engine._scan_branch((n, tuple(engine._branches(n)), 0))[0]
+    else:
+        extra["leaves"] = count
+print(json.dumps({"seconds": elapsed, "count": count, **extra}))
 """
 
 
@@ -154,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     jobs: dict[str, tuple[str, list[str]]] = {
         f"n{n}_t1": ("scan", [str(n), "1"]) for n in SINGLE_NS
     }
-    jobs[f"n{PARALLEL[0]}_t{PARALLEL[1]}"] = ("scan", [str(PARALLEL[0]), str(PARALLEL[1])])
+    for n, threads in PARALLEL:
+        jobs[f"n{n}_t{threads}"] = ("scan", [str(n), str(threads)])
     for key, (_n, flags) in CENSUS.items():
         jobs[key] = ("census", flags)
     for kind, n in ENUMERATE.items():
@@ -167,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         label: {key: [] for key in jobs} for label, _src in sides
     }
     counts: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
+    leaves: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
     for rep in range(args.repeats):
         order = sides if rep % 2 == 0 else sides[::-1]
         for key, (kind, child_args) in jobs.items():
@@ -174,6 +188,8 @@ def main(argv: list[str] | None = None) -> int:
                 got = run_child(src, kind, child_args)
                 samples[label][key].append(got["seconds"])
                 counts[label][key] = got["count"]
+                if "leaves" in got:
+                    leaves[label][key] = got["leaves"]
                 print(f"rep {rep + 1}/{args.repeats} {label} {key}: "
                       f"{got['seconds']:.3f} s", file=sys.stderr)
 
@@ -186,14 +202,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     for label, _src in sides:
         med = {key: statistics.median(xs) for key, xs in samples[label].items()}
-        n2, t2 = PARALLEL
         report["sides"][label] = {
             "scan_1t_s": {str(n): round(med[f"n{n}_t1"], 4) for n in SINGLE_NS},
-            f"scan_{t2}t_s": {str(n2): round(med[f"n{n2}_t{t2}"], 4)},
+            "scan_2t_s": {str(n): round(med[f"n{n}_t{t}"], 4) for n, t in PARALLEL},
             "ns_per_matching": {
                 str(n): round(med[f"n{n}_t1"] / counts[label][f"n{n}_t1"] * 1e9, 1)
                 for n in SINGLE_NS
             },
+            "leaves": {str(n): leaves[label][f"n{n}_t1"] for n in SINGLE_NS},
             **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
             **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM},

@@ -1,6 +1,6 @@
-"""Exact coefficient computation by exhaustive gluing enumeration.
+"""Exact coefficient computation by a weighted orbit sum over gluings.
 
-One full pass over all (2n-1)!! matchings tallies, for every map, every
+The scan tallies, for every matching of the 2n-gon's sides, every
 admissible q-coloring into a per-monomial raw count.  The coefficient of
 R_mu in the zonal Kerov polynomial K_n = R_(n+1) + ... is the signed raw
 count (-1)^(n+1+V) * raw, with V = |mu| the monomial's vertex count; no
@@ -8,27 +8,53 @@ other factor enters, so every coefficient is an integer.  The tests check
 this against an algebraic oracle (Jack characters and anisotropic free
 cumulants at alpha=2) that shares no model with the enumeration.
 
+The scan does not visit all (2n-1)!! matchings.  The color-preserving
+dihedral group G of the polygon, of order 2n, consists of the rotations
+s -> s+2k and the reflections of corners c -> 2k-c (on sides s -> 2k-1-s).
+Both keep corner colors and map the identification rule of a side pair
+to the rule of its image, so a matching and its image glue isomorphic
+colored maps with the same admissible-coloring monomials.  The unordered
+side pairs fall into G-orbits, the pair types (12 at n=8), numbered by
+orbit size, largest first, then by representative {0, j}.  Every matching
+M has a first type tau it contains; summing over the |O_tau| pairs of that
+type and moving each onto the representative by an element of G gives
+
+    sum over all M of f(M) = sum over tau of |O_tau| * sum of f(M)/c_tau(M)
+                             over the M that contain the representative of
+                             tau and no pair of an earlier type,
+
+where c_tau(M) is the number of M's pairs of type tau.  The kernel
+enumerates only those matchings (213,923 leaves instead of 2,027,025 at
+n=8), pruning pairs of earlier types inside the recursion with a
+precomputed type table, and adds the weight L*|O_tau|/c_tau(M) with
+L = lcm(1..n), an integer since c_tau(M) <= n.  ``scan`` checks that the
+weights sum to L*(2n-1)!! and divides every tally by L, raising
+InternalConsistencyError on a remainder; both checks run on every scan.
+A statistic kept beside the monomial (a future per-map key) must be
+G-invariant for the same sum to hold; orientability is.
+
 The scan kernel (_scan_branch) recurses over the tuple of still-free sides
 and keeps a union-find incrementally along the recursion (undo on
 backtrack) instead of re-gluing every matching from scratch.  Each side
 pair merges at most one black and one white corner class, so the kernel
 also keeps the number of live classes per colour; a leaf reads b and w in
-O(1), and the leaves with w < b or b == 1 (about two thirds of them) never
-touch the union-find.  Only the remaining leaves build their black/white
-adjacency masks, and the Hall check on them is memoized per kernel call
-by (w, masks): at n=8 the 683,049 such leaves have 3,035 distinct keys.
-Tests cross-validate the kernel against the straightforward
-glue()/enumerate_q() path.
+O(1), and the leaves with w < b or b == 1 never touch the union-find.
+Only the remaining leaves build their black/white adjacency masks, and the
+Hall check on them is memoized per kernel call by (w, masks).  Tests
+cross-validate the kernel against the straightforward glue()/enumerate_q()
+path over every matching.
 
-Small n runs in-process.  Otherwise the pass is split into one task per
-(partner of side 0, partner of the first free side), (2n-1)(2n-3) tasks of
-similar size handed to a process pool, and the tallies are merged by plain
-addition, so results are independent of the worker count.
+Small n runs in-process.  Otherwise the sum is split into one task per
+(type, partner of the lowest side its representative leaves free), 76
+tasks at n=8, handed to a process pool largest types first, and the
+weighted tallies are merged by plain addition, so results are independent
+of the worker count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -46,10 +72,11 @@ FORCE_N_LIMIT = 10
 
 CACHE_SCHEMA_VERSION = 1
 
-# Smallest n whose pass goes to a process pool; below it pool start-up
-# costs more than it saves.  Medians on 2 cores, CPython 3.11, in-process
-# vs 2 workers: n=4 0.2 vs 4.4 ms, n=5 1.5 vs 7.2 ms, n=6 17 vs 21 ms,
-# n=7 229 vs 139 ms.
+# Smallest n whose scan goes to a process pool; below it pool start-up
+# costs more than it saves.  Medians of 10 alternated pairs, fresh
+# interpreters, 2-vCPU Intel Xeon, CPython 3.11.7, in-process vs 2 workers:
+# n=5 2.4 vs 22 ms, n=6 11 vs 35 ms, n=7 104 vs 89 ms (pool faster in 10
+# of 10 pairs), n=8 1.25 vs 0.72 s.
 POOL_MIN_N = 7
 
 
@@ -86,7 +113,7 @@ class GenusPolynomial:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Full-pass tallies over every matching of the 2n-gon."""
+    """Tallies over every matching of the 2n-gon."""
 
     n: int
     gluing_count: int
@@ -104,23 +131,80 @@ def check_limit(n: int, force: bool) -> None:
         )
 
 
-def _scan_branch(
-    task: tuple[int, tuple[tuple[int, ...], ...], int],
-) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Tally all matchings that extend one of the given prefixes.
+def _pair_types(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
+    """The G-orbits of unordered side pairs: (type table, representatives,
+    orbit sizes).
 
-    ``task`` is ``(n, prefixes, black_parity)``.  A prefix is a tuple of
-    partners: the first is the partner of side 0, each next one the partner
-    of the lowest side still free; ``(n, ((),), parity)`` is the whole pass.
-
-    Returns (matching count, {monomial parts: raw count}).
+    Types are numbered by orbit size, largest first, then by representative
+    {0, j} with j smallest; ``table[a][b]`` is the type of {a, b} (-1 on the
+    diagonal).
     """
-    n, prefixes, black_parity = task
+    m = 2 * n
+    images = [lambda s, t=t: (s + t) % m for t in range(0, m, 2)]
+    images += [lambda s, t=t: (t - s) % m for t in range(1, m, 2)]
+    orbits = []
+    seen: set[tuple[int, int]] = set()
+    for a in range(m):
+        for b in range(a + 1, m):
+            if (a, b) not in seen:
+                orbit = {tuple(sorted((g(a), g(b)))) for g in images}
+                seen |= orbit
+                orbits.append((-len(orbit), min(orbit), orbit))
+    orbits.sort()
+    table = [[-1] * m for _ in range(m)]
+    for tau, (_size, _rep, orbit) in enumerate(orbits):
+        for a, b in orbit:
+            table[a][b] = table[b][a] = tau
+    return table, [rep for _size, rep, _orbit in orbits], [-size for size, _rep, _orbit in orbits]
+
+
+def _branches(n: int) -> list[tuple[int, int | None]]:
+    """Every (type, partner of the lowest side left free by the type's
+    representative) the orbit sum visits, largest types first: the pool's
+    tasks, 76 at n=8.  The partner is None at n=1, where nothing is left."""
+    table, reps, _sizes = _pair_types(n)
+    out: list[tuple[int, int | None]] = []
+    for tau, rep in enumerate(reps):
+        free = [s for s in range(2 * n) if s not in rep]
+        if not free:
+            out.append((tau, None))
+        out.extend((tau, k) for k in free[1:] if table[free[0]][k] >= tau)
+    return out
+
+
+def _weight_denominator(n: int) -> int:
+    """L = lcm(1..n): every orbit weight |O|/c with c <= n is an integer
+    multiple of 1/L."""
+    return math.lcm(*range(1, n + 1))
+
+
+def _scan_branch(
+    task: tuple[int, tuple[tuple[int, int | None], ...], int],
+) -> tuple[int, int, dict[tuple[int, ...], int]]:
+    """Weighted tallies of the matchings on the given branches.
+
+    ``task`` is ``(n, branches, black_parity)`` with branches from
+    ``_branches(n)``; a branch (tau, k) covers the matchings that contain
+    the representative of type tau and the pair (lowest free side, k), and
+    no pair of an earlier type.  Each such matching M counts with weight
+    L*|O_tau|/c_tau(M) (module docstring).
+
+    Returns (leaves, weighted matching total, {monomial parts: weighted
+    raw count}); ``_exact_tallies`` divides the totals of all branches by L.
+    """
+    n, branches, black_parity = task
     m = 2 * n
     white_parity = 1 - black_parity
+    table, reps, sizes = _pair_types(n)
+    denominator = _weight_denominator(n)
     tally: dict[tuple[int, ...], int] = {}
-    singles = [0] * (m + 1)  # b == 1 leaves, by white count
-    count = 0
+    singles = [0] * (m + 1)  # weighted b == 1 leaves, by white count
+    leaves = 0
+    total = 0
+    # per branch: step[a][b] is -1 for a pair of an earlier type, else the
+    # number of type-tau pairs it adds; weights[c] the weight at c of them
+    step: list[list[int]] = []
+    weights: list[int] = []
 
     nxt = [c + 1 for c in range(m - 1)] + [0]
     parent = list(range(m))
@@ -192,15 +276,17 @@ def _scan_branch(
                 keys.append(tuple(sorted((x + 1 for x in comp), reverse=True)))
         return keys
 
-    def leaf() -> None:
-        nonlocal count
-        count += 1
+    def leaf(same: int) -> None:
+        nonlocal leaves, total
+        weight = weights[same]
+        leaves += 1
+        total += weight
         b = live[black_parity]
         w = live[white_parity]
         if w < b:
             return
         if b == 1:
-            singles[w] += 1
+            singles[w] += weight
             return
         root_of = []
         for c in range(m):
@@ -224,50 +310,81 @@ def _scan_branch(
         if keys is None:
             keys = hall_memo[key] = hall_keys(w, masks)
         for k in keys:
-            tally[k] = tally.get(k, 0) + 1
+            tally[k] = tally.get(k, 0) + weight
 
-    def rec(free: tuple[int, ...]) -> None:
+    def rec(free: tuple[int, ...], same: int) -> None:
+        # same: the number of type-tau pairs placed so far
         i = free[0]
+        row = step[i]
         if len(free) == 2:
-            ops = apply_pair(i, free[1])
-            leaf()
-            undo(ops)
+            d = row[free[1]]
+            if d >= 0:
+                ops = apply_pair(i, free[1])
+                leaf(same + d)
+                undo(ops)
             return
         for k in range(1, len(free)):
+            d = row[free[k]]
+            if d < 0:
+                continue
             ops = apply_pair(i, free[k])
-            rec(free[1:k] + free[k + 1:])
+            rec(free[1:k] + free[k + 1:], same + d)
             undo(ops)
 
-    for prefix in prefixes:
-        free = tuple(range(m))
-        applied = []
-        for j in prefix:
-            applied.append(apply_pair(free[0], j))
-            free = tuple(s for s in free[1:] if s != j)
-        if free:
-            rec(free)
+    for tau, k in branches:
+        step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
+        weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
+        a, b = reps[tau]
+        placed = [apply_pair(a, b)]
+        free = tuple(s for s in range(m) if s != a and s != b)
+        if k is None:
+            leaf(1)
         else:
-            leaf()
-        for ops in reversed(applied):
+            same = 1 + step[free[0]][k]
+            placed.append(apply_pair(free[0], k))
+            free = tuple(s for s in free[1:] if s != k)
+            if free:
+                rec(free, same)
+            else:
+                leaf(same)
+        for ops in reversed(placed):
             undo(ops)
 
     for w, c in enumerate(singles):
         if c:
             tally[(w + 1,)] = tally.get((w + 1,), 0) + c
-    return count, tally
+    return leaves, total, tally
 
 
-def _prefix_tasks(n: int) -> list[tuple[int, tuple[tuple[int, int]], int]]:
-    """One task per (partner of side 0, partner of the first free side):
-    (2n-1)(2n-3) tasks of similar size, so a pool stays evenly loaded."""
-    m = 2 * n
-    tasks = []
-    for first in range(1, m):
-        first_free = 2 if first == 1 else 1
-        for second in range(first_free + 1, m):
-            if second != first:
-                tasks.append((n, ((first, second),), 0))
-    return tasks
+def _exact_tallies(
+    n: int, results: list[tuple[int, int, dict[tuple[int, ...], int]]],
+) -> dict[tuple[int, ...], int]:
+    """Merge the weighted branch results of n and divide by L exactly.
+
+    The weighted matching total must be L*(2n-1)!! and every weighted
+    tally a multiple of L; anything else is an InternalConsistencyError.
+    """
+    denominator = _weight_denominator(n)
+    total = 0
+    merged: dict[tuple[int, ...], int] = {}
+    for _leaves, weighted, tal in results:
+        total += weighted
+        for key, c in tal.items():
+            merged[key] = merged.get(key, 0) + c
+    expected = denominator * double_factorial(2 * n - 1)
+    if total != expected:
+        raise InternalConsistencyError(
+            f"weighted matching total {total} at n={n}, expected {expected}"
+        )
+    tallies = {}
+    for key, c in merged.items():
+        q, r = divmod(c, denominator)
+        if r:
+            raise InternalConsistencyError(
+                f"weighted count {c} of mu={key} at n={n} is not a multiple of {denominator}"
+            )
+        tallies[key] = q
+    return tallies
 
 
 def scan(
@@ -277,37 +394,27 @@ def scan(
     cache_dir: str | Path | None = None,
     force: bool = False,
 ) -> ScanResult:
-    """Full tally pass over every matching of the 2n-gon, or its tallies
-    from the cache when ``cache_dir`` holds a valid file for n."""
+    """Tallies over every matching of the 2n-gon by the weighted orbit sum,
+    or from the cache when ``cache_dir`` holds a valid file for n."""
     check_limit(n, force)
     if cache_dir is not None:
         cached = load_cache(cache_dir, n)
         if cached is not None:
             return cached
 
+    branches = _branches(n)
     if threads == 1 or n < POOL_MIN_N:
-        raw_results = [_scan_branch((n, ((),), 0))]
+        raw_results = [_scan_branch((n, tuple(branches), 0))]
     else:
-        tasks = _prefix_tasks(n)
+        tasks = [(n, (branch,), 0) for branch in branches]
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             raw_results = list(pool.map(_scan_branch, tasks))
 
-    total = 0
-    merged: dict[tuple[int, ...], int] = {}
-    for cnt, tal in raw_results:
-        total += cnt
-        for key, c in tal.items():
-            merged[key] = merged.get(key, 0) + c
-
-    expected = double_factorial(2 * n - 1)
-    if total != expected:
-        raise InternalConsistencyError(
-            f"scanned {total} matchings at n={n}, expected {expected}"
-        )
+    tallies = _exact_tallies(n, raw_results)
     result = ScanResult(
         n=n,
-        gluing_count=total,
-        tallies={Monomial(parts): c for parts, c in merged.items()},
+        gluing_count=double_factorial(2 * n - 1),
+        tallies={Monomial(parts): c for parts, c in tallies.items()},
     )
     if cache_dir is not None:
         write_cache(cache_dir, result)

@@ -2,10 +2,12 @@
 suite and ``genus1 --verify``.
 
 Each entry of CHECKS is ``(name, acceptance criterion or None, fn)``, where
-``fn(max_n, scan_of)`` runs the check at a scale bounded by ``max_n`` and
-returns a one-line detail, raising on failure.  ``scan_of(n)`` returns the
-ScanResult of n; run_selftest memoizes it for the length of one run, so the
-checks share one scan per n.  run_check never raises:
+``fn(max_n, scan_of, census_of)`` runs the check at a scale bounded by
+``max_n`` and returns a one-line detail, raising on failure.  ``scan_of(n)``
+returns the ScanResult of n and ``census_of()`` the contributing
+reduced-bipartite census for n <= 6; run_selftest memoizes both for the
+length of one run, so the checks share one scan per n and one census.
+run_check never raises:
 failures (including unexpected exceptions) come back as a failed
 CheckResult so the CLI can render one line per check and exit 2 when
 anything failed.
@@ -13,6 +15,7 @@ anything failed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ from .admissibility import (
     orientation_walk_condition,
 )
 from .census import (
+    ReducedMapClass,
     canonical_key,
     census_classes,
     contributing_reduced_bipartite_census,
@@ -55,6 +59,7 @@ from .polygon import (
 )
 
 ScanOf = Callable[[int], ScanResult]
+CensusOf = Callable[[], list[ReducedMapClass]]
 
 PINNED_GENUS1_VALUES = {
     (3, (2,)): 4,
@@ -95,7 +100,7 @@ def genus1_mismatches(n: int, result: ScanResult) -> list[str]:
     return mismatches
 
 
-def _check_gluing_counts(max_n: int, _scan_of: ScanOf) -> str:
+def _check_gluing_counts(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     counts = []
     for n in range(1, max_n + 1):
         got = sum(1 for _ in enumerate_gluings(n))
@@ -105,7 +110,7 @@ def _check_gluing_counts(max_n: int, _scan_of: ScanOf) -> str:
     return f"matching counts {counts} match the double factorials"
 
 
-def _check_twisted_counts(max_n: int, _scan_of: ScanOf) -> str:
+def _check_twisted_counts(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     top = min(max_n, 4)
     for n in range(1, top + 1):
         got = sum(1 for _ in enumerate_twisted_gluings(n))
@@ -114,7 +119,7 @@ def _check_twisted_counts(max_n: int, _scan_of: ScanOf) -> str:
     return f"twisted counts match (2n-1)!!*2^n for n<= {top}"
 
 
-def _check_glue_invariants(max_n: int, _scan_of: ScanOf) -> str:
+def _check_glue_invariants(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     top = min(max_n, 5)
     maps = 0
     for n in range(1, top + 1):
@@ -128,7 +133,7 @@ def _check_glue_invariants(max_n: int, _scan_of: ScanOf) -> str:
     return f"{maps} maps satisfy the degree-sum, Euler, and bipartite invariants"
 
 
-def _check_rotation_equivariance(max_n: int, _scan_of: ScanOf) -> str:
+def _check_rotation_equivariance(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     top = min(max_n, 4)
     checked = 0
     for n in range(1, top + 1):
@@ -145,7 +150,7 @@ def _check_rotation_equivariance(max_n: int, _scan_of: ScanOf) -> str:
     return f"{checked} rotated maps keep degree multiset, Euler characteristic, colors"
 
 
-def _check_oracle_equivalence(max_n: int, _scan_of: ScanOf) -> str:
+def _check_oracle_equivalence(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     top = min(max_n, 6)
     pairs = 0
     for n in range(1, top + 1):
@@ -173,7 +178,7 @@ def _check_oracle_equivalence(max_n: int, _scan_of: ScanOf) -> str:
     return f"both oracles agree on all {pairs} (map, q) pairs for n<= {top}{extra}"
 
 
-def _check_genus1_agreement(max_n: int, scan_of: ScanOf) -> str:
+def _check_genus1_agreement(max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> str:
     checked = 0
     for n in range(3, max_n + 1):
         result = scan_of(n)
@@ -183,7 +188,7 @@ def _check_genus1_agreement(max_n: int, scan_of: ScanOf) -> str:
     return f"three closed forms == enumeration on {checked} genus-one coefficients, n=3..{max_n}"
 
 
-def _check_pinned_values(max_n: int, scan_of: ScanOf) -> str:
+def _check_pinned_values(max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> str:
     hit = 0
     for (n, parts), expected in PINNED_GENUS1_VALUES.items():
         if n > max_n:
@@ -196,7 +201,7 @@ def _check_pinned_values(max_n: int, scan_of: ScanOf) -> str:
     return f"{hit} pinned genus-one values reproduced by enumeration"
 
 
-def _check_rescale_integrality(max_n: int, scan_of: ScanOf) -> str:
+def _check_rescale_integrality(max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> str:
     top = min(max_n, 6)
     terms = 0
     for n in range(1, top + 1):
@@ -207,20 +212,20 @@ def _check_rescale_integrality(max_n: int, scan_of: ScanOf) -> str:
     return f"{terms} rescaled coefficients are exact integers for n<= {top}"
 
 
-def _check_pinned_census_counts(max_n: int, _scan_of: ScanOf) -> str:
+def _check_pinned_census_counts(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
     details = []
     if max_n >= 3:
         small = small_reduced_census(3)
         assert len(small) == 5, f"reduced twisted census gave {len(small)} classes, expected 5"
         details.append("5 reduced classes (twisted, dihedral, n<=3)")
     if max_n >= 6:
-        contributing = contributing_reduced_bipartite_census(6)
+        contributing = census_of()
         assert len(contributing) == 7, f"contributing reduced-bipartite census gave {len(contributing)}, expected 7"
         details.append("7 contributing reduced-bipartite classes (n<=6)")
     return "; ".join(details) if details else "skipped (max_n too small)"
 
 
-def _check_orbit_stabilizer(max_n: int, _scan_of: ScanOf) -> str:
+def _check_orbit_stabilizer(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     top = min(max_n, 6)
     classes_seen = 0
     for n in range(1, top + 1):
@@ -237,7 +242,7 @@ def _check_orbit_stabilizer(max_n: int, _scan_of: ScanOf) -> str:
     return f"orbit*stabilizer == n for all {classes_seen} classes, n<= {top}"
 
 
-def _check_decoration_count(_max_n: int, _scan_of: ScanOf) -> str:
+def _check_decoration_count(_max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     cases = 0
     for m in range(1, 5):
         for k in range(6):
@@ -247,8 +252,8 @@ def _check_decoration_count(_max_n: int, _scan_of: ScanOf) -> str:
     return f"{cases} decoration counts match explicit placement generation"
 
 
-def _check_decoration_accounting(max_n: int, _scan_of: ScanOf) -> str:
-    bases = [c for c in contributing_reduced_bipartite_census(min(max_n, 6)) if c.n <= 4]
+def _check_decoration_accounting(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
+    bases = [c for c in census_of() if c.n <= min(max_n, 4)]
     cases = 0
     for c in bases:
         m = glue(c.representative)
@@ -261,10 +266,10 @@ def _check_decoration_accounting(max_n: int, _scan_of: ScanOf) -> str:
     return f"labeled-map accounting holds for {cases} decoration targets on {len(bases)} bases"
 
 
-def _check_reduction(max_n: int, _scan_of: ScanOf) -> str:
+def _check_reduction(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
     top = min(max_n, 6)
     targets = {canonical_key(underlying_multigraph(glue(c.representative)))
-               for c in contributing_reduced_bipartite_census(6)}
+               for c in census_of()}
     reduced_maps = 0
     for n in range(1, top + 1):
         for g in enumerate_gluings(n):
@@ -279,35 +284,36 @@ def _check_reduction(max_n: int, _scan_of: ScanOf) -> str:
     return f"{reduced_maps} contributing genus-one maps reduce confluently into the 7 classes"
 
 
-def _check_determinism(max_n: int, _scan_of: ScanOf) -> str:
+def _check_determinism(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     n = min(max_n, 5)
-    one = engine._scan_branch((n, ((),), 0))
-    split = [engine._scan_branch((n, tuple((j,) for j in range(1 + k, 2 * n, 3)), 0))
-             for k in range(3)]
+    branches = tuple(engine._branches(n))
+    one = engine._scan_branch((n, branches, 0))
+    split = [engine._scan_branch((n, branches[k::3], 0)) for k in range(3)]
     merged: dict[tuple[int, ...], int] = {}
-    for _cnt, tal in split:
+    for _leaves, _total, tal in split:
         for key, v in tal.items():
             merged[key] = merged.get(key, 0) + v
-    assert sum(c for c, _t in split) == one[0]
-    assert merged == one[1]
+    assert sum(total for _leaves, total, _tal in split) == one[1]
+    assert merged == one[2]
     return f"partitioned enumeration merge equals the single pass at n={n}"
 
 
-def _check_color_swap(max_n: int, _scan_of: ScanOf) -> str:
+def _check_color_swap(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     n = min(max_n, 4)
-    plain = engine._scan_branch((n, ((),), 0))[1]
-    swapped = engine._scan_branch((n, ((),), 1))[1]
+    branches = tuple(engine._branches(n))
+    plain = engine._scan_branch((n, branches, 0))[2]
+    swapped = engine._scan_branch((n, branches, 1))[2]
     assert plain == swapped
     return f"per-monomial totals are invariant under the black/white swap at n={n}"
 
 
-def _check_degenerate_genus1(_max_n: int, scan_of: ScanOf) -> str:
+def _check_degenerate_genus1(_max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> str:
     part = strata(scan_of(2), 2)[0]
     assert part.terms == {} and part.raw_counts == {}
     return "the genus-one stratum at n=2 is empty"
 
 
-def _check_lassalle(_max_n: int, _scan_of: ScanOf) -> str:
+def _check_lassalle(_max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     # partition_coefficient itself raises on a fraction or a negative value
     count = 0
     for n in range(3, 13):
@@ -318,7 +324,7 @@ def _check_lassalle(_max_n: int, _scan_of: ScanOf) -> str:
     return f"{count} genus-one coefficients up to n=12 are positive integers"
 
 
-CHECKS: tuple[tuple[str, int | None, Callable[[int, ScanOf], str]], ...] = (
+CHECKS: tuple[tuple[str, int | None, Callable[[int, ScanOf, CensusOf], str]], ...] = (
     ("gluing-counts", 1, _check_gluing_counts),
     ("twisted-counts", None, _check_twisted_counts),
     ("glue-invariants", None, _check_glue_invariants),
@@ -339,17 +345,26 @@ CHECKS: tuple[tuple[str, int | None, Callable[[int, ScanOf], str]], ...] = (
 )
 
 
-def run_check(name: str, max_n: int, scan_of: ScanOf) -> CheckResult:
+def _contributing_census() -> list[ReducedMapClass]:
+    """The contributing reduced-bipartite classes for n <= 6, the census
+    the checks use."""
+    return contributing_reduced_bipartite_census(6)
+
+
+def run_check(
+    name: str, max_n: int, scan_of: ScanOf, census_of: CensusOf = _contributing_census,
+) -> CheckResult:
     """Run one registered check; a failure or exception is a failed result."""
     fn = {check: fn for check, _criterion, fn in CHECKS}[name]
     try:
-        return CheckResult(name, True, fn(max_n, scan_of))
+        return CheckResult(name, True, fn(max_n, scan_of, census_of))
     except Exception as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
 def run_selftest(max_n: int = 6, threads: int = 1, force: bool = False) -> list[CheckResult]:
-    """Run every check at scale ``max_n``, scanning each n at most once."""
+    """Run every check at scale ``max_n``, scanning each n and building the
+    contributing census at most once."""
     engine.check_limit(max_n, force)
     scans: dict[int, ScanResult] = {}
 
@@ -358,4 +373,5 @@ def run_selftest(max_n: int = 6, threads: int = 1, force: bool = False) -> list[
             scans[n] = engine.scan(n, threads=threads, force=force)
         return scans[n]
 
-    return [run_check(name, max_n, scan_of) for name, _criterion, _fn in CHECKS]
+    census_of = functools.cache(_contributing_census)
+    return [run_check(name, max_n, scan_of, census_of) for name, _criterion, _fn in CHECKS]

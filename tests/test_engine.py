@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 import oracle
 import zkerov.engine as engine
 from zkerov.admissibility import Monomial, enumerate_q
+from zkerov.cli import main
 from zkerov.engine import (
+    InternalConsistencyError,
     cache_path,
     load_cache,
     rescaled_coefficient,
@@ -21,7 +24,7 @@ from zkerov.engine import (
     strata,
     write_cache,
 )
-from zkerov.polygon import enumerate_gluings, glue
+from zkerov.polygon import enumerate_gluings, glue, reflect_gluing, rotate_gluing
 
 
 class TestRescaling:
@@ -65,11 +68,50 @@ class TestScanAgainstBruteForce:
 def merged(results):
     total = 0
     tally: dict[tuple[int, ...], int] = {}
-    for count, part in results:
-        total += count
+    for _leaves, weighted, part in results:
+        total += weighted
         for key, c in part.items():
             tally[key] = tally.get(key, 0) + c
     return total, tally
+
+
+def monomial_multiset(g, black_parity):
+    return Counter(mono.parts for _q, mono in enumerate_q(glue(g, black_parity)))
+
+
+class TestOrbitSymmetry:
+    """The orbit sum relies on every element of the color-preserving
+    dihedral group keeping a gluing's admissible-coloring monomials; the
+    check runs on glue()/enumerate_q(), which share no code with the kernel."""
+
+    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rotations_and_color_preserving_reflections_keep_monomials(self, n, black_parity):
+        counts = {g.pairing: monomial_multiset(g, black_parity) for g in enumerate_gluings(n)}
+        for g in enumerate_gluings(n):
+            images = [rotate_gluing(g, r) for r in range(n)]
+            images += [reflect_gluing(g, k) for k in range(0, 2 * n, 2)]
+            for image in images:
+                assert counts[image.pairing] == counts[g.pairing], (g, image)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_pair_types_partition_the_pairs_into_orbits(self, n):
+        table, reps, sizes = engine._pair_types(n)
+        m = 2 * n
+        assert sum(sizes) == n * (2 * n - 1)
+        assert sizes == sorted(sizes, reverse=True)
+        for tau, (a, b) in enumerate(reps):
+            assert a == 0 and table[a][b] == tau
+            assert sum(row.count(tau) for row in table) == 2 * sizes[tau]
+        for a in range(m):
+            for b in range(a + 1, m):
+                t = table[a][b]
+                assert table[(a + 2) % m][(b + 2) % m] == t
+                assert table[(1 - a) % m][(1 - b) % m] == t
+
+    def test_twelve_types_and_76_tasks_at_eight(self):
+        assert len(engine._pair_types(8)[1]) == 12
+        assert len(engine._branches(8)) == 76
 
 
 class TestScanKernel:
@@ -77,24 +119,25 @@ class TestScanKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_glue_enumerate_q_reference(self, n, black_parity):
         expected: dict[tuple[int, ...], int] = {}
-        gluings = 0
         for g in enumerate_gluings(n):
-            gluings += 1
             for _q, mono in enumerate_q(glue(g, black_parity)):
                 expected[mono.parts] = expected.get(mono.parts, 0) + 1
-        count, tally = engine._scan_branch((n, ((),), black_parity))
-        assert count == gluings
-        assert tally == expected
+        result = engine._scan_branch((n, tuple(engine._branches(n)), black_parity))
+        assert engine._exact_tallies(n, [result]) == expected
 
     def test_task_splits_merge_to_the_single_pass(self):
         n = 6
-        single = engine._scan_branch((n, ((),), 0))
-        by_partner = merged(engine._scan_branch((n, ((fp,),), 0)) for fp in range(1, 2 * n))
-        tasks = engine._prefix_tasks(n)
-        assert len(tasks) == (2 * n - 1) * (2 * n - 3)
-        by_prefix = merged(engine._scan_branch(task) for task in tasks)
-        assert by_partner == single
-        assert by_prefix == single
+        branches = engine._branches(n)
+        single = engine._scan_branch((n, tuple(branches), 0))
+        by_branch = merged(engine._scan_branch((n, (branch,), 0)) for branch in branches)
+        by_thirds = merged(engine._scan_branch((n, tuple(branches[k::3]), 0)) for k in range(3))
+        assert by_branch == single[1:]
+        assert by_thirds == single[1:]
+
+    def test_visited_matchings_are_pinned(self):
+        # about one in ten of the (2n-1)!! matchings at n=7
+        leaves = [engine._scan_branch((n, tuple(engine._branches(n)), 0))[0] for n in range(1, 8)]
+        assert leaves == [1, 3, 7, 31, 186, 1575, 16765]
 
     def test_small_n_runs_in_process(self, monkeypatch):
         serial = {n: scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
@@ -193,6 +236,31 @@ class TestFullExpansion:
             scan(9)
         with pytest.raises(ValueError):
             scan(11, force=True)
+
+
+class TestExactnessGuard:
+    def test_remainder_raises(self):
+        denominator = engine._weight_denominator(3)
+        assert denominator == 6
+        total = denominator * 15
+        assert engine._exact_tallies(3, [(0, total, {(2,): 4 * denominator})]) == {(2,): 4}
+        with pytest.raises(InternalConsistencyError, match="not a multiple of 6"):
+            engine._exact_tallies(3, [(0, total, {(2,): 4 * denominator + 1})])
+
+    def test_wrong_weighted_total_raises(self):
+        with pytest.raises(InternalConsistencyError, match="weighted matching total 89"):
+            engine._exact_tallies(3, [(0, 89, {})])
+
+    def test_cli_maps_the_error_to_exit_3(self, monkeypatch, capsys):
+        real = engine._scan_branch
+
+        def off_by_one(task):
+            leaves, total, tally = real(task)
+            return leaves, total, {key: c + 1 for key, c in tally.items()}
+
+        monkeypatch.setattr(engine, "_scan_branch", off_by_one)
+        assert main(["expand", "--n", "3", "--threads", "1"]) == 3
+        assert "internal consistency failure" in capsys.readouterr().err
 
 
 class TestCache:

@@ -14,6 +14,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("expand-n6", ["expand", "--n", "6"], 0),
+    # recorded from the full pass over every matching, before the orbit sum
+    ("expand-n7", ["expand", "--n", "7"], 0),
+    ("expand-n8", ["expand", "--n", "8"], 0),
     ("genus1-n7-verify", ["genus1", "--n", "7", "--verify"], 0),
     ("census-reduced-twisted", ["census", "--reduced", "--twisted"], 0),
     ("census-reduced-bipartite-contributing-max-n5",

@@ -1,5 +1,6 @@
-"""The check registry itself: one scan per n per run, the limit checked
-before any check, and checks that fail when what they guard is broken."""
+"""The check registry itself: one scan per n and one census per run, the
+limit checked before any check, and checks that fail when what they guard
+is broken."""
 
 import json
 from collections import Counter
@@ -28,9 +29,24 @@ def scan_calls(monkeypatch):
     return calls
 
 
-def test_one_scan_per_n_and_golden_details(scan_calls):
+@pytest.fixture
+def census_calls(monkeypatch):
+    """Record the max_n of every contributing-census build."""
+    calls = []
+    real_census = selftest.contributing_reduced_bipartite_census
+
+    def counting_census(max_n):
+        calls.append(max_n)
+        return real_census(max_n)
+
+    monkeypatch.setattr(selftest, "contributing_reduced_bipartite_census", counting_census)
+    return calls
+
+
+def test_one_scan_per_n_and_golden_details(scan_calls, census_calls):
     results = run_selftest(6)
     assert Counter(n for n, _kw in scan_calls) == {n: 1 for n in range(1, 7)}
+    assert census_calls == [6]
     golden = json.loads((GOLDEN / "selftest-max-n6.json").read_text())["checks"]
     got = [{"name": r.name, "status": "ok" if r.passed else "fail", "detail": r.detail}
            for r in results]
@@ -42,10 +58,11 @@ def test_threads_and_force_reach_the_scans(scan_calls):
     assert scan_calls and all(kw == {"threads": 2, "force": True} for _n, kw in scan_calls)
 
 
-def test_memo_does_not_outlive_a_run(scan_calls):
+def test_memo_does_not_outlive_a_run(scan_calls, census_calls):
     run_selftest(2)
     run_selftest(2)
     assert sorted(n for n, _kw in scan_calls) == [1, 1, 2, 2]
+    assert census_calls == [6, 6]
 
 
 @pytest.mark.parametrize("max_n,force,message", [
