@@ -1,6 +1,6 @@
 """Time ``engine.scan``, the census presets, the gluing enumerators, the
-ordered-tuple closed forms and ``selftest`` on one or more source trees and
-write BENCH_scan.json.
+ordered-tuple closed forms, ``selftest`` and the CLI shell on one or more
+source trees and write BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
@@ -32,12 +32,24 @@ the reported figure is the median over repeats:
   genus-one routes that sum over every ordered tuple (46,368 at n=26);
 * ``selftest_s``: ``selftest --max-n 6 --threads 1``, one ``cli.main``
   call with its JSON discarded (every check of the registry, each n
-  scanned as often as the tree's ``run_selftest`` scans it).
+  scanned as often as the tree's ``run_selftest`` scans it);
+* ``cli_import_ms``: ``import zkerov.cli`` in a fresh interpreter, timed
+  inside it;
+* ``query_warm_ms``: one whole ``zkerov coeff --n 7 --mu 3,3 --threads 2``
+  process against a cache filled before the first repeat, timed from
+  outside (interpreter start, imports, cache load, JSON);
+* ``expand_cold_s``: one whole ``zkerov expand --n 8`` process at 1 and 2
+  threads into a fresh, empty cache directory, timed from outside.
+
+Whole processes run the console script's body, ``python -c "from
+zkerov.cli import main; ..."``, with the side's tree on PYTHONPATH.
 
 The ``counts`` of each side hold the class counts of the census presets,
-the number of gluings enumerated, the number of terms of each closed form
-and the number of selftest checks passed, so that two sides can be seen to
-have done the same work.
+the number of gluings enumerated, the number of terms of each closed form,
+the number of selftest checks passed, the raw count of the warm query and
+the number of terms of each expansion, so that two sides can be seen to
+have done the same work; ``cli_import_ms`` counts the modules loaded, which
+is what an import change alters.
 
 Standard library only.
 """
@@ -51,6 +63,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,10 +81,23 @@ CLOSEDFORM = {
     "closedform_family_sum_s": "family_sum_polynomial",
 }
 SELFTEST_MAX_N = "6"
+QUERY = ["coeff", "--n", "7", "--mu", "3,3", "--threads", "2"]
+EXPAND_N, EXPAND_THREADS = "8", ("1", "2")
+# the console script's body
+CLI_MAIN = "import sys; from zkerov.cli import main; sys.exit(main())"
 
+# imports only sys and time before the timed region, so that the import
+# row times everything zkerov.cli pulls in
 CHILD = """
-import contextlib, io, json, sys, time
+import sys, time
 kind, args = sys.argv[1], sys.argv[2:]
+if kind == "import":
+    t0 = time.perf_counter()
+    import zkerov.cli
+    elapsed = time.perf_counter() - t0
+    print('{"seconds": %r, "count": %d}' % (elapsed, len(sys.modules)))
+    sys.exit()
+import contextlib, io, json
 if kind == "scan":
     from zkerov import engine
     n, threads = int(args[0]), int(args[1])
@@ -122,6 +149,24 @@ def run_child(src: Path, kind: str, args: list[str]) -> dict:
     return json.loads(proc.stdout)
 
 
+def run_cli(src: Path, args: list[str]) -> dict:
+    """One whole CLI process with JSON output, timed from outside; the count
+    is the raw count of a coeff query or the number of expansion terms."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_MAIN, *args, "--format", "json"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    elapsed = time.perf_counter() - t0
+    doc = json.loads(proc.stdout)
+    if doc["command"] == "coeff":
+        count = int(doc["rawCount"])
+    else:
+        count = sum(len(part["terms"]) for part in doc["parts"])
+    return {"seconds": elapsed, "count": count}
+
+
 def machine_info() -> dict:
     model = platform.processor()
     try:
@@ -138,6 +183,8 @@ def machine_info() -> dict:
         "cpuCount": os.cpu_count(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
+        # without .pyc files every child compiles the modules it imports
+        "dontWriteBytecode": bool(sys.flags.dont_write_bytecode),
     }
 
 
@@ -175,26 +222,44 @@ def main(argv: list[str] | None = None) -> int:
     for key, route in CLOSEDFORM.items():
         jobs[key] = ("closedform", [route, str(CLOSEDFORM_N)])
     jobs["selftest_s"] = ("selftest", [SELFTEST_MAX_N])
+    jobs["cli_import_ms"] = ("import", [])
+    # "cli" jobs are whole processes; {warm} and {cold} stand for the side's
+    # filled cache and a new empty directory
+    jobs["query_warm_ms"] = ("cli", [*QUERY, "--cache", "{warm}"])
+    for threads in EXPAND_THREADS:
+        jobs[f"expand_{threads}t"] = (
+            "cli", ["expand", "--n", EXPAND_N, "--threads", threads, "--cache", "{cold}"])
 
     samples: dict[str, dict[str, list[float]]] = {
         label: {key: [] for key in jobs} for label, _src in sides
     }
     counts: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
     leaves: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
-    for rep in range(args.repeats):
-        order = sides if rep % 2 == 0 else sides[::-1]
-        for key, (kind, child_args) in jobs.items():
-            for label, src in order:
-                got = run_child(src, kind, child_args)
-                samples[label][key].append(got["seconds"])
-                counts[label][key] = got["count"]
-                if "leaves" in got:
-                    leaves[label][key] = got["leaves"]
-                print(f"rep {rep + 1}/{args.repeats} {label} {key}: "
-                      f"{got['seconds']:.3f} s", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-scan-") as tmp:
+        work = Path(tmp)
+        warm = {label: work / f"warm-{label}" for label, _src in sides}
+        for label, src in sides:
+            run_cli(src, [*QUERY, "--cache", str(warm[label])])
+        for rep in range(args.repeats):
+            order = sides if rep % 2 == 0 else sides[::-1]
+            for key, (kind, child_args) in jobs.items():
+                for label, src in order:
+                    if kind == "cli":
+                        cold = tempfile.mkdtemp(dir=work)
+                        got = run_cli(src, [a.format(warm=warm[label], cold=cold)
+                                            for a in child_args])
+                    else:
+                        got = run_child(src, kind, child_args)
+                    samples[label][key].append(got["seconds"])
+                    counts[label][key] = got["count"]
+                    if "leaves" in got:
+                        leaves[label][key] = got["leaves"]
+                    print(f"rep {rep + 1}/{args.repeats} {label} {key}: "
+                          f"{got['seconds']:.3f} s", file=sys.stderr)
 
     report: dict = {
-        "benchmark": "engine.scan, census presets, gluing enumerators, closed forms, selftest",
+        "benchmark": "engine.scan, census presets, gluing enumerators, closed forms, "
+                     "selftest, CLI shell",
         "machine": machine_info(),
         "repeats": args.repeats,
         "statistic": "median",
@@ -214,8 +279,15 @@ def main(argv: list[str] | None = None) -> int:
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
             **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM},
             "selftest_s": {SELFTEST_MAX_N: round(med["selftest_s"], 4)},
+            "cli_import_ms": round(med["cli_import_ms"] * 1e3, 1),
+            "query_warm_ms": round(med["query_warm_ms"] * 1e3, 1),
+            "expand_cold_s": {
+                EXPAND_N: {t: round(med[f"expand_{t}t"], 4) for t in EXPAND_THREADS}
+            },
             "counts": {key: counts[label][key]
-                       for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM, "selftest_s"]},
+                       for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM, "selftest_s",
+                                   "cli_import_ms", "query_warm_ms",
+                                   *(f"expand_{t}t" for t in EXPAND_THREADS)]},
             "samples_s": {key: [round(x, 4) for x in xs] for key, xs in samples[label].items()},
         }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -9,6 +9,11 @@ partition parts descend, and unbounded counts (raw counts, coefficients,
 gluing totals) are rendered as decimal strings so consumers never face
 integer-precision surprises.  Identical inputs produce byte-identical
 JSON regardless of --threads.
+
+Each subcommand imports what it runs: ``census`` and ``selftest`` load
+their modules when they are chosen, and the engine loads the process pool
+only for a scan that uses it, so a query answered from the cache pays for
+neither.
 """
 
 from __future__ import annotations
@@ -17,17 +22,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
-from . import census as census_mod
-from . import selftest as selftest_mod
 from .admissibility import Monomial
-from .closedform import partition_polynomial
+from .closedform import genus1_mismatches, partition_polynomial
 from .engine import (
     DEFAULT_N_LIMIT,
     FORCE_N_LIMIT,
     InternalConsistencyError,
+    WorkerDiedError,
     check_limit,
     rescaled_coefficient,
     scan,
@@ -216,7 +219,7 @@ def cmd_genus1(args: argparse.Namespace) -> int:
     code = EXIT_OK
     if args.verify:
         result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
-        mismatches = selftest_mod.genus1_mismatches(args.n, result)
+        mismatches = genus1_mismatches(args.n, result)
         doc["verification"] = {
             "status": "ok" if not mismatches else "mismatch",
             "routes": ["per-partition", "tuple-family sum", "symmetrized sum", "enumeration"],
@@ -232,6 +235,8 @@ def cmd_genus1(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from . import census as census_mod
+
     convention = census_mod.DIHEDRAL if args.dihedral else census_mod.CYCLIC
     doubled_genus = args.genus_doubled
     if args.n is not None:
@@ -311,6 +316,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import selftest as selftest_mod
+
     checks = selftest_mod.run_selftest(max_n=args.max_n, threads=args.threads, force=args.force)
     ok = all(c.passed for c in checks)
     rows = [{"name": c.name, "status": "ok" if c.passed else "fail", "detail": c.detail}
@@ -348,7 +355,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"zkerov: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BrokenProcessPool as exc:
+    except WorkerDiedError as exc:
         print(f"zkerov: internal failure: a worker process died ({exc})", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:

@@ -18,18 +18,23 @@ add these scaled values per partition, and every total is divided once,
 with a remainder raising InternalConsistencyError.  The exact fractions
 (_bracket, family_tuple_values) are those integers over the denominator.
 In genus one the enumeration's sign (-1)^(n+1+V) is +1, so these values
-equal raw (M,q) pair counts.
+equal raw (M,q) pair counts; genus1_mismatches compares the three routes
+with the genus-one stratum of a scan.  ``fractions`` is imported only by
+the two Fraction helpers and the error path, so the CLI does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .admissibility import Monomial
-from .engine import InternalConsistencyError
+from .engine import InternalConsistencyError, ScanResult, strata
 from .partitions import compositions_any_length, partitions
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # what _scaled_bracket and _scaled_families are multiplied by
 BRACKET_DENOMINATOR = 24
@@ -50,6 +55,8 @@ def _scaled_bracket(parts: tuple[int, ...]) -> int:
 
 
 def _bracket(parts: tuple[int, ...]) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(_scaled_bracket(parts), BRACKET_DENOMINATOR)
 
 
@@ -74,6 +81,8 @@ def _scaled_families(n: int, tup: tuple[int, ...]) -> tuple[int, int, int]:
 
 def family_tuple_values(n: int, tup: tuple[int, ...]) -> tuple[Fraction, Fraction, Fraction]:
     """The three family contributions (T1, T2, T3) of one ordered tuple."""
+    from fractions import Fraction
+
     t1, t2, t3 = _scaled_families(n, tup)
     return (
         Fraction(t1, FAMILY_DENOMINATOR),
@@ -95,6 +104,8 @@ def _multiplicity_factor(mu: Monomial) -> int:
 def _exact_quotient(total: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(total, denominator)
     if remainder:
+        from fractions import Fraction
+
         raise InternalConsistencyError(
             f"{what} is not an integer: {Fraction(total, denominator)}"
         )
@@ -161,3 +172,25 @@ def partition_polynomial(n: int) -> ClosedFormResult:
         mono = Monomial(parts)
         terms[mono] = partition_coefficient(n, mono)
     return ClosedFormResult(n=n, terms=terms)
+
+
+def genus1_mismatches(n: int, result: ScanResult) -> list[str]:
+    """Disagreements among the four genus-one routes at n: the per-partition
+    closed form against the tuple-family sum, the symmetrized sum and the
+    genus-one stratum of ``result``; empty when all four agree."""
+    reference = {m.parts: v for m, v in partition_polynomial(n).terms.items()}
+    mismatches = []
+    for name, other in (
+        ("tuple-family sum", family_sum_polynomial(n)),
+        ("symmetrized sum", symmetrized_polynomial(n)),
+    ):
+        got = {m.parts: v for m, v in other.terms.items()}
+        if got != reference:
+            mismatches.append(f"{name} disagrees: {got} != {reference}")
+    part = strata(result, 2)[0]
+    enum_terms = {m.parts: v for m, v in part.terms.items()}
+    if enum_terms != reference:
+        mismatches.append(f"enumeration disagrees: {enum_terms} != {reference}")
+    if {m.parts: v for m, v in part.raw_counts.items()} != enum_terms:
+        mismatches.append("genus-one rescale factor is not 1")
+    return mismatches

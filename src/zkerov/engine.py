@@ -48,7 +48,12 @@ Small n runs in-process.  Otherwise the sum is split into one task per
 (type, partner of the lowest side its representative leaves free), 76
 tasks at n=8, handed to a process pool largest types first, and the
 weighted tallies are merged by plain addition, so results are independent
-of the worker count.
+of the worker count.  A worker that dies takes the pool down with it;
+``scan`` re-raises the pool's BrokenProcessPool as WorkerDiedError, which
+``cli.main`` reports as an internal failure (exit 3).  The pool machinery
+(``concurrent.futures``, ``multiprocessing``) is imported only when a scan
+goes to the pool, and ``tempfile`` only when a cache file is written, so a
+query answered from the cache loads neither.
 """
 
 from __future__ import annotations
@@ -57,8 +62,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -83,6 +86,18 @@ POOL_MIN_N = 7
 class InternalConsistencyError(RuntimeError):
     """A quantity that must be exact (a matching total, an integral
     rational sum) came out wrong; signals an implementation bug."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A worker process of the scan pool died before returning its tallies."""
+
+
+def ProcessPoolExecutor(max_workers: int) -> Any:
+    """A concurrent.futures.ProcessPoolExecutor, imported on the first call.
+    It keeps the class's name, by which tests replace it."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers)
 
 
 def rescaled_coefficient(n: int, mono: Monomial, raw_count: int) -> int:
@@ -406,9 +421,14 @@ def scan(
     if threads == 1 or n < POOL_MIN_N:
         raw_results = [_scan_branch((n, tuple(branches), 0))]
     else:
+        from concurrent.futures.process import BrokenProcessPool
+
         tasks = [(n, (branch,), 0) for branch in branches]
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            raw_results = list(pool.map(_scan_branch, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+                raw_results = list(pool.map(_scan_branch, tasks))
+        except BrokenProcessPool as exc:
+            raise WorkerDiedError(str(exc)) from exc
 
     tallies = _exact_tallies(n, raw_results)
     result = ScanResult(
@@ -441,8 +461,10 @@ def strata(result: ScanResult, doubled_genus: int | None = None) -> list[GenusPo
     ]
 
 
-# a file where a directory belongs, or the reverse: a usage error, not a miss
-_UNUSABLE_PATH = (FileExistsError, NotADirectoryError, IsADirectoryError)
+def _unusable(path: Path, exc: OSError) -> ValueError:
+    # a file where a directory belongs, a denied permission, a full disk:
+    # a usage error naming the path, not a cache miss
+    return ValueError(f"unusable cache path {path}: {exc.strerror or exc}")
 
 
 def cache_path(cache_dir: str | Path, n: int) -> Path:
@@ -451,7 +473,10 @@ def cache_path(cache_dir: str | Path, n: int) -> Path:
 
 def write_cache(cache_dir: str | Path, result: ScanResult) -> Path:
     """Write the tallies of one n; a temporary file in the same directory is
-    renamed over the target, so readers never see a partial file."""
+    renamed over the target, so readers never see a partial file.  An
+    OSError removes the temporary file and raises ValueError."""
+    import tempfile
+
     path = cache_path(cache_dir, result.n)
     doc = {
         "schemaVersion": CACHE_SCHEMA_VERSION,
@@ -472,8 +497,8 @@ def write_cache(cache_dir: str | Path, result: ScanResult) -> Path:
         except BaseException:
             os.unlink(tmp)
             raise
-    except _UNUSABLE_PATH as exc:
-        raise ValueError(f"unusable cache path {path}: {exc.strerror}") from exc
+    except OSError as exc:
+        raise _unusable(path, exc) from exc
     return path
 
 
@@ -521,16 +546,16 @@ def load_cache(cache_dir: str | Path, n: int) -> ScanResult | None:
 
     A file that does not parse or fails validation (schema, n, gluing total,
     part and vertex bounds, genus-one stratum against the closed form) is a
-    miss too, reported on stderr.  A path that cannot hold the file raises
-    ValueError.
+    miss too, reported on stderr.  Any other OSError reading the file (a
+    path that cannot hold it, a denied permission) raises ValueError.
     """
     path = cache_path(cache_dir, n)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return None
-    except _UNUSABLE_PATH as exc:
-        raise ValueError(f"unusable cache path {path}: {exc.strerror}") from exc
+    except OSError as exc:
+        raise _unusable(path, exc) from exc
     try:
         return _parse_cache(json.loads(data.decode("utf-8")), n)
     except (ValueError, KeyError, TypeError) as exc:

@@ -1,5 +1,7 @@
-"""The verification checks: one registry behind ``selftest``, the acceptance
-suite and ``genus1 --verify``.
+"""The verification checks: one registry behind ``selftest`` and the
+acceptance suite.  ``genus1 --verify`` calls the registry's genus-one
+comparison, closedform.genus1_mismatches, directly, so it loads neither
+this module nor the census.
 
 Each entry of CHECKS is ``(name, acceptance criterion or None, fn)``, where
 ``fn(max_n, scan_of, census_of)`` runs the check at a scale bounded by
@@ -41,12 +43,7 @@ from .census import (
     underlying_multigraph,
     verify_decoration_accounting,
 )
-from .closedform import (
-    family_sum_polynomial,
-    partition_coefficient,
-    partition_polynomial,
-    symmetrized_polynomial,
-)
+from .closedform import genus1_mismatches, partition_coefficient
 from .engine import ScanResult, rescaled_coefficient, strata
 from .partitions import partitions
 from .polygon import (
@@ -76,28 +73,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def genus1_mismatches(n: int, result: ScanResult) -> list[str]:
-    """Disagreements among the four genus-one routes at n: the per-partition
-    closed form against the tuple-family sum, the symmetrized sum and the
-    genus-one stratum of ``result``; empty when all four agree."""
-    reference = {m.parts: v for m, v in partition_polynomial(n).terms.items()}
-    mismatches = []
-    for name, other in (
-        ("tuple-family sum", family_sum_polynomial(n)),
-        ("symmetrized sum", symmetrized_polynomial(n)),
-    ):
-        got = {m.parts: v for m, v in other.terms.items()}
-        if got != reference:
-            mismatches.append(f"{name} disagrees: {got} != {reference}")
-    part = strata(result, 2)[0]
-    enum_terms = {m.parts: v for m, v in part.terms.items()}
-    if enum_terms != reference:
-        mismatches.append(f"enumeration disagrees: {enum_terms} != {reference}")
-    if {m.parts: v for m, v in part.raw_counts.items()} != enum_terms:
-        mismatches.append("genus-one rescale factor is not 1")
-    return mismatches
 
 
 def _check_gluing_counts(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:

@@ -1,6 +1,11 @@
 import contextlib
+import errno
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -10,6 +15,10 @@ from hypothesis import strategies as st
 import zkerov.cli as cli
 import zkerov.engine as engine
 from zkerov.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the directory that holds the zkerov package
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
 
 
 def run(capsys, *args):
@@ -21,6 +30,22 @@ def run(capsys, *args):
 def run_json(capsys, *args):
     code, out, err = run(capsys, *args, "--format", "json")
     return code, json.loads(out), err
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports zkerov from SRC and
+    skips the site module, whose .pth files may import modules of their own."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def die_in_worker(_task):
+    # module level, so the pool pickles it by name; the forked workers
+    # find it in the test module they inherit
+    os._exit(1)
 
 
 class TestCoeff:
@@ -203,6 +228,36 @@ class TestExpand:
         assert out == ""
         assert err.count("\n") == 1 and "worker process died" in err
 
+    def test_real_worker_death_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "_scan_branch", die_in_worker)
+        code, out, err = run(capsys, "expand", "--n", str(engine.POOL_MIN_N), "--threads", "2")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "worker process died" in err
+
+    def test_cache_read_error_exits_one(self, capsys, monkeypatch, tmp_path):
+        def denied(self):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", denied)
+        code, out, err = run(capsys, "coeff", "--n", "3", "--mu", "2", "--cache", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("zkerov: error: unusable cache path ")
+        assert str(engine.cache_path(tmp_path, 3)) in err and "Permission denied" in err
+
+    def test_cache_write_error_exits_one(self, capsys, monkeypatch, tmp_path):
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(engine.os, "replace", disk_full)
+        code, out, err = run(capsys, "expand", "--n", "3", "--cache", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("zkerov: error: unusable cache path ")
+        assert str(engine.cache_path(tmp_path, 3)) in err and "No space left on device" in err
+        assert list(tmp_path.iterdir()) == []  # the temporary file is gone
+
     def test_truncated_cache_is_rescanned(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, "expand", "--n", "5", "--cache", str(tmp_path))
         assert code == 0
@@ -353,3 +408,69 @@ class TestSelftest:
         assert exc.value.code == 1
         out = capsys.readouterr()
         assert out.out == "" and f"unrecognized arguments: {flag}" in out.err
+
+
+# runs each argv through cli.main, output discarded, then prints the
+# names of the loaded modules
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import zkerov.cli as cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+# what the console script runs
+CLI_MAIN = "import sys; from zkerov.cli import main; sys.exit(main())"
+
+
+class TestImports:
+    """Each subcommand imports only what it runs: a query answered from the
+    cache loads neither the process pool nor the census or selftest."""
+
+    POOL_AND_WRITE = ("concurrent.futures", "multiprocessing", "tempfile", "fractions")
+    CHECKS = ("zkerov.census", "zkerov.selftest")
+
+    @staticmethod
+    def loaded(*argvs):
+        proc = fresh_python(LOADED_MODULES, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout))
+
+    @staticmethod
+    def among(names, modules):
+        return sorted(m for m in modules if any(m == x or m.startswith(x + ".") for x in names))
+
+    @pytest.fixture
+    def warm_cache(self, tmp_path):
+        n = str(engine.POOL_MIN_N)
+        assert quiet_main("expand", "--n", n, "--threads", "1", "--cache", str(tmp_path))[0] == 0
+        return n, str(tmp_path)
+
+    def test_warm_queries_load_no_pool_census_or_selftest(self, warm_cache):
+        n, cache = warm_cache
+        modules = self.loaded(
+            ["coeff", "--n", n, "--mu", "3,3", "--threads", "2", "--cache", cache],
+            ["expand", "--n", n, "--threads", "2", "--cache", cache, "--format", "json"],
+        )
+        assert "zkerov.cli" in modules
+        assert self.among(self.POOL_AND_WRITE + self.CHECKS, modules) == []
+
+    def test_genus1_verify_loads_no_census_or_selftest(self, warm_cache):
+        n, cache = warm_cache
+        modules = self.loaded(["genus1", "--n", n, "--verify", "--threads", "2", "--cache", cache])
+        assert self.among(self.CHECKS, modules) == []
+
+    def test_pool_path_matches_golden(self):
+        proc = fresh_python(CLI_MAIN, "expand", "--n", "7", "--threads", "2", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.encode() == (GOLDEN / "expand-n7.json").read_bytes()
+
+    def test_census_runs_in_a_fresh_process(self, capsys):
+        argv = ["census", "--n", "3", "--format", "json"]
+        proc = fresh_python(CLI_MAIN, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, expected, _err = run(capsys, *argv)
+        assert code == 0 and proc.stdout == expected
+        assert json.loads(proc.stdout)["classCount"] > 0
