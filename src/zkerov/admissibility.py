@@ -13,15 +13,19 @@ implemented independently and cross-checked in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .partitions import compositions
 from .polygon import GluedMap
 
 
-@dataclass(frozen=True)
-class Monomial:
+# The records below validate in a __new__ of their own, which a NamedTuple
+# class body may not define, so each subclasses a plain NamedTuple of its fields.
+class _MonomialFields(NamedTuple):
+    parts: tuple[int, ...]
+
+
+class Monomial(_MonomialFields):
     """A free-cumulant monomial R_{a_1}...R_{a_k}, stored as the partition
     (a_1 >= ... >= a_k), all parts >= 2.
 
@@ -29,12 +33,12 @@ class Monomial:
     vertex count is a_1 + ... + a_k.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(a < 2 for a in self.parts):
-            raise ValueError(f"monomial parts must be >= 2, got {self.parts}")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+    def __new__(cls, parts: tuple[int, ...]) -> Monomial:
+        if any(a < 2 for a in parts):
+            raise ValueError(f"monomial parts must be >= 2, got {parts}")
+        return super().__new__(cls, tuple(sorted(parts, reverse=True)))
 
     @property
     def black_count(self) -> int:
@@ -48,20 +52,26 @@ class Monomial:
         return "*".join(f"R{a}" for a in self.parts) if self.parts else "1"
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """A black/white multigraph given by its edge list (used directly by the
-    oracles; GluedMap instances are converted through bipartite_graph)."""
-
+class _BipartiteGraphFields(NamedTuple):
     blacks: tuple[int, ...]
     whites: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]  # (black, white), multiplicity kept
 
-    def __post_init__(self) -> None:
-        bs, ws = set(self.blacks), set(self.whites)
-        for b, w in self.edges:
+
+class BipartiteGraph(_BipartiteGraphFields):
+    """A black/white multigraph given by its edge list (used directly by the
+    oracles; GluedMap instances are converted through bipartite_graph)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, blacks: tuple[int, ...], whites: tuple[int, ...], edges: tuple[tuple[int, int], ...]
+    ) -> BipartiteGraph:
+        bs, ws = set(blacks), set(whites)
+        for b, w in edges:
             if b not in bs or w not in ws:
                 raise ValueError(f"edge ({b},{w}) not between a black and a white vertex")
+        return super().__new__(cls, blacks, whites, edges)
 
     @property
     def vertex_count(self) -> int:

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .admissibility import enumerate_q
 from .engine import InternalConsistencyError
@@ -63,13 +62,15 @@ DIHEDRAL = "dihedral"
 # colored multigraphs and reduction
 
 
-@dataclass
 class ColoredMultigraph:
     """Vertex colors plus an edge list with multiplicity (u <= v per edge,
     loops allowed and counted twice in degrees)."""
 
-    colors: dict[int, str]
-    edges: list[tuple[int, int]]
+    __slots__ = ("colors", "edges")
+
+    def __init__(self, colors: dict[int, str], edges: list[tuple[int, int]]) -> None:
+        self.colors = colors
+        self.edges = edges
 
     def copy(self) -> "ColoredMultigraph":
         return ColoredMultigraph(dict(self.colors), list(self.edges))
@@ -282,8 +283,7 @@ def _group_order(n: int, convention: str) -> int:
     return n if convention == CYCLIC else 4 * n
 
 
-@dataclass(frozen=True)
-class ReducedMapClass:
+class ReducedMapClass(NamedTuple):
     """One symmetry class of gluings with its map-level attributes."""
 
     n: int
@@ -485,8 +485,7 @@ def insert_leaves(g: Gluing, corner_multiset: Sequence[int]) -> Gluing:
     return g
 
 
-@dataclass(frozen=True)
-class DecorationReport:
+class DecorationReport(NamedTuple):
     base: Gluing
     base_stabilizer: int
     target_black: int

@@ -26,8 +26,7 @@ the two Fraction helpers and the error path, so the CLI does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .admissibility import Monomial
 from .engine import InternalConsistencyError, ScanResult, strata
@@ -41,8 +40,7 @@ BRACKET_DENOMINATOR = 24
 FAMILY_DENOMINATOR = 12
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(NamedTuple):
     n: int
     terms: dict[Monomial, int]
 

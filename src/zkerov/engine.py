@@ -62,9 +62,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .admissibility import Monomial
 from .partitions import compositions
@@ -115,8 +114,7 @@ def rescaled_coefficient(n: int, mono: Monomial, raw_count: int) -> int:
 rescaled_coefficient_exact = rescaled_coefficient
 
 
-@dataclass(frozen=True)
-class GenusPolynomial:
+class GenusPolynomial(NamedTuple):
     """Terms of one genus stratum: monomial -> coefficient, plus the
     unsigned (M,q) pair counts."""
 
@@ -126,8 +124,7 @@ class GenusPolynomial:
     terms: dict[Monomial, int]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Tallies over every matching of the 2n-gon."""
 
     n: int

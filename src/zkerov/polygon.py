@@ -19,7 +19,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 BLACK = "black"
@@ -75,8 +74,7 @@ class Gluing(NamedTuple):
                     raise ValueError(f"twist flags disagree within pair ({i},{j})")
 
 
-@dataclass(frozen=True)
-class GluedMap:
+class GluedMap(NamedTuple):
     """The one-face map obtained from a gluing.
 
     Vertex ids are the minimal corner index of each identified corner

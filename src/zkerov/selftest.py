@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import engine
 from .admissibility import (
@@ -68,8 +67,7 @@ PINNED_GENUS1_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -51,16 +51,23 @@ def z(la: Partition) -> int:
 
 def _power_sum_in_monomials(la: Partition, mu: Partition) -> int:
     """Coefficient of m_mu in p_la: the ways to send each part of la to one
-    of the slots mu_1, mu_2, ... so that every slot is filled exactly."""
+    of the slots mu_1, mu_2, ... so that every slot is filled exactly.
 
+    The count for the parts from la[i] on depends only on the multiset of
+    room left in the slots, so it is memoized on that room sorted in
+    descending order; slots with equal room are tried once, weighted by
+    how many there are."""
+
+    @lru_cache(maxsize=None)
     def ways(i: int, room: Partition) -> int:
         if i == len(la):
             return 1
-        return sum(
-            ways(i + 1, room[:j] + (room[j] - la[i],) + room[j + 1:])
-            for j in range(len(room))
-            if room[j] >= la[i]
-        )
+        total = 0
+        for j, left in enumerate(room):
+            if left >= la[i] and (j == 0 or room[j - 1] != left):
+                rest = sorted(room[:j] + (left - la[i],) + room[j + 1:], reverse=True)
+                total += room.count(left) * ways(i + 1, tuple(rest))
+        return total
 
     return ways(0, mu)
 

@@ -40,6 +40,27 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial((1, 2))
 
+    def test_keyword_construction_sorts_too(self):
+        assert Monomial(parts=(2, 3)) == Monomial((3, 2))
+
+    def test_is_immutable(self):
+        m = Monomial((3, 2))
+        with pytest.raises(AttributeError):
+            m.parts = (2,)
+        with pytest.raises(AttributeError):
+            m.label = "R2"
+
+    def test_hash_is_that_of_its_field_tuple(self):
+        # set and dict orders over monomials depend on this value
+        assert hash(Monomial((2, 3))) == hash(((3, 2),))
+
+
+class TestBipartiteGraph:
+    @pytest.mark.parametrize("edge", [(11, 1), (1, 2), (3, 11), (1, 14)])
+    def test_edge_endpoint_outside_its_sides_rejected(self, edge):
+        with pytest.raises(ValueError, match="not between a black and a white vertex"):
+            BipartiteGraph(blacks=(1, 2), whites=(11, 12, 13), edges=((1, 11), edge))
+
 
 class TestHallCondition:
     def test_single_black_is_vacuous(self):

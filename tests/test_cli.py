@@ -462,6 +462,16 @@ class TestImports:
         modules = self.loaded(["genus1", "--n", n, "--verify", "--threads", "2", "--cache", cache])
         assert self.among(self.CHECKS, modules) == []
 
+    def test_warm_queries_load_no_dataclasses_or_inspect(self, warm_cache):
+        # together about 10 ms of every query's start-up
+        n, cache = warm_cache
+        modules = self.loaded(
+            ["coeff", "--n", n, "--mu", "3,3", "--threads", "2", "--cache", cache],
+            ["expand", "--n", n, "--threads", "2", "--cache", cache, "--format", "json"],
+            ["genus1", "--n", n, "--verify", "--threads", "2", "--cache", cache],
+        )
+        assert self.among(("dataclasses", "inspect"), modules) == []
+
     def test_pool_path_matches_golden(self):
         proc = fresh_python(CLI_MAIN, "expand", "--n", "7", "--threads", "2", "--format", "json")
         assert proc.returncode == 0, proc.stderr

@@ -237,6 +237,13 @@ class TestFullExpansion:
         with pytest.raises(ValueError):
             scan(11, force=True)
 
+    def test_result_is_immutable(self):
+        result = scan(2)
+        with pytest.raises(AttributeError):
+            result.tallies = {}
+        with pytest.raises(AttributeError):
+            result.extra = 1
+
 
 class TestExactnessGuard:
     def test_remainder_raises(self):

@@ -35,7 +35,7 @@ def test_alpha_one_gives_the_classical_kerov_polynomials(k):
     assert kerov_polynomial(k, 1) == CLASSICAL[k]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_alpha_two_equals_the_enumeration(n):
     result = scan(n)
     enumerated = {m.parts: rescaled_coefficient_exact(n, m, raw) for m, raw in result.tallies.items()}
