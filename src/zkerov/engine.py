@@ -24,14 +24,28 @@ type and moving each onto the representative by an element of G gives
                              tau and no pair of an earlier type,
 
 where c_tau(M) is the number of M's pairs of type tau.  The kernel
-enumerates only those matchings (213,923 leaves instead of 2,027,025 at
-n=8), pruning pairs of earlier types inside the recursion with a
-precomputed type table, and adds the weight L*|O_tau|/c_tau(M) with
-L = lcm(1..n), an integer since c_tau(M) <= n.  ``scan`` checks that the
-weights sum to L*(2n-1)!! and divides every tally by L, raising
+enumerates only those matchings, pruning pairs of earlier types inside
+the recursion with a precomputed type table, and adds the weight
+L*|O_tau|/c_tau(M) with L = lcm(1..n), an integer since c_tau(M) <= n.
+
+For n >= 2 the kernel also never places a side pair {c-1, c} around a
+black corner c (``_type_table``).  The pair merges corners c-1 and c+1
+and leaves c alone: a black vertex of degree 1 with a single white
+neighbour.  There are at least two black classes, so the leaf has w < b
+or fails Hall's condition at {c}; such a matching has no admissible
+coloring and f(M) = 0.  The n banned pairs are disjoint and form one
+whole G-orbit, the last pair type at the package's colors, so the
+matchings without one form a G-invariant universe and the orbit sum over
+it keeps its weights.  At n=8 the kernel visits 128,733 leaves (213,923
+without the ban, 2,027,025 matchings in all); 38,096 of them reach the
+Hall check (72,034 without the ban).  ``scan`` checks that the weights sum
+to L*A_n, A_n the number of matchings with no banned pair
+(``_unbanned_matchings``), and divides every tally by L, raising
 InternalConsistencyError on a remainder; both checks run on every scan.
 A statistic kept beside the monomial (a future per-map key) must be
-G-invariant for the same sum to hold; orientability is.
+G-invariant for the same sum to hold; orientability is.  A count over
+matchings rather than admissible colorings (leaves per (b, w), say) sees
+only the matchings without a banned pair.
 
 The scan kernel (_scan_branch) recurses over the tuple of still-free sides
 and keeps a union-find incrementally along the recursion (undo on
@@ -45,12 +59,13 @@ cross-validate the kernel against the straightforward glue()/enumerate_q()
 path over every matching.
 
 Small n runs in-process.  Otherwise the sum is split into one task per
-(type, partner of the lowest side its representative leaves free), 76
-tasks at n=8, handed to a process pool largest types first, and the
-weighted tallies are merged by plain addition, so results are independent
-of the worker count.  A worker that dies takes the pool down with it;
-``scan`` re-raises the pool's BrokenProcessPool as WorkerDiedError, which
-``cli.main`` reports as an internal failure (exit 3).  The pool machinery
+(type, partner of the lowest side its representative leaves free) that
+places no banned pair, 66 tasks at n=8 (76 without the ban), handed to a
+process pool largest types first, and the weighted tallies are merged by
+plain addition, so results are independent of the worker count.  A
+worker that dies takes the pool down with it; ``scan`` re-raises the
+pool's BrokenProcessPool as WorkerDiedError, which ``cli.main`` reports
+as an internal failure (exit 3).  The pool machinery
 (``concurrent.futures``, ``multiprocessing``) is imported only when a scan
 goes to the pool, and ``tempfile`` only when a cache file is written, so a
 query answered from the cache loads neither.
@@ -76,9 +91,10 @@ CACHE_SCHEMA_VERSION = 1
 
 # Smallest n whose scan goes to a process pool; below it pool start-up
 # costs more than it saves.  Medians of 10 alternated pairs, fresh
-# interpreters, 2-vCPU Intel Xeon, CPython 3.11.7, in-process vs 2 workers:
-# n=5 2.4 vs 22 ms, n=6 11 vs 35 ms, n=7 104 vs 89 ms (pool faster in 10
-# of 10 pairs), n=8 1.25 vs 0.72 s.
+# interpreters, 2-vCPU Intel Xeon, CPython 3.11.7, in-process vs 2 workers,
+# kernel with the ban: n=6 9.2 vs 63 ms, n=7 75 vs 98 ms (pool faster in 0
+# of 10 pairs), n=8 0.91 vs 0.55 s (10 of 10).  So the pool now pays only
+# from n=8; the threshold stays at 7, where the pool-path tests run it.
 POOL_MIN_N = 7
 
 
@@ -170,18 +186,49 @@ def _pair_types(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[in
     return table, [rep for _size, rep, _orbit in orbits], [-size for size, _rep, _orbit in orbits]
 
 
-def _branches(n: int) -> list[tuple[int, int | None]]:
+def _type_table(
+    n: int, black_parity: int,
+) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
+    """``_pair_types`` with the ban applied: for n >= 2, ``table[a][b]`` is
+    -1 for each of the n side pairs {c-1, c} around a black corner c, which
+    leave c a black vertex of degree 1 (module docstring).  At n = 1 the
+    lone matching is such a pair and has an admissible coloring, so nothing
+    is banned there."""
+    table, reps, sizes = _pair_types(n)
+    if n >= 2:
+        m = 2 * n
+        for c in range(black_parity, m, 2):
+            table[(c - 1) % m][c] = table[c][(c - 1) % m] = -1
+    return table, reps, sizes
+
+
+def _branches(n: int, black_parity: int = 0) -> list[tuple[int, int | None]]:
     """Every (type, partner of the lowest side left free by the type's
     representative) the orbit sum visits, largest types first: the pool's
-    tasks, 76 at n=8.  The partner is None at n=1, where nothing is left."""
-    table, reps, _sizes = _pair_types(n)
+    tasks, 66 at n=8.  The partner is None at n=1, where nothing is left.
+    Branches that would place a banned pair (``_type_table``) are left out,
+    the banned type among them, so no task is empty."""
+    table, reps, _sizes = _type_table(n, black_parity)
     out: list[tuple[int, int | None]] = []
-    for tau, rep in enumerate(reps):
-        free = [s for s in range(2 * n) if s not in rep]
+    for tau, (a, b) in enumerate(reps):
+        if table[a][b] < 0:
+            continue
+        free = [s for s in range(2 * n) if s != a and s != b]
         if not free:
             out.append((tau, None))
         out.extend((tau, k) for k in free[1:] if table[free[0]][k] >= tau)
     return out
+
+
+def _unbanned_matchings(n: int) -> int:
+    """The number of matchings with no banned pair: for n >= 2,
+    A_n = sum_k (-1)^k C(n,k) (2n-2k-1)!! (OEIS A053871), by inclusion and
+    exclusion over the n disjoint banned pairs; 1 at n = 1."""
+    if n < 2:
+        return 1
+    return sum(
+        (-1) ** k * math.comb(n, k) * double_factorial(2 * (n - k) - 1) for k in range(n + 1)
+    )
 
 
 def _weight_denominator(n: int) -> int:
@@ -196,10 +243,11 @@ def _scan_branch(
     """Weighted tallies of the matchings on the given branches.
 
     ``task`` is ``(n, branches, black_parity)`` with branches from
-    ``_branches(n)``; a branch (tau, k) covers the matchings that contain
-    the representative of type tau and the pair (lowest free side, k), and
-    no pair of an earlier type.  Each such matching M counts with weight
-    L*|O_tau|/c_tau(M) (module docstring).
+    ``_branches(n, black_parity)``; a branch (tau, k) covers the matchings
+    that contain the representative of type tau and the pair (lowest free
+    side, k), and neither a pair of an earlier type nor a banned pair.
+    Each such matching M counts with weight L*|O_tau|/c_tau(M) (module
+    docstring).
 
     Returns (leaves, weighted matching total, {monomial parts: weighted
     raw count}); ``_exact_tallies`` divides the totals of all branches by L.
@@ -207,14 +255,15 @@ def _scan_branch(
     n, branches, black_parity = task
     m = 2 * n
     white_parity = 1 - black_parity
-    table, reps, sizes = _pair_types(n)
+    table, reps, sizes = _type_table(n, black_parity)
     denominator = _weight_denominator(n)
     tally: dict[tuple[int, ...], int] = {}
     singles = [0] * (m + 1)  # weighted b == 1 leaves, by white count
     leaves = 0
     total = 0
-    # per branch: step[a][b] is -1 for a pair of an earlier type, else the
-    # number of type-tau pairs it adds; weights[c] the weight at c of them
+    # per branch: step[a][b] is -1 for a banned pair or one of an earlier
+    # type, else the number of type-tau pairs it adds; weights[c] the
+    # weight at c of them
     step: list[list[int]] = []
     weights: list[int] = []
 
@@ -373,8 +422,9 @@ def _exact_tallies(
 ) -> dict[tuple[int, ...], int]:
     """Merge the weighted branch results of n and divide by L exactly.
 
-    The weighted matching total must be L*(2n-1)!! and every weighted
-    tally a multiple of L; anything else is an InternalConsistencyError.
+    The weighted matching total must be L*A_n (``_unbanned_matchings``) and
+    every weighted tally a multiple of L; anything else is an
+    InternalConsistencyError.
     """
     denominator = _weight_denominator(n)
     total = 0
@@ -383,7 +433,7 @@ def _exact_tallies(
         total += weighted
         for key, c in tal.items():
             merged[key] = merged.get(key, 0) + c
-    expected = denominator * double_factorial(2 * n - 1)
+    expected = denominator * _unbanned_matchings(n)
     if total != expected:
         raise InternalConsistencyError(
             f"weighted matching total {total} at n={n}, expected {expected}"

@@ -24,7 +24,7 @@ from zkerov.engine import (
     strata,
     write_cache,
 )
-from zkerov.polygon import enumerate_gluings, glue, reflect_gluing, rotate_gluing
+from zkerov.polygon import double_factorial, enumerate_gluings, glue, reflect_gluing, rotate_gluing
 
 
 class TestRescaling:
@@ -109,9 +109,68 @@ class TestOrbitSymmetry:
                 assert table[(a + 2) % m][(b + 2) % m] == t
                 assert table[(1 - a) % m][(1 - b) % m] == t
 
-    def test_twelve_types_and_76_tasks_at_eight(self):
+    def test_twelve_types_and_66_tasks_at_eight(self):
+        # 76 tasks before the ban; its type and the banned partners drop out
         assert len(engine._pair_types(8)[1]) == 12
-        assert len(engine._branches(8)) == 76
+        assert len(engine._branches(8)) == 66
+
+
+def banned_pairs(n, black_parity):
+    """The side pairs {c-1, c} around the black corners c; side s joins
+    corners s and s+1."""
+    m = 2 * n
+    return {tuple(sorted(((c - 1) % m, c))) for c in range(black_parity, m, 2)}
+
+
+class TestBan:
+    """The kernel never places a pair around a black corner (n >= 2).  The
+    premise is checked on glue()/enumerate_q(), which share no code with
+    the kernel."""
+
+    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_gluings_with_a_banned_pair_have_no_admissible_coloring(self, n, black_parity):
+        banned = banned_pairs(n, black_parity)
+        held = 0
+        for g in enumerate_gluings(n):
+            if banned.isdisjoint(g.pairs()):
+                continue
+            held += 1
+            assert next(enumerate_q(glue(g, black_parity)), None) is None, g
+        assert held == double_factorial(2 * n - 1) - engine._unbanned_matchings(n)
+
+    @pytest.mark.parametrize("black_parity", [0, 1])
+    def test_lone_matching_at_one_is_not_banned(self, black_parity):
+        [g] = enumerate_gluings(1)
+        assert g.pairs() == [(0, 1)] and banned_pairs(1, black_parity) == {(0, 1)}
+        assert [mono.parts for _q, mono in enumerate_q(glue(g, black_parity))] == [(2,)]
+        assert engine._type_table(1, black_parity)[0][0][1] == 0
+        assert engine._branches(1, black_parity) == [(0, None)]
+
+    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_the_banned_pairs_are_one_whole_type(self, n, black_parity):
+        table = engine._type_table(n, black_parity)[0]
+        m = 2 * n
+        got = {(a, b) for a in range(m) for b in range(a + 1, m) if table[a][b] < 0}
+        assert got == banned_pairs(n, black_parity)
+        types, _reps, sizes = engine._pair_types(n)
+        [tau] = {types[a][b] for a, b in got}
+        assert sizes[tau] == n
+        if black_parity == 0:
+            assert tau == len(sizes) - 1
+
+    def test_unbanned_matchings_equal_a_brute_count(self):
+        for n in range(1, 8):
+            banned = banned_pairs(n, 0) if n >= 2 else set()
+            brute = sum(1 for g in enumerate_gluings(n) if banned.isdisjoint(g.pairs()))
+            assert engine._unbanned_matchings(n) == brute, n
+
+    def test_unbanned_matchings_are_pinned(self):
+        # OEIS A053871 from n=2 on
+        assert [engine._unbanned_matchings(n) for n in range(1, 9)] == [
+            1, 2, 8, 60, 544, 6040, 79008, 1190672,
+        ]
 
 
 class TestScanKernel:
@@ -122,7 +181,8 @@ class TestScanKernel:
         for g in enumerate_gluings(n):
             for _q, mono in enumerate_q(glue(g, black_parity)):
                 expected[mono.parts] = expected.get(mono.parts, 0) + 1
-        result = engine._scan_branch((n, tuple(engine._branches(n)), black_parity))
+        branches = tuple(engine._branches(n, black_parity))
+        result = engine._scan_branch((n, branches, black_parity))
         assert engine._exact_tallies(n, [result]) == expected
 
     def test_task_splits_merge_to_the_single_pass(self):
@@ -135,9 +195,9 @@ class TestScanKernel:
         assert by_thirds == single[1:]
 
     def test_visited_matchings_are_pinned(self):
-        # about one in ten of the (2n-1)!! matchings at n=7
+        # about one in thirteen of the (2n-1)!! matchings at n=7
         leaves = [engine._scan_branch((n, tuple(engine._branches(n)), 0))[0] for n in range(1, 8)]
-        assert leaves == [1, 3, 7, 31, 186, 1575, 16765]
+        assert leaves == [1, 2, 4, 19, 109, 938, 10026]
 
     def test_small_n_runs_in_process(self, monkeypatch):
         serial = {n: scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
@@ -249,7 +309,7 @@ class TestExactnessGuard:
     def test_remainder_raises(self):
         denominator = engine._weight_denominator(3)
         assert denominator == 6
-        total = denominator * 15
+        total = denominator * 8  # A_3: the 15 matchings less the 7 with a banned pair
         assert engine._exact_tallies(3, [(0, total, {(2,): 4 * denominator})]) == {(2,): 4}
         with pytest.raises(InternalConsistencyError, match="not a multiple of 6"):
             engine._exact_tallies(3, [(0, total, {(2,): 4 * denominator + 1})])
@@ -257,6 +317,9 @@ class TestExactnessGuard:
     def test_wrong_weighted_total_raises(self):
         with pytest.raises(InternalConsistencyError, match="weighted matching total 89"):
             engine._exact_tallies(3, [(0, 89, {})])
+        # the total over every matching, banned ones included, is wrong too
+        with pytest.raises(InternalConsistencyError, match="total 90 at n=3, expected 48"):
+            engine._exact_tallies(3, [(0, 6 * 15, {})])
 
     def test_cli_maps_the_error_to_exit_3(self, monkeypatch, capsys):
         real = engine._scan_branch
