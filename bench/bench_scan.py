@@ -17,7 +17,9 @@ the reported figure is the median over repeats:
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8;
 * ``scan_2t_s``: ``scan(n, threads=2)`` for n = 8 and 9 (``force=True``
   above the default limit);
-* ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings;
+* ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings,
+  of which the kernel visits only a fraction;
+* ``ns_per_leaf``: single-thread time divided by the ``leaves`` below;
 * ``leaves``: the matchings the scan kernel visits at n = 5..8, counted
   after the timed call: one kernel call over every branch of the orbit
   sum, or (2n-1)!! for a tree whose kernel is the full pass;
@@ -272,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
             "scan_2t_s": {str(n): round(med[f"n{n}_t{t}"], 4) for n, t in PARALLEL},
             "ns_per_matching": {
                 str(n): round(med[f"n{n}_t1"] / counts[label][f"n{n}_t1"] * 1e9, 1)
+                for n in SINGLE_NS
+            },
+            "ns_per_leaf": {
+                str(n): round(med[f"n{n}_t1"] / leaves[label][f"n{n}_t1"] * 1e9, 1)
                 for n in SINGLE_NS
             },
             "leaves": {str(n): leaves[label][f"n{n}_t1"] for n in SINGLE_NS},

@@ -51,12 +51,23 @@ The scan kernel (_scan_branch) recurses over the tuple of still-free sides
 and keeps a union-find incrementally along the recursion (undo on
 backtrack) instead of re-gluing every matching from scratch.  Each side
 pair merges at most one black and one white corner class, so the kernel
-also keeps the number of live classes per colour; a leaf reads b and w in
-O(1), and the leaves with w < b or b == 1 never touch the union-find.
-Only the remaining leaves build their black/white adjacency masks, and the
-Hall check on them is memoized per kernel call by (w, masks).  Tests
-cross-validate the kernel against the straightforward glue()/enumerate_q()
-path over every matching.
+also keeps the number of live classes per colour.
+
+A matching's last pair never merges two classes.  Once the other n-1
+pairs are glued, the polygon is a surface whose boundary is the two free
+sides s and t.  A side's two ends have different colours, so no side
+closes a boundary circle on its own: s and t form one circle and already
+share the class of their black ends and that of their white ends, which
+are exactly the corners the last pair identifies.  So no leaf merges
+anything: the kernel reads b and w from the live counters before the last
+pair, and the leaves with w < b or b == 1 end there.  With four sides
+left, both pairs of each of the three completions are tested against the
+type table before the first one is merged, so a forbidden completion
+costs no union-find work.  Only the remaining leaves label their classes
+(two integer lists indexed by root) and build their black/white adjacency
+masks; the Hall check on them is memoized per kernel call by (w, masks).
+Tests cross-validate the kernel against the straightforward
+glue()/enumerate_q() path over every matching.
 
 Small n runs in-process.  Otherwise the sum is split into one task per
 (type, partner of the lowest side its representative leaves free) that
@@ -92,10 +103,9 @@ CACHE_SCHEMA_VERSION = 1
 # Smallest n whose scan goes to a process pool; below it pool start-up
 # costs more than it saves.  Medians of 10 alternated pairs, fresh
 # interpreters, 2-vCPU Intel Xeon, CPython 3.11.7, in-process vs 2 workers,
-# kernel with the ban: n=6 9.2 vs 63 ms, n=7 75 vs 98 ms (pool faster in 0
-# of 10 pairs), n=8 0.91 vs 0.55 s (10 of 10).  So the pool now pays only
-# from n=8; the threshold stays at 7, where the pool-path tests run it.
-POOL_MIN_N = 7
+# kernel that never merges a last pair: n=6 6.3 vs 53 ms, n=7 48 vs 72 ms
+# (pool faster in 0 of 10 pairs), n=8 0.56 vs 0.33 s (10 of 10).
+POOL_MIN_N = 8
 
 
 class InternalConsistencyError(RuntimeError):
@@ -268,19 +278,23 @@ def _scan_branch(
     weights: list[int] = []
 
     nxt = [c + 1 for c in range(m - 1)] + [0]
+    # quad[i][j]: the two corner pairs the side pair {i, j} identifies; the
+    # color-preserving rule pairs i with j+1 and i+1 with j when i and j
+    # differ in parity, else i with j and i+1 with j+1
+    quad = [
+        [(i, nxt[j], nxt[i], j) if (i ^ j) & 1 else (i, j, nxt[i], nxt[j]) for j in range(m)]
+        for i in range(m)
+    ]
     parent = list(range(m))
     size = [1] * m
     live = [n, n]  # number of corner classes per corner parity
+    blacks = range(black_parity, m, 2)
+    whites = range(white_parity, m, 2)
+    corner_bit = [0] * m  # a Hall leaf's white class bit per white corner
     hall_memo: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
 
     def apply_pair(i: int, j: int) -> list[int]:
-        # the color-preserving rule merges one class pair of each parity
-        i1 = nxt[i]
-        j1 = nxt[j]
-        if (i ^ j) & 1:
-            a, b, c, d = i, j1, i1, j
-        else:
-            a, b, c, d = i, j, i1, j1
+        a, b, c, d = quad[i][j]
         ops: list[int] = []
         while parent[a] != a:
             a = parent[a]
@@ -338,6 +352,8 @@ def _scan_branch(
         return keys
 
     def leaf(same: int) -> None:
+        # every pair but the matching's last is merged, and the last merges
+        # nothing (module docstring): the classes are the map's vertices
         nonlocal leaves, total
         weight = weights[same]
         leaves += 1
@@ -349,29 +365,35 @@ def _scan_branch(
         if b == 1:
             singles[w] += weight
             return
-        root_of = []
-        for c in range(m):
-            while parent[c] != c:
-                c = parent[c]
-            root_of.append(c)
-        black_index: dict[int, int] = {}
-        white_bit: dict[int, int] = {}
-        for c in range(black_parity, m, 2):
-            if root_of[c] not in black_index:
-                black_index[root_of[c]] = len(black_index)
-        for c in range(white_parity, m, 2):
-            if root_of[c] not in white_bit:
-                white_bit[root_of[c]] = 1 << len(white_bit)
+        black_index = [-1] * m
+        white_bit = [0] * m
+        bit = 1
+        for c in whites:
+            r = c
+            while parent[r] != r:
+                r = parent[r]
+            if not white_bit[r]:
+                white_bit[r] = bit
+                bit <<= 1
+            corner_bit[c] = white_bit[r]
         # the two sides at each black corner cover every side once
         masks = [0] * b
-        for c in range(black_parity, m, 2):
-            masks[black_index[root_of[c]]] |= white_bit[root_of[c - 1]] | white_bit[root_of[nxt[c]]]
+        count = 0
+        for c in blacks:
+            r = c
+            while parent[r] != r:
+                r = parent[r]
+            k = black_index[r]
+            if k < 0:
+                k = black_index[r] = count
+                count += 1
+            masks[k] |= corner_bit[c - 1] | corner_bit[nxt[c]]
         key = (w, tuple(masks))
         keys = hall_memo.get(key)
         if keys is None:
             keys = hall_memo[key] = hall_keys(w, masks)
-        for k in keys:
-            tally[k] = tally.get(k, 0) + weight
+        for parts in keys:
+            tally[parts] = tally.get(parts, 0) + weight
 
     def rec(free: tuple[int, ...], same: int) -> None:
         # same: the number of type-tau pairs placed so far
@@ -380,9 +402,18 @@ def _scan_branch(
         if len(free) == 2:
             d = row[free[1]]
             if d >= 0:
-                ops = apply_pair(i, free[1])
                 leaf(same + d)
-                undo(ops)
+            return
+        if len(free) == 4:
+            # each completion's two pairs are tested before any merge
+            _i, j, k, l = free
+            for x, y, z in ((j, k, l), (k, j, l), (l, j, k)):
+                d = row[x]
+                e = step[y][z]
+                if d >= 0 and e >= 0:
+                    ops = apply_pair(i, x)
+                    leaf(same + d + e)
+                    undo(ops)
             return
         for k in range(1, len(free)):
             d = row[free[k]]
@@ -396,20 +427,21 @@ def _scan_branch(
         step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
         weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
         a, b = reps[tau]
-        placed = [apply_pair(a, b)]
-        free = tuple(s for s in range(m) if s != a and s != b)
         if k is None:
+            # n = 1: the representative is the whole matching
             leaf(1)
-        else:
-            same = 1 + step[free[0]][k]
-            placed.append(apply_pair(free[0], k))
-            free = tuple(s for s in free[1:] if s != k)
-            if free:
-                rec(free, same)
-            else:
-                leaf(same)
-        for ops in reversed(placed):
+            continue
+        placed = apply_pair(a, b)
+        free = tuple(s for s in range(m) if s != a and s != b)
+        rest = tuple(s for s in free[1:] if s != k)
+        same = 1 + step[free[0]][k]
+        if rest:
+            ops = apply_pair(free[0], k)
+            rec(rest, same)
             undo(ops)
+        else:
+            leaf(same)
+        undo(placed)
 
     for w, c in enumerate(singles):
         if c:

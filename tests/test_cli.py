@@ -188,9 +188,9 @@ class TestExpand:
         assert out1 == out2
 
     def test_threads_do_not_change_bytes_through_the_pool(self, capsys):
-        assert 7 >= engine.POOL_MIN_N
-        code1, out1, _ = run(capsys, "expand", "--n", "7", "--threads", "1", "--format", "json")
-        code2, out2, _ = run(capsys, "expand", "--n", "7", "--threads", "2", "--format", "json")
+        n = str(engine.POOL_MIN_N)
+        code1, out1, _ = run(capsys, "expand", "--n", n, "--threads", "1", "--format", "json")
+        code2, out2, _ = run(capsys, "expand", "--n", n, "--threads", "2", "--format", "json")
         assert code1 == code2 == 0
         assert out1 == out2
 
@@ -442,11 +442,13 @@ class TestImports:
     def among(names, modules):
         return sorted(m for m in modules if any(m == x or m.startswith(x + ".") for x in names))
 
-    @pytest.fixture
-    def warm_cache(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def warm_cache(self, tmp_path_factory):
+        # n = POOL_MIN_N, so an uncached query at the same n would load the pool
         n = str(engine.POOL_MIN_N)
-        assert quiet_main("expand", "--n", n, "--threads", "1", "--cache", str(tmp_path))[0] == 0
-        return n, str(tmp_path)
+        cache = str(tmp_path_factory.mktemp("warm"))
+        assert quiet_main("expand", "--n", n, "--threads", "1", "--cache", cache)[0] == 0
+        return n, cache
 
     def test_warm_queries_load_no_pool_census_or_selftest(self, warm_cache):
         n, cache = warm_cache
@@ -473,9 +475,10 @@ class TestImports:
         assert self.among(("dataclasses", "inspect"), modules) == []
 
     def test_pool_path_matches_golden(self):
-        proc = fresh_python(CLI_MAIN, "expand", "--n", "7", "--threads", "2", "--format", "json")
+        n = engine.POOL_MIN_N
+        proc = fresh_python(CLI_MAIN, "expand", "--n", str(n), "--threads", "2", "--format", "json")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.encode() == (GOLDEN / "expand-n7.json").read_bytes()
+        assert proc.stdout.encode() == (GOLDEN / f"expand-n{n}.json").read_bytes()
 
     def test_census_runs_in_a_fresh_process(self, capsys):
         argv = ["census", "--n", "3", "--format", "json"]

@@ -185,6 +185,29 @@ class TestScanKernel:
         result = engine._scan_branch((n, branches, black_parity))
         assert engine._exact_tallies(n, [result]) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_last_pair_merges_nothing(self, n):
+        """The kernel's leaves read b and w before the last pair: gluing
+        every pair but any one already gives glue()'s vertex classes."""
+        m = 2 * n
+        for g in enumerate_gluings(n):
+            vertices = glue(g).vertex_count
+            for last in g.pairs():
+                root = list(range(m))
+
+                def find(x):
+                    while root[x] != x:
+                        x = root[x]
+                    return x
+
+                for i, j in g.pairs():
+                    if (i, j) == last:
+                        continue
+                    i1, j1 = (i + 1) % m, (j + 1) % m
+                    for a, b in [(i, j1), (i1, j)] if (i ^ j) & 1 else [(i, j), (i1, j1)]:
+                        root[find(a)] = find(b)
+                assert sum(root[c] == c for c in range(m)) == vertices, (g, last)
+
     def test_task_splits_merge_to_the_single_pass(self):
         n = 6
         branches = engine._branches(n)
@@ -193,6 +216,34 @@ class TestScanKernel:
         by_thirds = merged(engine._scan_branch((n, tuple(branches[k::3]), 0)) for k in range(3))
         assert by_branch == single[1:]
         assert by_thirds == single[1:]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pool_tasks_cover_every_branch_once(self, monkeypatch, threads):
+        n = 7
+        tasks = []
+
+        class RecordingPool:
+            """Runs the pool's map in this process and records its tasks."""
+
+            def __init__(self, max_workers):
+                assert max_workers == threads
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                tasks.extend(items)
+                return [fn(task) for task in items]
+
+        monkeypatch.setattr(engine, "POOL_MIN_N", n)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        got = scan(n, threads=threads)
+        dealt = [branch for _n, branches, _parity in tasks for branch in branches]
+        assert sorted(dealt) == sorted(engine._branches(n))
+        assert got.tallies == scan(n, threads=1).tallies
 
     def test_visited_matchings_are_pinned(self):
         # about one in thirteen of the (2n-1)!! matchings at n=7
