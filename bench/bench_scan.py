@@ -20,6 +20,9 @@ the reported figure is the median over repeats:
 * ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings,
   of which the kernel visits only a fraction;
 * ``ns_per_leaf``: single-thread time divided by the ``leaves`` below;
+* ``scan_rss_mb``: the peak RSS, read by ``os.wait4``, of a fresh
+  interpreter (with its pool workers) running single-thread ``scan(8)``
+  and ``scan(9, threads=2, force=True)``, the two timed above;
 * ``leaves``: the matchings the scan kernel visits at n = 5..8, counted
   after the timed call: one kernel call over every branch of the orbit
   sum, or (2n-1)!! for a tree whose kernel is the full pass;
@@ -72,6 +75,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE_NS = (5, 6, 7, 8)
 PARALLEL = ((8, 2), (9, 2))  # (n, threads)
+RSS_SCANS = ("n8_t1", "n9_t2")
 CENSUS = {
     "census_twisted_s": ("6", ["--reduced", "--twisted", "--max-n", "6"]),
     "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),
@@ -143,12 +147,19 @@ print(json.dumps({"seconds": elapsed, "count": count, **extra}))
 
 
 def run_child(src: Path, kind: str, args: list[str]) -> dict:
+    """One child; ``rss_mb`` is the peak RSS of it and its pool workers,
+    from ``os.wait4`` (the child's stderr goes to this one's)."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, kind, *args],
-        env=env, capture_output=True, text=True, check=True,
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CHILD, kind, *args], env=env, stdout=subprocess.PIPE, text=True,
     )
-    return json.loads(proc.stdout)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out)
+    return {**json.loads(out), "rss_mb": usage.ru_maxrss / 1024}
 
 
 def run_cli(src: Path, args: list[str]) -> dict:
@@ -237,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     counts: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
     leaves: dict[str, dict[str, int]] = {label: {} for label, _src in sides}
+    rss: dict[str, dict[str, list[float]]] = {
+        label: {key: [] for key in RSS_SCANS} for label, _src in sides
+    }
     with tempfile.TemporaryDirectory(prefix="bench-scan-") as tmp:
         work = Path(tmp)
         warm = {label: work / f"warm-{label}" for label, _src in sides}
@@ -256,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
                     counts[label][key] = got["count"]
                     if "leaves" in got:
                         leaves[label][key] = got["leaves"]
+                    if key in RSS_SCANS:
+                        rss[label][key].append(got["rss_mb"])
                     print(f"rep {rep + 1}/{args.repeats} {label} {key}: "
                           f"{got['seconds']:.3f} s", file=sys.stderr)
 
@@ -280,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
                 str(n): round(med[f"n{n}_t1"] / leaves[label][f"n{n}_t1"] * 1e9, 1)
                 for n in SINGLE_NS
             },
+            "scan_rss_mb": {key: round(statistics.median(xs), 1)
+                            for key, xs in rss[label].items()},
             "leaves": {str(n): leaves[label][f"n{n}_t1"] for n in SINGLE_NS},
             **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},

@@ -47,11 +47,13 @@ G-invariant for the same sum to hold; orientability is.  A count over
 matchings rather than admissible colorings (leaves per (b, w), say) sees
 only the matchings without a banned pair.
 
-The scan kernel (_scan_branch) recurses over the tuple of still-free sides
-and keeps a union-find incrementally along the recursion (undo on
-backtrack) instead of re-gluing every matching from scratch.  Each side
-pair merges at most one black and one white corner class, so the kernel
-also keeps the number of live classes per colour.
+The scan kernel (_scan_branch) recurses over the tuple of still-free
+sides.  A side pair merges one pair of black and one pair of white corners,
+and each colour's corner classes, a set partition of its n corners, are a
+state of an automaton built per kernel call on first use (``_Partitions``).
+The recursion passes (black state, white state) down, so a merge is two
+table lookups and nothing is undone on backtrack: at n=8 about 225k merges
+meet 2,751 states and 13,025 distinct transitions.
 
 A matching's last pair never merges two classes.  Once the other n-1
 pairs are glued, the polygon is a surface whose boundary is the two free
@@ -59,27 +61,28 @@ sides s and t.  A side's two ends have different colours, so no side
 closes a boundary circle on its own: s and t form one circle and already
 share the class of their black ends and that of their white ends, which
 are exactly the corners the last pair identifies.  So no leaf merges
-anything: the kernel reads b and w from the live counters before the last
-pair, and the leaves with w < b or b == 1 end there.  With four sides
-left, both pairs of each of the three completions are tested against the
-type table before the first one is merged, so a forbidden completion
-costs no union-find work.  Only the remaining leaves label their classes
-(two integer lists indexed by root) and build their black/white adjacency
-masks; the Hall check on them is memoized per kernel call by (w, masks).
-Tests cross-validate the kernel against the straightforward
+anything: the kernel reads b and w as the block counts of the two states
+before the last pair, and the leaves with w < b or b == 1 end there.  With
+four sides left, both pairs of each of the three completions are tested
+against the type table before the first one is merged.  The Hall check
+on the remaining leaves is memoized on the state pair, and on a new pair
+by (w, black/white adjacency masks), the masks read off the two states:
+at n=8 the 38,096 Hall leaves have 10,114 state pairs and 577 distinct
+(w, masks).  Tests cross-validate the kernel against the straightforward
 glue()/enumerate_q() path over every matching.
 
-Small n runs in-process.  Otherwise the sum is split into one task per
+Small n runs in-process.  Otherwise the branches of the sum, one per
 (type, partner of the lowest side its representative leaves free) that
-places no banned pair, 66 tasks at n=8 (76 without the ban), handed to a
-process pool largest types first, and the weighted tallies are merged by
-plain addition, so results are independent of the worker count.  A
-worker that dies takes the pool down with it; ``scan`` re-raises the
-pool's BrokenProcessPool as WorkerDiedError, which ``cli.main`` reports
-as an internal failure (exit 3).  The pool machinery
-(``concurrent.futures``, ``multiprocessing``) is imported only when a scan
-goes to the pool, and ``tempfile`` only when a cache file is written, so a
-query answered from the cache loads neither.
+places no banned pair (66 at n=8), are dealt round-robin, largest types
+first, into one task per worker process, and the weighted tallies are
+merged by plain addition, so results are independent of the worker count.
+A task builds its automaton and memos once for all its branches, which one
+task per branch would repeat.  A worker that dies takes the pool down with
+it; ``scan`` re-raises the pool's BrokenProcessPool as WorkerDiedError,
+which ``cli.main`` reports as an internal failure (exit 3).  The pool
+machinery (``concurrent.futures``, ``multiprocessing``) is imported only
+when a scan goes to the pool, and ``tempfile`` only when a cache file is
+written, so a query answered from the cache loads neither.
 """
 
 from __future__ import annotations
@@ -101,10 +104,11 @@ FORCE_N_LIMIT = 10
 CACHE_SCHEMA_VERSION = 1
 
 # Smallest n whose scan goes to a process pool; below it pool start-up
-# costs more than it saves.  Medians of 10 alternated pairs, fresh
-# interpreters, 2-vCPU Intel Xeon, CPython 3.11.7, in-process vs 2 workers,
-# kernel that never merges a last pair: n=6 6.3 vs 53 ms, n=7 48 vs 72 ms
-# (pool faster in 0 of 10 pairs), n=8 0.56 vs 0.33 s (10 of 10).
+# costs more than it saves.  10 alternated pairs, fresh interpreters, 2-vCPU
+# Intel Xeon, CPython 3.11.7, in-process vs 2 workers, automaton kernel:
+# n=7 27-33 vs 70-92 ms (pool faster in 0-1 of 10, 4 runs); at n=8 the pool
+# was faster in 1, 4, 4, 5, 6 and 9 of 10 in six runs (medians 0.25-0.38 vs
+# 0.21-0.39 s, varying with the host's load), so n=8 stays on the pool.
 POOL_MIN_N = 8
 
 
@@ -214,10 +218,11 @@ def _type_table(
 
 def _branches(n: int, black_parity: int = 0) -> list[tuple[int, int | None]]:
     """Every (type, partner of the lowest side left free by the type's
-    representative) the orbit sum visits, largest types first: the pool's
-    tasks, 66 at n=8.  The partner is None at n=1, where nothing is left.
-    Branches that would place a banned pair (``_type_table``) are left out,
-    the banned type among them, so no task is empty."""
+    representative) the orbit sum visits, largest types first: 66 branches
+    at n=8, dealt by ``scan`` into one pool task per worker.  The partner is
+    None at n=1, where nothing is left.  Branches that would place a banned
+    pair (``_type_table``) are left out, the banned type among them, so no
+    branch is empty."""
     table, reps, _sizes = _type_table(n, black_parity)
     out: list[tuple[int, int | None]] = []
     for tau, (a, b) in enumerate(reps):
@@ -247,6 +252,46 @@ def _weight_denominator(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
+class _Partitions:
+    """Set partitions of range(n) as state ids, built on first use.
+
+    State s is the restricted-growth string ``strings[s]``: element e lies
+    in block ``strings[s][e]``, blocks numbered by their first element, and
+    there are ``blocks[s]`` of them; state 0 has every element alone.
+    ``trans[s][code(u, v)]`` is the state after merging the blocks of u and
+    v, or -1 until ``merge`` first builds it."""
+
+    def __init__(self, n: int) -> None:
+        self.pairs = [(u, v) for v in range(n) for u in range(v + 1)]
+        self.strings = [tuple(range(n))]
+        self.blocks = [n]
+        self.trans = [[-1] * len(self.pairs)]
+        self.ids = {self.strings[0]: 0}
+
+    @staticmethod
+    def code(u: int, v: int) -> int:
+        u, v = sorted((u, v))
+        return v * (v + 1) // 2 + u
+
+    def merge(self, state: int, code: int) -> int:
+        target = self.trans[state][code]
+        if target < 0:
+            u, v = self.pairs[code]
+            rgs = self.strings[state]
+            keep, drop = sorted((rgs[u], rgs[v]))
+            if keep < drop:
+                # the merged block keeps the lower label, whose first element
+                # comes first, and the blocks after the dropped one move down
+                rgs = tuple(keep if x == drop else x - (x > drop) for x in rgs)
+            target = self.ids.setdefault(rgs, len(self.strings))
+            if target == len(self.strings):
+                self.strings.append(rgs)
+                self.blocks.append(self.blocks[state] - 1)
+                self.trans.append([-1] * len(self.pairs))
+            self.trans[state][code] = target
+        return target
+
+
 def _scan_branch(
     task: tuple[int, tuple[tuple[int, int | None], ...], int],
 ) -> tuple[int, int, dict[tuple[int, ...], int]]:
@@ -264,7 +309,6 @@ def _scan_branch(
     """
     n, branches, black_parity = task
     m = 2 * n
-    white_parity = 1 - black_parity
     table, reps, sizes = _type_table(n, black_parity)
     denominator = _weight_denominator(n)
     tally: dict[tuple[int, ...], int] = {}
@@ -277,151 +321,113 @@ def _scan_branch(
     step: list[list[int]] = []
     weights: list[int] = []
 
-    nxt = [c + 1 for c in range(m - 1)] + [0]
-    # quad[i][j]: the two corner pairs the side pair {i, j} identifies; the
-    # color-preserving rule pairs i with j+1 and i+1 with j when i and j
-    # differ in parity, else i with j and i+1 with j+1
-    quad = [
-        [(i, nxt[j], nxt[i], j) if (i ^ j) & 1 else (i, j, nxt[i], nxt[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    parent = list(range(m))
-    size = [1] * m
-    live = [n, n]  # number of corner classes per corner parity
-    blacks = range(black_parity, m, 2)
-    whites = range(white_parity, m, 2)
-    corner_bit = [0] * m  # a Hall leaf's white class bit per white corner
+    automaton = _Partitions(n)
+    merge, trans = automaton.merge, automaton.trans
+    blocks, strings = automaton.blocks, automaton.strings
+
+    def code(i: int, j: int, parity: int) -> int:
+        # {i, j} merges corners i, j+1 and i+1, j when i and j differ in parity,
+        # else i, j and i+1, j+1: the merge of this parity's two, c as c // 2
+        flip = (i ^ parity) & 1
+        return automaton.code((i + flip) % m // 2, (j + ((i ^ j) & 1 ^ flip)) % m // 2)
+
+    black = [[code(i, j, black_parity) for j in range(m)] for i in range(m)]
+    white = [[code(i, j, 1 - black_parity) for j in range(m)] for i in range(m)]
+    # the white elements next to each black element
+    around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(black_parity, m, 2)]
     hall_memo: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
-
-    def apply_pair(i: int, j: int) -> list[int]:
-        a, b, c, d = quad[i][j]
-        ops: list[int] = []
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-            live[b & 1] -= 1
-            ops.append(b)
-        while parent[c] != c:
-            c = parent[c]
-        while parent[d] != d:
-            d = parent[d]
-        if c != d:
-            if size[c] < size[d]:
-                c, d = d, c
-            parent[d] = c
-            size[c] += size[d]
-            live[d & 1] -= 1
-            ops.append(d)
-        return ops
-
-    def undo(ops: list[int]) -> None:
-        # the two merges touch classes of different parity, so any order works
-        for rb in ops:
-            size[parent[rb]] -= size[rb]
-            parent[rb] = rb
-            live[rb & 1] += 1
+    pair_memo: dict[int, dict[int, list[tuple[int, ...]]]] = {}
 
     def hall_keys(w: int, masks: list[int]) -> list[tuple[int, ...]]:
         # monomials of the admissible colorings of one black/white adjacency
         b = len(masks)
         full = 1 << b
-        nbr_count = [0] * full
         nbr = [0] * full
         for a in range(1, full):
             low = a & -a
             nbr[a] = nbr[a ^ low] | masks[low.bit_length() - 1]
-            nbr_count[a] = nbr[a].bit_count()
         need = [0] * full
         keys = []
         for comp in compositions(w, b, 1):
-            ok = True
             for a in range(1, full - 1):
                 low = a & -a
                 req = need[a] = need[a ^ low] + comp[low.bit_length() - 1]
-                if nbr_count[a] <= req:
-                    ok = False
+                if nbr[a].bit_count() <= req:
                     break
-            if ok:
+            else:
                 keys.append(tuple(sorted((x + 1 for x in comp), reverse=True)))
         return keys
 
-    def leaf(same: int) -> None:
+    def leaf(same: int, bs: int, ws: int) -> None:
         # every pair but the matching's last is merged, and the last merges
-        # nothing (module docstring): the classes are the map's vertices
+        # nothing (module docstring): the blocks are the map's vertices
         nonlocal leaves, total
         weight = weights[same]
         leaves += 1
         total += weight
-        b = live[black_parity]
-        w = live[white_parity]
+        b = blocks[bs]
+        w = blocks[ws]
         if w < b:
             return
         if b == 1:
             singles[w] += weight
             return
-        black_index = [-1] * m
-        white_bit = [0] * m
-        bit = 1
-        for c in whites:
-            r = c
-            while parent[r] != r:
-                r = parent[r]
-            if not white_bit[r]:
-                white_bit[r] = bit
-                bit <<= 1
-            corner_bit[c] = white_bit[r]
-        # the two sides at each black corner cover every side once
-        masks = [0] * b
-        count = 0
-        for c in blacks:
-            r = c
-            while parent[r] != r:
-                r = parent[r]
-            k = black_index[r]
-            if k < 0:
-                k = black_index[r] = count
-                count += 1
-            masks[k] |= corner_bit[c - 1] | corner_bit[nxt[c]]
-        key = (w, tuple(masks))
-        keys = hall_memo.get(key)
+        row = pair_memo.setdefault(bs, {})
+        keys = row.get(ws)
         if keys is None:
-            keys = hall_memo[key] = hall_keys(w, masks)
+            black_labels, white_labels = strings[bs], strings[ws]
+            masks = [0] * b
+            for e, (x, y) in enumerate(around):
+                masks[black_labels[e]] |= 1 << white_labels[x] | 1 << white_labels[y]
+            key = (w, tuple(masks))
+            keys = hall_memo.get(key)
+            if keys is None:
+                keys = hall_memo[key] = hall_keys(w, masks)
+            row[ws] = keys
         for parts in keys:
             tally[parts] = tally.get(parts, 0) + weight
 
-    def rec(free: tuple[int, ...], same: int) -> None:
-        # same: the number of type-tau pairs placed so far
+    def rec(free: tuple[int, ...], same: int, bs: int, ws: int) -> None:
+        # same: the type-tau pairs placed so far; bs, ws: black and white states
         i = free[0]
         row = step[i]
         if len(free) == 2:
             d = row[free[1]]
             if d >= 0:
-                leaf(same + d)
+                leaf(same + d, bs, ws)
             return
+        black_row = black[i]
+        white_row = white[i]
+        black_trans = trans[bs]
+        white_trans = trans[ws]
         if len(free) == 4:
-            # each completion's two pairs are tested before any merge
+            # the last pair merges nothing, so a completion's two pairs are
+            # tested and only the first one is merged
             _i, j, k, l = free
             for x, y, z in ((j, k, l), (k, j, l), (l, j, k)):
                 d = row[x]
                 e = step[y][z]
                 if d >= 0 and e >= 0:
-                    ops = apply_pair(i, x)
-                    leaf(same + d + e)
-                    undo(ops)
+                    b = black_trans[black_row[x]]
+                    if b < 0:
+                        b = merge(bs, black_row[x])
+                    w = white_trans[white_row[x]]
+                    if w < 0:
+                        w = merge(ws, white_row[x])
+                    leaf(same + d + e, b, w)
             return
         for k in range(1, len(free)):
-            d = row[free[k]]
+            x = free[k]
+            d = row[x]
             if d < 0:
                 continue
-            ops = apply_pair(i, free[k])
-            rec(free[1:k] + free[k + 1:], same + d)
-            undo(ops)
+            b = black_trans[black_row[x]]
+            if b < 0:
+                b = merge(bs, black_row[x])
+            w = white_trans[white_row[x]]
+            if w < 0:
+                w = merge(ws, white_row[x])
+            rec(free[1:k] + free[k + 1:], same + d, b, w)
 
     for tau, k in branches:
         step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
@@ -429,20 +435,18 @@ def _scan_branch(
         a, b = reps[tau]
         if k is None:
             # n = 1: the representative is the whole matching
-            leaf(1)
+            leaf(1, 0, 0)
             continue
-        placed = apply_pair(a, b)
+        bs, ws = merge(0, black[a][b]), merge(0, white[a][b])
         free = tuple(s for s in range(m) if s != a and s != b)
         rest = tuple(s for s in free[1:] if s != k)
         same = 1 + step[free[0]][k]
         if rest:
-            ops = apply_pair(free[0], k)
-            rec(rest, same)
-            undo(ops)
+            rec(rest, same, merge(bs, black[free[0]][k]), merge(ws, white[free[0]][k]))
         else:
-            leaf(same)
-        undo(placed)
+            leaf(same, bs, ws)
 
+    del rec  # it refers to itself: free the tables now, not at the next gc
     for w, c in enumerate(singles):
         if c:
             tally[(w + 1,)] = tally.get((w + 1,), 0) + c
@@ -502,9 +506,10 @@ def scan(
     else:
         from concurrent.futures.process import BrokenProcessPool
 
-        tasks = [(n, (branch,), 0) for branch in branches]
+        count = min(threads, len(branches))
+        tasks = [(n, tuple(branches[k::count]), 0) for k in range(count)]
         try:
-            with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            with ProcessPoolExecutor(max_workers=count) as pool:
                 raw_results = list(pool.map(_scan_branch, tasks))
         except BrokenProcessPool as exc:
             raise WorkerDiedError(str(exc)) from exc

@@ -262,12 +262,7 @@ def _check_determinism(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> st
     branches = tuple(engine._branches(n))
     one = engine._scan_branch((n, branches, 0))
     split = [engine._scan_branch((n, branches[k::3], 0)) for k in range(3)]
-    merged: dict[tuple[int, ...], int] = {}
-    for _leaves, _total, tal in split:
-        for key, v in tal.items():
-            merged[key] = merged.get(key, 0) + v
-    assert sum(total for _leaves, total, _tal in split) == one[1]
-    assert merged == one[2]
+    assert engine._exact_tallies(n, split) == engine._exact_tallies(n, [one])
     return f"partitioned enumeration merge equals the single pass at n={n}"
 
 

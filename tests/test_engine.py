@@ -208,6 +208,40 @@ class TestScanKernel:
                         root[find(a)] = find(b)
                 assert sum(root[c] == c for c in range(m)) == vertices, (g, last)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24),
+    )))
+    def test_partition_automaton_follows_a_union_find(self, case):
+        """Each merge gives the union-find's partition in first-occurrence
+        labels, built on the first pass and looked up on the replay."""
+        n, merges = case
+        automaton = engine._Partitions(n)
+        root = list(range(n))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        states = []
+        state = 0
+        for u, v in merges:
+            root[find(u)] = find(v)
+            state = automaton.merge(state, automaton.code(u, v))
+            states.append(state)
+            labels: dict[int, int] = {}
+            expected = tuple(labels.setdefault(find(e), len(labels)) for e in range(n))
+            assert automaton.strings[state] == expected
+            assert automaton.blocks[state] == len(labels)
+        built = len(automaton.strings)
+        state = 0
+        for (u, v), expected_state in zip(merges, states):
+            state = automaton.merge(state, automaton.code(v, u))
+            assert state == expected_state
+        assert len(automaton.strings) == built
+
     def test_task_splits_merge_to_the_single_pass(self):
         n = 6
         branches = engine._branches(n)
@@ -243,6 +277,7 @@ class TestScanKernel:
         got = scan(n, threads=threads)
         dealt = [branch for _n, branches, _parity in tasks for branch in branches]
         assert sorted(dealt) == sorted(engine._branches(n))
+        assert len(tasks) == min(threads, len(engine._branches(n)))
         assert got.tallies == scan(n, threads=1).tallies
 
     def test_visited_matchings_are_pinned(self):
