@@ -15,14 +15,15 @@ another's imports or warm state.  Sides alternate within each repeat, and
 the reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8;
-* ``scan_2t_s``: ``scan(n, threads=2)`` for n = 8 and 9 (``force=True``
-  above the default limit);
+* ``scan_2t_s``: ``scan(n, threads=2)`` for n = 8, 9 and 10
+  (``force=True`` above the default limit);
 * ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings,
   of which the kernel visits only a fraction;
 * ``ns_per_leaf``: single-thread time divided by the ``leaves`` below;
 * ``scan_rss_mb``: the peak RSS, read by ``os.wait4``, of a fresh
-  interpreter (with its pool workers) running single-thread ``scan(8)``
-  and ``scan(9, threads=2, force=True)``, the two timed above;
+  interpreter (with its pool workers) running single-thread ``scan(8)``,
+  ``scan(9, threads=2, force=True)`` and ``scan(10, threads=2,
+  force=True)``, the three timed above;
 * ``leaves``: the matchings the scan kernel visits at n = 5..8, counted
   after the timed call: one kernel call over every branch of the orbit
   sum, or (2n-1)!! for a tree whose kernel is the full pass;
@@ -74,8 +75,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE_NS = (5, 6, 7, 8)
-PARALLEL = ((8, 2), (9, 2))  # (n, threads)
-RSS_SCANS = ("n8_t1", "n9_t2")
+PARALLEL = ((8, 2), (9, 2), (10, 2))  # (n, threads)
+RSS_SCANS = ("n8_t1", "n9_t2", "n10_t2")
 CENSUS = {
     "census_twisted_s": ("6", ["--reduced", "--twisted", "--max-n", "6"]),
     "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),

@@ -37,9 +37,8 @@ coloring and f(M) = 0.  The n banned pairs are disjoint and form one
 whole G-orbit, the last pair type at the package's colors, so the
 matchings without one form a G-invariant universe and the orbit sum over
 it keeps its weights.  At n=8 the kernel visits 128,733 leaves (213,923
-without the ban, 2,027,025 matchings in all); 38,096 of them reach the
-Hall check (72,034 without the ban).  ``scan`` checks that the weights sum
-to L*A_n, A_n the number of matchings with no banned pair
+without the ban, 2,027,025 matchings in all).  ``scan`` checks that the
+weights sum to L*A_n, A_n the number of matchings with no banned pair
 (``_unbanned_matchings``), and divides every tally by L, raising
 InternalConsistencyError on a remainder; both checks run on every scan.
 A statistic kept beside the monomial (a future per-map key) must be
@@ -55,20 +54,23 @@ The recursion passes (black state, white state) down, so a merge is two
 table lookups and nothing is undone on backtrack: at n=8 about 225k merges
 meet 2,751 states and 13,025 distinct transitions.
 
-A matching's last pair never merges two classes.  Once the other n-1
-pairs are glued, the polygon is a surface whose boundary is the two free
-sides s and t.  A side's two ends have different colours, so no side
-closes a boundary circle on its own: s and t form one circle and already
-share the class of their black ends and that of their white ends, which
-are exactly the corners the last pair identifies.  So no leaf merges
-anything: the kernel reads b and w as the block counts of the two states
-before the last pair, and the leaves with w < b or b == 1 end there.  With
-four sides left, both pairs of each of the three completions are tested
-against the type table before the first one is merged.  The Hall check
-on the remaining leaves is memoized on the state pair, and on a new pair
-by (w, black/white adjacency masks), the masks read off the two states:
-at n=8 the 38,096 Hall leaves have 10,114 state pairs and 577 distinct
-(w, masks).  Tests cross-validate the kernel against the straightforward
+A matching's last pair never merges two classes.  Once the other n-1 pairs
+are glued, the polygon is a surface whose boundary is the two free sides s
+and t.  A side's two ends have different colours, so no side closes a
+boundary circle on its own: s and t form one circle and already share the
+class of their black ends and that of their white ends, which are exactly
+the corners the last pair identifies.  So no leaf merges anything: the
+blocks of the two states before the last pair are the map's b black and w
+white vertices.  With four sides left, both pairs of each of the three
+completions are tested against the type table before the first one is
+merged.  A leaf only adds its weight to a table keyed by (black state,
+white state).  After each branch one pass reads each state pair once, adds
+its weight to the call's weight of (w, black/white adjacency masks), read
+off the two states, and empties the table.  At the end Hall's condition
+runs once per distinct (w, masks) and gives that weight to each admissible
+monomial: one black vertex has the one monomial (w+1), and w < b has none.
+At n=8 the 128,733 leaves give 23,789 state pairs over the 66 branches and
+662 distinct (w, masks).  Tests cross-validate the kernel against the
 glue()/enumerate_q() path over every matching.
 
 Small n runs in-process.  Otherwise the branches of the sum, one per
@@ -76,13 +78,14 @@ Small n runs in-process.  Otherwise the branches of the sum, one per
 places no banned pair (66 at n=8), are dealt round-robin, largest types
 first, into one task per worker process, and the weighted tallies are
 merged by plain addition, so results are independent of the worker count.
-A task builds its automaton and memos once for all its branches, which one
-task per branch would repeat.  A worker that dies takes the pool down with
-it; ``scan`` re-raises the pool's BrokenProcessPool as WorkerDiedError,
-which ``cli.main`` reports as an internal failure (exit 3).  The pool
-machinery (``concurrent.futures``, ``multiprocessing``) is imported only
-when a scan goes to the pool, and ``tempfile`` only when a cache file is
-written, so a query answered from the cache loads neither.
+A task builds its automaton and its (w, masks) table once for all its
+branches, which one task per branch would repeat.  A worker that dies
+takes the pool down with it; ``scan`` re-raises the pool's
+BrokenProcessPool as WorkerDiedError, which ``cli.main`` reports as an
+internal failure (exit 3).  The pool machinery (``concurrent.futures``,
+``multiprocessing``) is imported only when a scan goes to the pool, and
+``tempfile`` only when a cache file is written, so a query answered from
+the cache loads neither.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ import json
 import math
 import os
 import sys
+from collections import defaultdict
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -292,6 +296,29 @@ class _Partitions:
         return target
 
 
+def _hall_keys(w: int, masks: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Monomials of the admissible colorings of a map with w white vertices
+    and black vertex i next to the whites of bitmask ``masks[i]``: one per
+    composition of w that passes Hall's condition, none when w < b."""
+    b = len(masks)
+    full = 1 << b
+    nbr = [0] * full
+    for a in range(1, full):
+        low = a & -a
+        nbr[a] = nbr[a ^ low] | masks[low.bit_length() - 1]
+    need = [0] * full
+    keys = []
+    for comp in compositions(w, b, 1):
+        for a in range(1, full - 1):
+            low = a & -a
+            req = need[a] = need[a ^ low] + comp[low.bit_length() - 1]
+            if nbr[a].bit_count() <= req:
+                break
+        else:
+            keys.append(tuple(sorted((x + 1 for x in comp), reverse=True)))
+    return keys
+
+
 def _scan_branch(
     task: tuple[int, tuple[tuple[int, int | None], ...], int],
 ) -> tuple[int, int, dict[tuple[int, ...], int]]:
@@ -304,6 +331,10 @@ def _scan_branch(
     Each such matching M counts with weight L*|O_tau|/c_tau(M) (module
     docstring).
 
+    A leaf adds its weight to ``agg[black state][white state]``; after each
+    branch a pass moves each pair's weight to ``graphs[(w, masks)]``, which
+    ``_hall_keys`` classifies once per call (module docstring).
+
     Returns (leaves, weighted matching total, {monomial parts: weighted
     raw count}); ``_exact_tallies`` divides the totals of all branches by L.
     """
@@ -311,15 +342,13 @@ def _scan_branch(
     m = 2 * n
     table, reps, sizes = _type_table(n, black_parity)
     denominator = _weight_denominator(n)
-    tally: dict[tuple[int, ...], int] = {}
-    singles = [0] * (m + 1)  # weighted b == 1 leaves, by white count
     leaves = 0
-    total = 0
     # per branch: step[a][b] is -1 for a banned pair or one of an earlier
     # type, else the number of type-tau pairs it adds; weights[c] the
-    # weight at c of them
+    # weight at c of them; agg[bs][ws] the weight of the leaves at (bs, ws)
     step: list[list[int]] = []
     weights: list[int] = []
+    agg: defaultdict[int, dict[int, int]] = defaultdict(dict)
 
     automaton = _Partitions(n)
     merge, trans = automaton.merge, automaton.trans
@@ -335,57 +364,15 @@ def _scan_branch(
     white = [[code(i, j, 1 - black_parity) for j in range(m)] for i in range(m)]
     # the white elements next to each black element
     around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(black_parity, m, 2)]
-    hall_memo: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
-    pair_memo: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-
-    def hall_keys(w: int, masks: list[int]) -> list[tuple[int, ...]]:
-        # monomials of the admissible colorings of one black/white adjacency
-        b = len(masks)
-        full = 1 << b
-        nbr = [0] * full
-        for a in range(1, full):
-            low = a & -a
-            nbr[a] = nbr[a ^ low] | masks[low.bit_length() - 1]
-        need = [0] * full
-        keys = []
-        for comp in compositions(w, b, 1):
-            for a in range(1, full - 1):
-                low = a & -a
-                req = need[a] = need[a ^ low] + comp[low.bit_length() - 1]
-                if nbr[a].bit_count() <= req:
-                    break
-            else:
-                keys.append(tuple(sorted((x + 1 for x in comp), reverse=True)))
-        return keys
+    # weight by (w, masks), over all branches
+    graphs: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def leaf(same: int, bs: int, ws: int) -> None:
-        # every pair but the matching's last is merged, and the last merges
-        # nothing (module docstring): the blocks are the map's vertices
-        nonlocal leaves, total
-        weight = weights[same]
+        # before the matching's last pair, which merges nothing (module docstring)
+        nonlocal leaves
         leaves += 1
-        total += weight
-        b = blocks[bs]
-        w = blocks[ws]
-        if w < b:
-            return
-        if b == 1:
-            singles[w] += weight
-            return
-        row = pair_memo.setdefault(bs, {})
-        keys = row.get(ws)
-        if keys is None:
-            black_labels, white_labels = strings[bs], strings[ws]
-            masks = [0] * b
-            for e, (x, y) in enumerate(around):
-                masks[black_labels[e]] |= 1 << white_labels[x] | 1 << white_labels[y]
-            key = (w, tuple(masks))
-            keys = hall_memo.get(key)
-            if keys is None:
-                keys = hall_memo[key] = hall_keys(w, masks)
-            row[ws] = keys
-        for parts in keys:
-            tally[parts] = tally.get(parts, 0) + weight
+        row = agg[bs]
+        row[ws] = row.get(ws, 0) + weights[same]
 
     def rec(free: tuple[int, ...], same: int, bs: int, ws: int) -> None:
         # same: the type-tau pairs placed so far; bs, ws: black and white states
@@ -432,25 +419,36 @@ def _scan_branch(
     for tau, k in branches:
         step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
         weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
-        a, b = reps[tau]
+        i, j = reps[tau]
         if k is None:
             # n = 1: the representative is the whole matching
             leaf(1, 0, 0)
-            continue
-        bs, ws = merge(0, black[a][b]), merge(0, white[a][b])
-        free = tuple(s for s in range(m) if s != a and s != b)
-        rest = tuple(s for s in free[1:] if s != k)
-        same = 1 + step[free[0]][k]
-        if rest:
-            rec(rest, same, merge(bs, black[free[0]][k]), merge(ws, white[free[0]][k]))
         else:
-            leaf(same, bs, ws)
+            bs, ws = merge(0, black[i][j]), merge(0, white[i][j])
+            free = tuple(s for s in range(m) if s != i and s != j)
+            rest = tuple(s for s in free[1:] if s != k)
+            same = 1 + step[free[0]][k]
+            if rest:
+                rec(rest, same, merge(bs, black[free[0]][k]), merge(ws, white[free[0]][k]))
+            else:
+                leaf(same, bs, ws)
+        for bs, row in agg.items():
+            b, black_labels = blocks[bs], strings[bs]
+            for ws, weight in row.items():
+                white_labels = strings[ws]
+                masks = [0] * b
+                for e, (x, y) in enumerate(around):
+                    masks[black_labels[e]] |= 1 << white_labels[x] | 1 << white_labels[y]
+                key = (blocks[ws], tuple(masks))
+                graphs[key] = graphs.get(key, 0) + weight
+        agg.clear()
 
     del rec  # it refers to itself: free the tables now, not at the next gc
-    for w, c in enumerate(singles):
-        if c:
-            tally[(w + 1,)] = tally.get((w + 1,), 0) + c
-    return leaves, total, tally
+    tally: dict[tuple[int, ...], int] = {}
+    for (w, masks), weight in graphs.items():
+        for parts in _hall_keys(w, masks):
+            tally[parts] = tally.get(parts, 0) + weight
+    return leaves, sum(graphs.values()), tally
 
 
 def _exact_tallies(
@@ -495,6 +493,8 @@ def scan(
     """Tallies over every matching of the 2n-gon by the weighted orbit sum,
     or from the cache when ``cache_dir`` holds a valid file for n."""
     check_limit(n, force)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if cache_dir is not None:
         cached = load_cache(cache_dir, n)
         if cached is not None:

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import oracle
 import zkerov.engine as engine
-from zkerov.admissibility import Monomial, enumerate_q
+from zkerov.admissibility import (
+    BipartiteGraph,
+    Monomial,
+    candidate_colorings,
+    enumerate_q,
+    hall_condition,
+)
 from zkerov.cli import main
 from zkerov.engine import (
     InternalConsistencyError,
@@ -295,6 +301,35 @@ class TestScanKernel:
         for n, expected in serial.items():
             got = scan(n, threads=2)
             assert got.tallies == expected.tallies
+
+    @pytest.mark.parametrize("n, threads", [(7, 0), (8, 0), (8, -2)])
+    def test_threads_below_one_are_rejected_before_any_work(self, monkeypatch, n, threads):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(engine, "_scan_branch", no_work)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            scan(n, threads=threads)
+        assert main(["expand", "--n", str(n), "--threads", str(threads)]) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda b: st.integers(1, 6).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.integers(0, (1 << w) - 1), min_size=b, max_size=b),
+    ))))
+    def test_hall_keys_match_the_admissibility_oracle(self, case):
+        """Every leaf of the kernel, a single black or fewer whites than
+        blacks included, is classified by ``_hall_keys``; each composition
+        is its own coloring, so the two sides are compared as multisets."""
+        w, masks = case
+        b = len(masks)
+        edges = tuple((i, b + x) for i, mask in enumerate(masks) for x in range(w) if mask >> x & 1)
+        graph = BipartiteGraph(tuple(range(b)), tuple(range(b, b + w)), edges)
+        expected = Counter(
+            tuple(sorted(q.values(), reverse=True))
+            for q in candidate_colorings(graph) if hall_condition(graph, q)
+        )
+        assert Counter(engine._hall_keys(w, tuple(masks))) == expected
 
 
 def coefficient(n, parts):
