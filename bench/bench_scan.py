@@ -140,7 +140,12 @@ extra = {}
 if kind == "scan" and threads == 1:
     # the matchings the kernel visits, counted after the timed call
     if hasattr(engine, "_branches"):
-        extra["leaves"] = engine._scan_branch((n, tuple(engine._branches(n)), 0))[0]
+        branches = tuple(engine._branches(n))
+        try:
+            extra["leaves"] = engine._scan_branch((n, branches))[0]
+        except ValueError:
+            # an older tree whose task also names the parity of the black corners
+            extra["leaves"] = engine._scan_branch((n, branches, 0))[0]
     else:
         extra["leaves"] = count
 print(json.dumps({"seconds": elapsed, "count": count, **extra}))

@@ -85,10 +85,8 @@ def bipartite_graph(m: GluedMap) -> BipartiteGraph:
     if not m.bipartite:
         raise ValueError("map is not bipartite")
     black = set(m.black_vertices)
-    edges = []
-    for (u, v), _labels in m.graph_edges:
-        edges.append((u, v) if u in black else (v, u))
-    return BipartiteGraph(m.black_vertices, m.white_vertices, tuple(edges))
+    edges = tuple((u, v) if u in black else (v, u) for u, v in m.graph_edges)
+    return BipartiteGraph(m.black_vertices, m.white_vertices, edges)
 
 
 def _as_graph(g: GraphLike) -> BipartiteGraph:

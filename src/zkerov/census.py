@@ -79,7 +79,7 @@ class ColoredMultigraph:
 def underlying_multigraph(m: GluedMap) -> ColoredMultigraph:
     return ColoredMultigraph(
         colors=dict(m.vertex_color),
-        edges=[uv for uv, _labels in m.graph_edges],
+        edges=list(m.graph_edges),
     )
 
 
@@ -246,7 +246,7 @@ def is_reduced_bipartite(m: GluedMap) -> bool:
         return False
     if min(m.degree.values()) < 2:
         return False
-    for (u, v), _labels in m.graph_edges:
+    for u, v in m.graph_edges:
         if m.degree[u] == 2 and m.degree[v] == 2:
             return False
     return not has_bridge(m)

@@ -99,7 +99,9 @@ def build_parser() -> _Parser:
     # census keeps no tallies, so it takes no --cache
     add_common(p, threads_help="accepted and ignored: census runs in one process", cache=False)
     p.add_argument("--genus-doubled", type=int, default=None)
-    p.add_argument("--bipartite", action="store_true", help="matching universe filter")
+    p.add_argument("--bipartite", action="store_true",
+                   help="keep bipartite maps only: a filter on --twisted, since "
+                        "every matching without it glues to a bipartite map")
     p.add_argument("--reduced", action="store_true", help="min degree 3 and bridgeless")
     p.add_argument("--reduced-bipartite", action="store_true")
     p.add_argument("--contributing", action="store_true",

@@ -34,13 +34,13 @@ and leaves c alone: a black vertex of degree 1 with a single white
 neighbour.  There are at least two black classes, so the leaf has w < b
 or fails Hall's condition at {c}; such a matching has no admissible
 coloring and f(M) = 0.  The n banned pairs are disjoint and form one
-whole G-orbit, the last pair type at the package's colors, so the
-matchings without one form a G-invariant universe and the orbit sum over
-it keeps its weights.  At n=8 the kernel visits 128,733 leaves (213,923
-without the ban, 2,027,025 matchings in all).  ``scan`` checks that the
-weights sum to L*A_n, A_n the number of matchings with no banned pair
-(``_unbanned_matchings``), and divides every tally by L, raising
-InternalConsistencyError on a remainder; both checks run on every scan.
+whole G-orbit, the last pair type, so the matchings without one form a
+G-invariant universe and the orbit sum over it keeps its weights.  At
+n=8 the kernel visits 128,733 leaves (213,923 without the ban, 2,027,025
+matchings in all).  ``scan`` checks that the weights sum to L*A_n, A_n
+the number of matchings with no banned pair (``_unbanned_matchings``),
+and divides every tally by L, raising InternalConsistencyError on a
+remainder; both checks run on every scan.
 A statistic kept beside the monomial (a future per-map key) must be
 G-invariant for the same sum to hold; orientability is.  A count over
 matchings rather than admissible colorings (leaves per (b, w), say) sees
@@ -71,13 +71,17 @@ runs once per distinct (w, masks) and gives that weight to each admissible
 monomial: one black vertex has the one monomial (w+1), and w < b has none.
 At n=8 the 128,733 leaves give 23,789 state pairs over the 66 branches and
 662 distinct (w, masks).  Tests cross-validate the kernel against the
-glue()/enumerate_q() path over every matching.
+glue()/enumerate_q() path over every matching and over its image under
+the color swap, the side shift by one (``polygon.shift_gluing``).
 
-Small n runs in-process.  Otherwise the branches of the sum, one per
-(type, partner of the lowest side its representative leaves free) that
-places no banned pair (66 at n=8), are dealt round-robin, largest types
-first, into one task per worker process, and the weighted tallies are
-merged by plain addition, so results are independent of the worker count.
+A branch of the sum is the tuple of side pairs it places first: a type's
+representative and a partner of the lowest side that leaves free, when
+neither is banned (66 branches at n=8; at n=1 the representative alone).
+The kernel enters each branch the same way: it merges the branch's pairs
+and recurses on the sides left free.  Small n runs in-process.
+Otherwise the branches are dealt round-robin, largest types first, into
+one task per worker process, and the weighted tallies are merged by
+plain addition, so results are independent of the worker count.
 A task builds its automaton and its (w, masks) table once for all its
 branches, which one task per branch would repeat.  A worker that dies
 takes the pool down with it; ``scan`` re-raises the pool's
@@ -204,38 +208,37 @@ def _pair_types(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[in
     return table, [rep for _size, rep, _orbit in orbits], [-size for size, _rep, _orbit in orbits]
 
 
-def _type_table(
-    n: int, black_parity: int,
-) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
+def _type_table(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
     """``_pair_types`` with the ban applied: for n >= 2, ``table[a][b]`` is
-    -1 for each of the n side pairs {c-1, c} around a black corner c, which
-    leave c a black vertex of degree 1 (module docstring).  At n = 1 the
-    lone matching is such a pair and has an admissible coloring, so nothing
-    is banned there."""
+    -1 for each of the n side pairs {c-1, c} around a black (even) corner
+    c, which leave c a black vertex of degree 1 (module docstring).  At
+    n = 1 the lone matching is such a pair and has an admissible coloring,
+    so nothing is banned there."""
     table, reps, sizes = _pair_types(n)
     if n >= 2:
         m = 2 * n
-        for c in range(black_parity, m, 2):
+        for c in range(0, m, 2):
             table[(c - 1) % m][c] = table[c][(c - 1) % m] = -1
     return table, reps, sizes
 
 
-def _branches(n: int, black_parity: int = 0) -> list[tuple[int, int | None]]:
-    """Every (type, partner of the lowest side left free by the type's
-    representative) the orbit sum visits, largest types first: 66 branches
-    at n=8, dealt by ``scan`` into one pool task per worker.  The partner is
-    None at n=1, where nothing is left.  Branches that would place a banned
-    pair (``_type_table``) are left out, the banned type among them, so no
+def _branches(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """The branches the orbit sum visits, largest types first: each is the
+    tuple of side pairs it places first, the representative of its type
+    and, unless that is the whole matching (n = 1), the pair of the lowest
+    side it leaves free.  66 branches at n=8, dealt by ``scan`` into one
+    pool task per worker.  Branches that would place a banned pair
+    (``_type_table``) are left out, the banned type among them, so no
     branch is empty."""
-    table, reps, _sizes = _type_table(n, black_parity)
-    out: list[tuple[int, int | None]] = []
+    table, reps, _sizes = _type_table(n)
+    out: list[tuple[tuple[int, int], ...]] = []
     for tau, (a, b) in enumerate(reps):
         if table[a][b] < 0:
             continue
         free = [s for s in range(2 * n) if s != a and s != b]
         if not free:
-            out.append((tau, None))
-        out.extend((tau, k) for k in free[1:] if table[free[0]][k] >= tau)
+            out.append(((a, b),))
+        out.extend(((a, b), (free[0], k)) for k in free[1:] if table[free[0]][k] >= tau)
     return out
 
 
@@ -320,16 +323,15 @@ def _hall_keys(w: int, masks: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _scan_branch(
-    task: tuple[int, tuple[tuple[int, int | None], ...], int],
+    task: tuple[int, tuple[tuple[tuple[int, int], ...], ...]],
 ) -> tuple[int, int, dict[tuple[int, ...], int]]:
     """Weighted tallies of the matchings on the given branches.
 
-    ``task`` is ``(n, branches, black_parity)`` with branches from
-    ``_branches(n, black_parity)``; a branch (tau, k) covers the matchings
-    that contain the representative of type tau and the pair (lowest free
-    side, k), and neither a pair of an earlier type nor a banned pair.
-    Each such matching M counts with weight L*|O_tau|/c_tau(M) (module
-    docstring).
+    ``task`` is ``(n, branches)`` with branches from ``_branches(n)``; a
+    branch covers the matchings that contain its pairs, the first the
+    representative of a type tau, and neither a pair of an earlier type
+    nor a banned pair.  Each such matching M counts with weight
+    L*|O_tau|/c_tau(M) (module docstring).
 
     A leaf adds its weight to ``agg[black state][white state]``; after each
     branch a pass moves each pair's weight to ``graphs[(w, masks)]``, which
@@ -338,9 +340,9 @@ def _scan_branch(
     Returns (leaves, weighted matching total, {monomial parts: weighted
     raw count}); ``_exact_tallies`` divides the totals of all branches by L.
     """
-    n, branches, black_parity = task
+    n, branches = task
     m = 2 * n
-    table, reps, sizes = _type_table(n, black_parity)
+    table, _reps, sizes = _type_table(n)
     denominator = _weight_denominator(n)
     leaves = 0
     # per branch: step[a][b] is -1 for a banned pair or one of an earlier
@@ -360,10 +362,10 @@ def _scan_branch(
         flip = (i ^ parity) & 1
         return automaton.code((i + flip) % m // 2, (j + ((i ^ j) & 1 ^ flip)) % m // 2)
 
-    black = [[code(i, j, black_parity) for j in range(m)] for i in range(m)]
-    white = [[code(i, j, 1 - black_parity) for j in range(m)] for i in range(m)]
+    black = [[code(i, j, 0) for j in range(m)] for i in range(m)]
+    white = [[code(i, j, 1) for j in range(m)] for i in range(m)]
     # the white elements next to each black element
-    around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(black_parity, m, 2)]
+    around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(0, m, 2)]
     # weight by (w, masks), over all branches
     graphs: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -416,22 +418,20 @@ def _scan_branch(
                 w = merge(ws, white_row[x])
             rec(free[1:k] + free[k + 1:], same + d, b, w)
 
-    for tau, k in branches:
+    for branch in branches:
+        a, b = branch[0]
+        tau = table[a][b]
         step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
         weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
-        i, j = reps[tau]
-        if k is None:
-            # n = 1: the representative is the whole matching
-            leaf(1, 0, 0)
+        same = bs = ws = 0
+        for i, j in branch:
+            same += step[i][j]
+            bs, ws = merge(bs, black[i][j]), merge(ws, white[i][j])
+        free = tuple(s for s in range(m) if all(s not in pair for pair in branch))
+        if free:
+            rec(free, same, bs, ws)
         else:
-            bs, ws = merge(0, black[i][j]), merge(0, white[i][j])
-            free = tuple(s for s in range(m) if s != i and s != j)
-            rest = tuple(s for s in free[1:] if s != k)
-            same = 1 + step[free[0]][k]
-            if rest:
-                rec(rest, same, merge(bs, black[free[0]][k]), merge(ws, white[free[0]][k]))
-            else:
-                leaf(same, bs, ws)
+            leaf(same, bs, ws)
         for bs, row in agg.items():
             b, black_labels = blocks[bs], strings[bs]
             for ws, weight in row.items():
@@ -502,12 +502,12 @@ def scan(
 
     branches = _branches(n)
     if threads == 1 or n < POOL_MIN_N:
-        raw_results = [_scan_branch((n, tuple(branches), 0))]
+        raw_results = [_scan_branch((n, tuple(branches)))]
     else:
         from concurrent.futures.process import BrokenProcessPool
 
         count = min(threads, len(branches))
-        tasks = [(n, tuple(branches[k::count]), 0) for k in range(count)]
+        tasks = [(n, tuple(branches[k::count])) for k in range(count)]
         try:
             with ProcessPoolExecutor(max_workers=count) as pool:
                 raw_results = list(pool.map(_scan_branch, tasks))

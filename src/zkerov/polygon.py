@@ -78,8 +78,8 @@ class GluedMap(NamedTuple):
     """The one-face map obtained from a gluing.
 
     Vertex ids are the minimal corner index of each identified corner
-    class.  ``graph_edges`` holds one entry per glued side pair: the two
-    endpoint vertices (sorted) and the two side indices that were glued.
+    class.  ``graph_edges`` holds one entry per glued side pair, in the
+    order of ``Gluing.pairs()``: its two endpoint vertices, sorted.
     """
 
     n: int
@@ -90,7 +90,7 @@ class GluedMap(NamedTuple):
     doubled_genus: int
     black_vertices: tuple[int, ...]
     white_vertices: tuple[int, ...]
-    graph_edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    graph_edges: tuple[tuple[int, int], ...]
     bipartite: bool
 
     @property
@@ -214,12 +214,11 @@ def _gluings(n: int, twisted: bool, doubled_genus: int | None) -> Iterator[Gluin
         yield from rec(0, n, m)
 
 
-def glue(gluing: Gluing, black_parity: int = 0) -> GluedMap:
-    """Build the one-face map of a gluing.
+def glue(gluing: Gluing) -> GluedMap:
+    """Build the one-face map of a gluing, with the even corners black.
 
-    ``black_parity`` selects which corner parity is colored black
-    (the default 0 is the package convention; 1 swaps colors, used to
-    assert the color-swap symmetry of all counts).
+    The color swap of a matching's map is the map of its odd side shift,
+    ``glue(shift_gluing(gluing, 1))``.
     """
     p = gluing.pairing
     m = len(p)
@@ -263,7 +262,7 @@ def glue(gluing: Gluing, black_parity: int = 0) -> GluedMap:
     degree: dict[int, int] = {}
     for r, members in classes.items():
         parities = {c % 2 for c in members}
-        if parities == {black_parity}:
+        if parities == {0}:
             vertex_color[r] = BLACK
         elif len(parities) == 1:
             vertex_color[r] = WHITE
@@ -280,7 +279,7 @@ def glue(gluing: Gluing, black_parity: int = 0) -> GluedMap:
         v = vertex_of[(i + 1) % m]
         if u > v:
             u, v = v, u
-        edges.append(((u, v), (i, j)))
+        edges.append((u, v))
         if u == v or vertex_color[u] == vertex_color[v]:
             bipartite = False
 
@@ -310,17 +309,7 @@ def rotate_gluing(g: Gluing, r: int) -> Gluing:
 def shift_gluing(g: Gluing, t: int) -> Gluing:
     """Shift every side index by t mod 2n (odd t swaps corner colors)."""
     m = 2 * g.n
-    p = g.pairing
-    new_p = [0] * m
-    for i in range(m):
-        new_p[(i + t) % m] = (p[i] + t) % m
-    new_tw = None
-    if g.twists is not None:
-        tw = [False] * m
-        for i in range(m):
-            tw[(i + t) % m] = g.twists[i]
-        new_tw = tuple(tw)
-    return Gluing(tuple(new_p), new_tw)
+    return _relabel_sides(g, [(s + t) % m for s in range(m)])
 
 
 def reflect_gluing(g: Gluing, k: int = 0) -> Gluing:
@@ -330,14 +319,18 @@ def reflect_gluing(g: Gluing, k: int = 0) -> Gluing:
     inside each identification pattern but keep the pattern itself).
     """
     m = 2 * g.n
-    p = g.pairing
-    new_p = [0] * m
-    for i in range(m):
-        new_p[(k - 1 - i) % m] = (k - 1 - p[i]) % m
-    new_tw = None
+    return _relabel_sides(g, [(k - 1 - s) % m for s in range(m)])
+
+
+def _relabel_sides(g: Gluing, image: list[int]) -> Gluing:
+    """Move the pairing and the twist flags by the side map s -> image[s]."""
+    pairing = [0] * len(image)
+    for s, t in enumerate(g.pairing):
+        pairing[image[s]] = image[t]
+    twists = None
     if g.twists is not None:
-        tw = [False] * m
-        for i in range(m):
-            tw[(k - 1 - i) % m] = g.twists[i]
-        new_tw = tuple(tw)
-    return Gluing(tuple(new_p), new_tw)
+        flags = [False] * len(image)
+        for s, flag in enumerate(g.twists):
+            flags[image[s]] = flag
+        twists = tuple(flags)
+    return Gluing(tuple(pairing), twists)

@@ -20,12 +20,14 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from typing import Callable, NamedTuple
 
 from . import engine
 from .admissibility import (
     Monomial,
     candidate_colorings,
+    enumerate_q,
     hall_condition,
     orientation_walk_condition,
 )
@@ -52,6 +54,7 @@ from .polygon import (
     enumerate_twisted_gluings,
     glue,
     rotate_gluing,
+    shift_gluing,
 )
 
 ScanOf = Callable[[int], ScanResult]
@@ -260,18 +263,18 @@ def _check_reduction(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
 def _check_determinism(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     n = min(max_n, 5)
     branches = tuple(engine._branches(n))
-    one = engine._scan_branch((n, branches, 0))
-    split = [engine._scan_branch((n, branches[k::3], 0)) for k in range(3)]
+    one = engine._scan_branch((n, branches))
+    split = [engine._scan_branch((n, branches[k::3])) for k in range(3)]
     assert engine._exact_tallies(n, split) == engine._exact_tallies(n, [one])
     return f"partitioned enumeration merge equals the single pass at n={n}"
 
 
-def _check_color_swap(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
+def _check_color_swap(max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> str:
     n = min(max_n, 4)
-    # the ban follows the black corners, so each parity has its own branches
-    plain = engine._scan_branch((n, tuple(engine._branches(n, 0)), 0))[2]
-    swapped = engine._scan_branch((n, tuple(engine._branches(n, 1)), 1))[2]
-    assert plain == swapped
+    # the odd side shift colors the even corners of each matching white
+    swapped = Counter(mono for g in enumerate_gluings(n)
+                      for _q, mono in enumerate_q(glue(shift_gluing(g, 1))))
+    assert scan_of(n).tallies == swapped
     return f"per-monomial totals are invariant under the black/white swap at n={n}"
 
 

@@ -30,7 +30,14 @@ from zkerov.engine import (
     strata,
     write_cache,
 )
-from zkerov.polygon import double_factorial, enumerate_gluings, glue, reflect_gluing, rotate_gluing
+from zkerov.polygon import (
+    double_factorial,
+    enumerate_gluings,
+    glue,
+    reflect_gluing,
+    rotate_gluing,
+    shift_gluing,
+)
 
 
 class TestRescaling:
@@ -81,19 +88,22 @@ def merged(results):
     return total, tally
 
 
-def monomial_multiset(g, black_parity):
-    return Counter(mono.parts for _q, mono in enumerate_q(glue(g, black_parity)))
+def monomial_multiset(g):
+    return Counter(mono.parts for _q, mono in enumerate_q(glue(g)))
 
 
 class TestOrbitSymmetry:
     """The orbit sum relies on every element of the color-preserving
     dihedral group keeping a gluing's admissible-coloring monomials; the
-    check runs on glue()/enumerate_q(), which share no code with the kernel."""
+    check runs on glue()/enumerate_q(), which share no code with the kernel,
+    for each matching and (shift 1) for its color swap."""
 
-    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_rotations_and_color_preserving_reflections_keep_monomials(self, n, black_parity):
-        counts = {g.pairing: monomial_multiset(g, black_parity) for g in enumerate_gluings(n)}
+    def test_rotations_and_color_preserving_reflections_keep_monomials(self, n, shift):
+        counts = {
+            g.pairing: monomial_multiset(shift_gluing(g, shift)) for g in enumerate_gluings(n)
+        }
         for g in enumerate_gluings(n):
             images = [rotate_gluing(g, r) for r in range(n)]
             images += [reflect_gluing(g, k) for k in range(0, 2 * n, 2)]
@@ -120,50 +130,66 @@ class TestOrbitSymmetry:
         assert len(engine._pair_types(8)[1]) == 12
         assert len(engine._branches(8)) == 66
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_a_branch_is_a_representative_and_a_partner_of_the_lowest_free_side(self, n):
+        table, reps, _sizes = engine._type_table(n)
+        taus = []
+        for (a, b), (i, k) in engine._branches(n):
+            tau = table[a][b]
+            assert tau >= 0 and (a, b) == reps[tau]
+            assert i == min(set(range(2 * n)) - {a, b}) and table[i][k] >= tau
+            taus.append(tau)
+        assert taus == sorted(taus)
 
-def banned_pairs(n, black_parity):
-    """The side pairs {c-1, c} around the black corners c; side s joins
-    corners s and s+1."""
+
+def banned_pairs(n, parity):
+    """The side pairs {c-1, c} around the corners c of the given parity
+    (0: the black corners); side s joins corners s and s+1."""
     m = 2 * n
-    return {tuple(sorted(((c - 1) % m, c))) for c in range(black_parity, m, 2)}
+    return {tuple(sorted(((c - 1) % m, c))) for c in range(parity, m, 2)}
 
 
 class TestBan:
     """The kernel never places a pair around a black corner (n >= 2).  The
     premise is checked on glue()/enumerate_q(), which share no code with
-    the kernel."""
+    the kernel; shift 1 checks it on the color swap, where the pairs around
+    the odd corners of a matching become pairs around black corners."""
 
-    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_gluings_with_a_banned_pair_have_no_admissible_coloring(self, n, black_parity):
-        banned = banned_pairs(n, black_parity)
+    def test_gluings_with_a_banned_pair_have_no_admissible_coloring(self, n, shift):
+        banned = banned_pairs(n, shift)
         held = 0
         for g in enumerate_gluings(n):
             if banned.isdisjoint(g.pairs()):
                 continue
             held += 1
-            assert next(enumerate_q(glue(g, black_parity)), None) is None, g
+            assert next(enumerate_q(glue(shift_gluing(g, shift))), None) is None, g
         assert held == double_factorial(2 * n - 1) - engine._unbanned_matchings(n)
 
-    @pytest.mark.parametrize("black_parity", [0, 1])
-    def test_lone_matching_at_one_is_not_banned(self, black_parity):
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_lone_matching_at_one_is_not_banned(self, shift):
         [g] = enumerate_gluings(1)
-        assert g.pairs() == [(0, 1)] and banned_pairs(1, black_parity) == {(0, 1)}
-        assert [mono.parts for _q, mono in enumerate_q(glue(g, black_parity))] == [(2,)]
-        assert engine._type_table(1, black_parity)[0][0][1] == 0
-        assert engine._branches(1, black_parity) == [(0, None)]
+        assert g.pairs() == [(0, 1)] and banned_pairs(1, shift) == {(0, 1)}
+        assert [mono.parts for _q, mono in enumerate_q(glue(shift_gluing(g, shift)))] == [(2,)]
+        assert engine._type_table(1)[0][0][1] == 0
+        assert engine._branches(1) == [((0, 1),)]
 
-    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-    def test_the_banned_pairs_are_one_whole_type(self, n, black_parity):
-        table = engine._type_table(n, black_parity)[0]
+    def test_the_banned_pairs_are_one_whole_type(self, n, shift):
+        """The kernel's banned pairs are the last type; moved by the color
+        swap they are the pairs around the odd corners, again one whole
+        type, since the side shift by one maps G-orbits onto G-orbits."""
+        table = engine._type_table(n)[0]
         m = 2 * n
         got = {(a, b) for a in range(m) for b in range(a + 1, m) if table[a][b] < 0}
-        assert got == banned_pairs(n, black_parity)
+        moved = {tuple(sorted(((a + shift) % m, (b + shift) % m))) for a, b in got}
+        assert moved == banned_pairs(n, shift)
         types, _reps, sizes = engine._pair_types(n)
-        [tau] = {types[a][b] for a, b in got}
+        [tau] = {types[a][b] for a, b in moved}
         assert sizes[tau] == n
-        if black_parity == 0:
+        if shift == 0:
             assert tau == len(sizes) - 1
 
     def test_unbanned_matchings_equal_a_brute_count(self):
@@ -180,15 +206,16 @@ class TestBan:
 
 
 class TestScanKernel:
-    @pytest.mark.parametrize("black_parity", [0, 1])
+    @pytest.mark.parametrize("shift", [0, 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_matches_glue_enumerate_q_reference(self, n, black_parity):
+    def test_matches_glue_enumerate_q_reference(self, n, shift):
+        """The kernel's one coloring against every matching's map, or
+        (shift 1) against the color swap of every matching's map."""
         expected: dict[tuple[int, ...], int] = {}
         for g in enumerate_gluings(n):
-            for _q, mono in enumerate_q(glue(g, black_parity)):
+            for _q, mono in enumerate_q(glue(shift_gluing(g, shift))):
                 expected[mono.parts] = expected.get(mono.parts, 0) + 1
-        branches = tuple(engine._branches(n, black_parity))
-        result = engine._scan_branch((n, branches, black_parity))
+        result = engine._scan_branch((n, tuple(engine._branches(n))))
         assert engine._exact_tallies(n, [result]) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -251,9 +278,9 @@ class TestScanKernel:
     def test_task_splits_merge_to_the_single_pass(self):
         n = 6
         branches = engine._branches(n)
-        single = engine._scan_branch((n, tuple(branches), 0))
-        by_branch = merged(engine._scan_branch((n, (branch,), 0)) for branch in branches)
-        by_thirds = merged(engine._scan_branch((n, tuple(branches[k::3]), 0)) for k in range(3))
+        single = engine._scan_branch((n, tuple(branches)))
+        by_branch = merged(engine._scan_branch((n, (branch,))) for branch in branches)
+        by_thirds = merged(engine._scan_branch((n, tuple(branches[k::3]))) for k in range(3))
         assert by_branch == single[1:]
         assert by_thirds == single[1:]
 
@@ -281,14 +308,14 @@ class TestScanKernel:
         monkeypatch.setattr(engine, "POOL_MIN_N", n)
         monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
         got = scan(n, threads=threads)
-        dealt = [branch for _n, branches, _parity in tasks for branch in branches]
+        dealt = [branch for _n, branches in tasks for branch in branches]
         assert sorted(dealt) == sorted(engine._branches(n))
         assert len(tasks) == min(threads, len(engine._branches(n)))
         assert got.tallies == scan(n, threads=1).tallies
 
     def test_visited_matchings_are_pinned(self):
         # about one in thirteen of the (2n-1)!! matchings at n=7
-        leaves = [engine._scan_branch((n, tuple(engine._branches(n)), 0))[0] for n in range(1, 8)]
+        leaves = [engine._scan_branch((n, tuple(engine._branches(n))))[0] for n in range(1, 8)]
         assert leaves == [1, 2, 4, 19, 109, 938, 10026]
 
     def test_small_n_runs_in_process(self, monkeypatch):

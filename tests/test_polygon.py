@@ -126,9 +126,10 @@ def test_glue_invariants_exhaustive_small():
             assert m.doubled_genus >= 0
             assert m.bipartite
             black = set(m.black_vertices)
-            for (u, v), (i, j) in m.graph_edges:
+            assert len(m.graph_edges) == n
+            for (u, v), (i, _j) in zip(m.graph_edges, g.pairs()):
                 assert (u in black) != (v in black)
-                assert g.pairing[i] == j
+                assert (u, v) == tuple(sorted((m.vertex_of[i], m.vertex_of[(i + 1) % (2 * n)])))
 
 
 def test_twisted_glue_can_mix_colors():
@@ -187,10 +188,16 @@ def test_reflection_and_shift_are_involutive_symmetries():
 
 
 def test_color_swap_is_an_automorphism_of_counts():
-    for n in (2, 3):
+    """The odd side shift swaps the colors: its map has the original's
+    white vertices, by count and degree, as its black ones, and the
+    reverse."""
+
+    def degrees(m, vertices):
+        return sorted(m.degree[v] for v in vertices)
+
+    for n in range(1, 6):
         for g in enumerate_gluings(n):
-            m0 = glue(g, black_parity=0)
-            m1 = glue(g, black_parity=1)
-            assert len(m0.black_vertices) == len(m1.white_vertices)
-            assert len(m0.white_vertices) == len(m1.black_vertices)
-            assert m0.euler_char == m1.euler_char
+            m, swapped = glue(g), glue(shift_gluing(g, 1))
+            assert degrees(swapped, swapped.black_vertices) == degrees(m, m.white_vertices), g
+            assert degrees(swapped, swapped.white_vertices) == degrees(m, m.black_vertices), g
+            assert swapped.euler_char == m.euler_char
