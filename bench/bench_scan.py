@@ -21,12 +21,16 @@ the reported figure is the median over repeats:
   of which the kernel visits only a fraction;
 * ``ns_per_leaf``: single-thread time divided by the ``leaves`` below;
 * ``scan_rss_mb``: the peak RSS, read by ``os.wait4``, of a fresh
-  interpreter (with its pool workers) running single-thread ``scan(8)``,
+  interpreter (with its worker processes) running single-thread ``scan(8)``,
   ``scan(9, threads=2, force=True)`` and ``scan(10, threads=2,
   force=True)``, the three timed above;
 * ``leaves``: the matchings the scan kernel visits at n = 5..8, counted
   after the timed call: one kernel call over every branch of the orbit
   sum, or (2n-1)!! for a tree whose kernel is the full pass;
+* ``task_leaves``: the leaves of each of the two tasks that
+  ``scan(n, threads=2)`` deals at n = 8 and 9, counted once per side in
+  its own interpreter before the timed calls (the larger task sets the
+  time of a two-worker scan);
 * ``census_twisted_s``: ``census --reduced --twisted --max-n 6`` and
   ``census_contrib_s``: ``census --reduced-bipartite --contributing
   --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
@@ -76,6 +80,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE_NS = (5, 6, 7, 8)
 PARALLEL = ((8, 2), (9, 2), (10, 2))  # (n, threads)
+TASK_NS = (8, 9)
 RSS_SCANS = ("n8_t1", "n9_t2", "n10_t2")
 CENSUS = {
     "census_twisted_s": ("6", ["--reduced", "--twisted", "--max-n", "6"]),
@@ -105,6 +110,19 @@ if kind == "import":
     print('{"seconds": %r, "count": %d}' % (elapsed, len(sys.modules)))
     sys.exit()
 import contextlib, io, json
+if kind == "tasks":
+    from zkerov import engine
+    task_leaves = {}
+    for n in map(int, args):
+        if hasattr(engine, "_tasks"):
+            tasks = engine._tasks(n, 2)
+        else:
+            # an older tree, which dealt its branches round-robin
+            branches = tuple(engine._branches(n))
+            tasks = [(n, branches[k::2]) for k in range(2)]
+        task_leaves[str(n)] = [engine._scan_branch(task)[0] for task in tasks]
+    print(json.dumps({"task_leaves": task_leaves}))
+    sys.exit()
 if kind == "scan":
     from zkerov import engine
     n, threads = int(args[0]), int(args[1])
@@ -153,7 +171,7 @@ print(json.dumps({"seconds": elapsed, "count": count, **extra}))
 
 
 def run_child(src: Path, kind: str, args: list[str]) -> dict:
-    """One child; ``rss_mb`` is the peak RSS of it and its pool workers,
+    """One child; ``rss_mb`` is the peak RSS of it and its worker processes,
     from ``os.wait4`` (the child's stderr goes to this one's)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.Popen(
@@ -260,8 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-scan-") as tmp:
         work = Path(tmp)
         warm = {label: work / f"warm-{label}" for label, _src in sides}
+        task_leaves = {}
         for label, src in sides:
             run_cli(src, [*QUERY, "--cache", str(warm[label])])
+            task_leaves[label] = run_child(src, "tasks", [str(n) for n in TASK_NS])["task_leaves"]
         for rep in range(args.repeats):
             order = sides if rep % 2 == 0 else sides[::-1]
             for key, (kind, child_args) in jobs.items():
@@ -305,6 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             "scan_rss_mb": {key: round(statistics.median(xs), 1)
                             for key, xs in rss[label].items()},
             "leaves": {str(n): leaves[label][f"n{n}_t1"] for n in SINGLE_NS},
+            "task_leaves": task_leaves[label],
             **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
             **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM},

@@ -11,9 +11,9 @@ integer-precision surprises.  Identical inputs produce byte-identical
 JSON regardless of --threads.
 
 Each subcommand imports what it runs: ``census`` and ``selftest`` load
-their modules when they are chosen, and the engine loads the process pool
-only for a scan that uses it, so a query answered from the cache pays for
-neither.
+their modules when they are chosen, so a query answered from the cache
+pays for neither, and the engine forks its scan workers directly, without
+loading ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"zkerov: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except WorkerDiedError as exc:
-        print(f"zkerov: internal failure: a worker process died ({exc})", file=sys.stderr)
+        print(f"zkerov: internal failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"zkerov: error: {exc}", file=sys.stderr)

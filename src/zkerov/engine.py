@@ -61,46 +61,59 @@ boundary circle on its own: s and t form one circle and already share the
 class of their black ends and that of their white ends, which are exactly
 the corners the last pair identifies.  So no leaf merges anything: the
 blocks of the two states before the last pair are the map's b black and w
-white vertices.  With four sides left, both pairs of each of the three
-completions are tested against the type table before the first one is
-merged.  A leaf only adds its weight to a table keyed by (black state,
-white state).  After each branch one pass reads each state pair once, adds
-its weight to the call's weight of (w, black/white adjacency masks), read
-off the two states, and empties the table.  At the end Hall's condition
-runs once per distinct (w, masks) and gives that weight to each admissible
-monomial: one black vertex has the one monomial (w+1), and w < b has none.
-At n=8 the 128,733 leaves give 23,789 state pairs over the 66 branches and
-662 distinct (w, masks).  Tests cross-validate the kernel against the
-glue()/enumerate_q() path over every matching and over its image under
-the color swap, the side shift by one (``polygon.shift_gluing``).
+white vertices.  The frame of the recursion with six free sides places the
+last two pairs too: for each partner of its first side it tests both pairs
+of each of the three completions of the other four against the type table
+and merges only the first.  A leaf only adds its weight to a table keyed by
+(black state, white state), inline in that frame.  After each branch one
+pass reads each state pair once, adds its weight to the call's weight of
+(w, black/white adjacency masks), read off the two states, and empties the
+table.  At the end Hall's condition runs once per distinct (w, masks) and
+gives that weight to each admissible monomial: one black vertex has the
+one monomial (w+1), and w < b has none.  At n=8 the 128,733 leaves give
+23,789 state pairs over the 66 branches and 662 distinct (w, masks).
+Tests cross-validate the kernel against the glue()/enumerate_q() path
+over every matching and over its image under the color swap, the side
+shift by one (``polygon.shift_gluing``).
 
 A branch of the sum is the tuple of side pairs it places first: a type's
 representative and a partner of the lowest side that leaves free, when
 neither is banned (66 branches at n=8; at n=1 the representative alone).
 The kernel enters each branch the same way: it merges the branch's pairs
-and recurses on the sides left free.  Small n runs in-process.
-Otherwise the branches are dealt round-robin, largest types first, into
-one task per worker process, and the weighted tallies are merged by
-plain addition, so results are independent of the worker count.
-A task builds its automaton and its (w, masks) table once for all its
-branches, which one task per branch would repeat.  A worker that dies
-takes the pool down with it; ``scan`` re-raises the pool's
-BrokenProcessPool as WorkerDiedError, which ``cli.main`` reports as an
-internal failure (exit 3).  The pool machinery (``concurrent.futures``,
-``multiprocessing``) is imported only when a scan goes to the pool, and
-``tempfile`` only when a cache file is written, so a query answered from
+and recurses on the sides left free, or, with fewer than six left (n <= 4),
+places every completion there.  Small n runs in-process.  Otherwise the
+branches, largest types first, are dealt into one task per worker in
+boustrophedon order (0, 1, ..., k-1, k-1, ..., 0, 0, 1, ...), which at
+n=8 gives the two tasks 64,751 and 63,982 leaves where round-robin gave
+67,481 and 61,252.  The weighted tallies are merged by plain addition, so
+results are independent of the worker count.  A task builds its automaton
+and its (w, masks) table once for all its branches, which one task per
+branch would repeat.
+
+Each task runs in a child forked for it (``_fork_map``), which sends its
+marshalled result back through a pipe and leaves by ``os._exit``.  A child
+that exits non-zero, is killed or sends a short result, or whose kernel
+raises, makes ``scan`` raise WorkerDiedError, which ``cli.main`` reports as
+an internal failure (exit 3); the other children are then killed, and
+every child is reaped.  Where ``os.fork`` is missing the scan runs
+in-process.  A fork copies only the calling thread, so a caller that runs
+threads of its own should scan with threads=1; the CLI starts none.  No
+scan loads ``concurrent.futures`` or ``multiprocessing``, and ``tempfile``
+is imported only when a cache file is written, so a query answered from
 the cache loads neither.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import marshal
 import math
 import os
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 from .admissibility import Monomial
 from .partitions import compositions
@@ -111,12 +124,12 @@ FORCE_N_LIMIT = 10
 
 CACHE_SCHEMA_VERSION = 1
 
-# Smallest n whose scan goes to a process pool; below it pool start-up
-# costs more than it saves.  10 alternated pairs, fresh interpreters, 2-vCPU
-# Intel Xeon, CPython 3.11.7, in-process vs 2 workers, automaton kernel:
-# n=7 27-33 vs 70-92 ms (pool faster in 0-1 of 10, 4 runs); at n=8 the pool
-# was faster in 1, 4, 4, 5, 6 and 9 of 10 in six runs (medians 0.25-0.38 vs
-# 0.21-0.39 s, varying with the host's load), so n=8 stays on the pool.
+# Smallest n whose scan goes to forked workers; below it forking costs more
+# than it saves.  10 alternated pairs, fresh interpreters (imports included),
+# 2-vCPU Intel Xeon, CPython 3.11.7, in-process vs 2 forked children: at n=7
+# the children were faster in 0, 9 and 0 of 10 in three runs (medians 35-37
+# vs 30-47 ms); at n=8 in 4, 10 and 7 of 10 (medians 0.26-0.27 vs
+# 0.16-0.28 s), varying with the host's load, so n=8 stays on the workers.
 POOL_MIN_N = 8
 
 
@@ -126,15 +139,8 @@ class InternalConsistencyError(RuntimeError):
 
 
 class WorkerDiedError(RuntimeError):
-    """A worker process of the scan pool died before returning its tallies."""
-
-
-def ProcessPoolExecutor(max_workers: int) -> Any:
-    """A concurrent.futures.ProcessPoolExecutor, imported on the first call.
-    It keeps the class's name, by which tests replace it."""
-    from concurrent.futures import ProcessPoolExecutor as executor
-
-    return executor(max_workers=max_workers)
+    """A worker process of the scan died, or its kernel raised, before it
+    returned its tallies."""
 
 
 def rescaled_coefficient(n: int, mono: Monomial, raw_count: int) -> int:
@@ -262,18 +268,27 @@ def _weight_denominator(n: int) -> int:
 class _Partitions:
     """Set partitions of range(n) as state ids, built on first use.
 
-    State s is the restricted-growth string ``strings[s]``: element e lies
-    in block ``strings[s][e]``, blocks numbered by their first element, and
-    there are ``blocks[s]`` of them; state 0 has every element alone.
-    ``trans[s][code(u, v)]`` is the state after merging the blocks of u and
-    v, or -1 until ``merge`` first builds it."""
+    State s is the restricted-growth string ``strings[s]``, one byte per
+    element: element e lies in block ``strings[s][e]``, blocks numbered by
+    their first element, and there are ``blocks[s]`` of them; state 0 has
+    every element alone.  ``trans[s][code(u, v)]`` is the state after
+    merging the blocks of u and v, or -1 until ``merge`` first builds it."""
 
     def __init__(self, n: int) -> None:
         self.pairs = [(u, v) for v in range(n) for u in range(v + 1)]
-        self.strings = [tuple(range(n))]
+        self.strings = [bytes(range(n))]
         self.blocks = [n]
         self.trans = [[-1] * len(self.pairs)]
         self.ids = {self.strings[0]: 0}
+        # relabel[keep][drop] moves block drop into block keep < drop and
+        # the blocks after drop down by one: the merged block keeps the
+        # lower label, whose first element comes first
+        labels = self.strings[0]
+        self.relabel = [
+            [bytes.maketrans(labels, bytes(keep if x == drop else x - (x > drop) for x in labels))
+             for drop in range(n)]
+            for keep in range(n)
+        ]
 
     @staticmethod
     def code(u: int, v: int) -> int:
@@ -287,9 +302,7 @@ class _Partitions:
             rgs = self.strings[state]
             keep, drop = sorted((rgs[u], rgs[v]))
             if keep < drop:
-                # the merged block keeps the lower label, whose first element
-                # comes first, and the blocks after the dropped one move down
-                rgs = tuple(keep if x == drop else x - (x > drop) for x in rgs)
+                rgs = rgs.translate(self.relabel[keep][drop])
             target = self.ids.setdefault(rgs, len(self.strings))
             if target == len(self.strings):
                 self.strings.append(rgs)
@@ -320,6 +333,16 @@ def _hall_keys(w: int, masks: tuple[int, ...]) -> list[tuple[int, ...]]:
         else:
             keys.append(tuple(sorted((x + 1 for x in comp), reverse=True)))
     return keys
+
+
+def _pairings(sides: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every perfect matching of ``sides``, as a tuple of pairs."""
+    if not sides:
+        yield ()
+        return
+    for k in range(1, len(sides)):
+        for rest in _pairings(sides[1:k] + sides[k + 1:]):
+            yield ((sides[0], sides[k]),) + rest
 
 
 def _scan_branch(
@@ -369,42 +392,15 @@ def _scan_branch(
     # weight by (w, masks), over all branches
     graphs: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def leaf(same: int, bs: int, ws: int) -> None:
-        # before the matching's last pair, which merges nothing (module docstring)
-        nonlocal leaves
-        leaves += 1
-        row = agg[bs]
-        row[ws] = row.get(ws, 0) + weights[same]
-
     def rec(free: tuple[int, ...], same: int, bs: int, ws: int) -> None:
-        # same: the type-tau pairs placed so far; bs, ws: black and white states
+        # same: the type-tau pairs placed so far; bs, ws: black and white
+        # states; six or more sides are free, and the frame with six places
+        # the last two pairs too (module docstring)
+        nonlocal leaves
         i = free[0]
-        row = step[i]
-        if len(free) == 2:
-            d = row[free[1]]
-            if d >= 0:
-                leaf(same + d, bs, ws)
-            return
-        black_row = black[i]
-        white_row = white[i]
-        black_trans = trans[bs]
-        white_trans = trans[ws]
-        if len(free) == 4:
-            # the last pair merges nothing, so a completion's two pairs are
-            # tested and only the first one is merged
-            _i, j, k, l = free
-            for x, y, z in ((j, k, l), (k, j, l), (l, j, k)):
-                d = row[x]
-                e = step[y][z]
-                if d >= 0 and e >= 0:
-                    b = black_trans[black_row[x]]
-                    if b < 0:
-                        b = merge(bs, black_row[x])
-                    w = white_trans[white_row[x]]
-                    if w < 0:
-                        w = merge(ws, white_row[x])
-                    leaf(same + d + e, b, w)
-            return
+        row, black_row, white_row = step[i], black[i], white[i]
+        black_trans, white_trans = trans[bs], trans[ws]
+        deeper = len(free) > 6
         for k in range(1, len(free)):
             x = free[k]
             d = row[x]
@@ -416,22 +412,52 @@ def _scan_branch(
             w = white_trans[white_row[x]]
             if w < 0:
                 w = merge(ws, white_row[x])
-            rec(free[1:k] + free[k + 1:], same + d, b, w)
+            rest = free[1:k] + free[k + 1:]
+            if deeper:
+                rec(rest, same + d, b, w)
+                continue
+            # four sides left: a completion's two pairs are tested and only
+            # the first is merged, since the last pair merges nothing
+            j, p, q, r = rest
+            row_j, black_j, white_j = step[j], black[j], white[j]
+            black_next, white_next = trans[b], trans[w]
+            for y, u, v in ((p, q, r), (q, p, r), (r, p, q)):
+                e = row_j[y]
+                f = step[u][v]
+                if e >= 0 and f >= 0:
+                    b2 = black_next[black_j[y]]
+                    if b2 < 0:
+                        b2 = merge(b, black_j[y])
+                    w2 = white_next[white_j[y]]
+                    if w2 < 0:
+                        w2 = merge(w, white_j[y])
+                    leaves += 1
+                    cell = agg[b2]
+                    cell[w2] = cell.get(w2, 0) + weights[same + d + e + f]
 
     for branch in branches:
         a, b = branch[0]
         tau = table[a][b]
         step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
         weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
-        same = bs = ws = 0
-        for i, j in branch:
-            same += step[i][j]
-            bs, ws = merge(bs, black[i][j]), merge(ws, white[i][j])
         free = tuple(s for s in range(m) if all(s not in pair for pair in branch))
-        if free:
-            rec(free, same, bs, ws)
-        else:
-            leaf(same, bs, ws)
+        # with fewer than six sides free (n <= 4) each matching is placed
+        # whole here: merging its last pair changes neither state
+        whole = len(free) < 6
+        for rest in _pairings(free) if whole else [()]:
+            same = bs = ws = 0
+            for i, j in branch + rest:
+                if step[i][j] < 0:
+                    break
+                same += step[i][j]
+                bs, ws = merge(bs, black[i][j]), merge(ws, white[i][j])
+            else:
+                if whole:
+                    leaves += 1
+                    row = agg[bs]
+                    row[ws] = row.get(ws, 0) + weights[same]
+                else:
+                    rec(free, same, bs, ws)
         for bs, row in agg.items():
             b, black_labels = blocks[bs], strings[bs]
             for ws, weight in row.items():
@@ -449,6 +475,89 @@ def _scan_branch(
         for parts in _hall_keys(w, masks):
             tally[parts] = tally.get(parts, 0) + weight
     return leaves, sum(graphs.values()), tally
+
+
+def _tasks(n: int, count: int) -> list[tuple[int, tuple[tuple[tuple[int, int], ...], ...]]]:
+    """The branches of n dealt into min(count, branches) kernel tasks in
+    boustrophedon order, 0, 1, ..., k-1, k-1, ..., 0 and again, so that no
+    task always draws the larger of two neighbouring branches: the two
+    tasks at n=8 hold 64,751 and 63,982 leaves."""
+    branches = _branches(n)
+    period = 2 * min(count, len(branches))
+    return [
+        (n, tuple(br for p, br in enumerate(branches) if p % period in (k, period - 1 - k)))
+        for k in range(period // 2)
+    ]
+
+
+def _fork_map(fn: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
+    """``[fn(task) for task in tasks]``, each call in a forked child that
+    sends its result, marshalled, through a pipe.
+
+    A child that exits non-zero, is killed or sends a short result raises
+    WorkerDiedError, and so does an exception in ``fn``, whose type and
+    text the child sends instead.  On any failure the children still
+    running are killed; every child is reaped before this returns."""
+    import signal  # here, so that a query answered from the cache skips it
+
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
+    try:
+        for task in tasks:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _child(fn, task, w)
+            # closed before the next fork, so that only this child holds it
+            os.close(w)
+            children[pid] = open(r, "rb")
+        results = []
+        for pid in list(children):
+            with children[pid] as reader:
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                how = f"exit code {code}" if code > 0 else f"killed by signal {-code}"
+                raise WorkerDiedError(f"a worker process died ({how})")
+            try:
+                result, error = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                raise WorkerDiedError(
+                    f"a worker process died (short result of {len(data)} bytes)"
+                ) from None
+            if error is not None:
+                raise WorkerDiedError(f"a worker process raised {error}")
+            results.append(result)
+        return results
+    finally:
+        for pid, reader in children.items():
+            reader.close()
+            # a child reaped above but not yet dropped from the dict is gone
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(fn: Callable[[Any], Any], task: Any, w: int) -> NoReturn:
+    # a forked child of _fork_map: it leaves by os._exit, so none of the
+    # parent's cleanup (finally blocks, atexit, buffered output) runs twice
+    status = 1
+    try:
+        try:
+            message = (fn(task), None)
+        except Exception as exc:
+            message = (None, f"{type(exc).__name__}: {exc}")
+        with open(w, "wb") as out:
+            out.write(marshal.dumps(message))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _exact_tallies(
@@ -500,19 +609,10 @@ def scan(
         if cached is not None:
             return cached
 
-    branches = _branches(n)
-    if threads == 1 or n < POOL_MIN_N:
-        raw_results = [_scan_branch((n, tuple(branches)))]
+    if threads == 1 or n < POOL_MIN_N or not hasattr(os, "fork"):
+        raw_results = [_scan_branch((n, tuple(_branches(n))))]
     else:
-        from concurrent.futures.process import BrokenProcessPool
-
-        count = min(threads, len(branches))
-        tasks = [(n, tuple(branches[k::count])) for k in range(count)]
-        try:
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                raw_results = list(pool.map(_scan_branch, tasks))
-        except BrokenProcessPool as exc:
-            raise WorkerDiedError(str(exc)) from exc
+        raw_results = _fork_map(_scan_branch, _tasks(n, threads))
 
     tallies = _exact_tallies(n, raw_results)
     result = ScanResult(

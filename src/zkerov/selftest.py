@@ -262,9 +262,8 @@ def _check_reduction(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
 
 def _check_determinism(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     n = min(max_n, 5)
-    branches = tuple(engine._branches(n))
-    one = engine._scan_branch((n, branches))
-    split = [engine._scan_branch((n, branches[k::3])) for k in range(3)]
+    one = engine._scan_branch((n, tuple(engine._branches(n))))
+    split = [engine._scan_branch(task) for task in engine._tasks(n, 3)]
     assert engine._exact_tallies(n, split) == engine._exact_tallies(n, [one])
     return f"partitioned enumeration merge equals the single pass at n={n}"
 

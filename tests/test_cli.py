@@ -4,9 +4,9 @@ import io
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -43,9 +43,20 @@ def fresh_python(code, *args):
 
 
 def die_in_worker(_task):
-    # module level, so the pool pickles it by name; the forked workers
-    # find it in the test module they inherit
     os._exit(1)
+
+
+def kill_in_worker(_task):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def vanish_in_worker(_task):
+    # exits cleanly without sending a result
+    os._exit(0)
+
+
+def raise_in_worker(_task):
+    raise ZeroDivisionError("no tallies here")
 
 
 class TestCoeff:
@@ -208,32 +219,37 @@ class TestExpand:
         assert code == 0
         assert len(calls) == 1
 
-    def test_worker_crash_exits_three(self, capsys, monkeypatch):
-        class BrokenPool:
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                raise BrokenProcessPool("a child process terminated abruptly")
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", BrokenPool)
+    @pytest.mark.parametrize("crash, how", [
+        (kill_in_worker, "killed by signal 9"),
+        (vanish_in_worker, "short result of 0 bytes"),
+    ])
+    def test_worker_crash_exits_three(self, capsys, monkeypatch, crash, how):
+        monkeypatch.setattr(engine, "_scan_branch", crash)
         code, out, err = run(capsys, "expand", "--n", str(engine.POOL_MIN_N), "--threads", "2")
         assert code == 3
         assert out == ""
-        assert err.count("\n") == 1 and "worker process died" in err
+        assert err == f"zkerov: internal failure: a worker process died ({how})\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
     def test_real_worker_death_exits_three(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "_scan_branch", die_in_worker)
         code, out, err = run(capsys, "expand", "--n", str(engine.POOL_MIN_N), "--threads", "2")
         assert code == 3
         assert out == ""
-        assert err.count("\n") == 1 and "worker process died" in err
+        assert err.count("\n") == 1 and "worker process died (exit code 1)" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+    def test_worker_exception_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "_scan_branch", raise_in_worker)
+        code, out, err = run(capsys, "expand", "--n", str(engine.POOL_MIN_N), "--threads", "2")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "zkerov: internal failure: a worker process raised "
+            "ZeroDivisionError: no tallies here\n"
+        )
 
     def test_cache_read_error_exits_one(self, capsys, monkeypatch, tmp_path):
         def denied(self):
@@ -429,7 +445,7 @@ class TestImports:
     """Each subcommand imports only what it runs: a query answered from the
     cache loads neither the process pool nor the census or selftest."""
 
-    POOL_AND_WRITE = ("concurrent.futures", "multiprocessing", "tempfile", "fractions")
+    POOL_AND_WRITE = ("concurrent.futures", "multiprocessing", "signal", "tempfile", "fractions")
     CHECKS = ("zkerov.census", "zkerov.selftest")
 
     @staticmethod
@@ -473,6 +489,11 @@ class TestImports:
             ["genus1", "--n", n, "--verify", "--threads", "2", "--cache", cache],
         )
         assert self.among(("dataclasses", "inspect"), modules) == []
+
+    def test_uncached_scan_on_workers_loads_no_pool_module(self):
+        # the workers are forked directly, without concurrent.futures
+        modules = self.loaded(["expand", "--n", str(engine.POOL_MIN_N), "--threads", "2"])
+        assert self.among(("concurrent.futures", "multiprocessing"), modules) == []
 
     def test_pool_path_matches_golden(self):
         n = engine.POOL_MIN_N

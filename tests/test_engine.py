@@ -2,8 +2,12 @@ import contextlib
 import copy
 import io
 import json
+import marshal
+import os
 import re
 import tempfile
+import time
+import types
 from collections import Counter
 
 import pytest
@@ -266,7 +270,7 @@ class TestScanKernel:
             states.append(state)
             labels: dict[int, int] = {}
             expected = tuple(labels.setdefault(find(e), len(labels)) for e in range(n))
-            assert automaton.strings[state] == expected
+            assert automaton.strings[state] == bytes(expected)
             assert automaton.blocks[state] == len(labels)
         built = len(automaton.strings)
         state = 0
@@ -289,29 +293,27 @@ class TestScanKernel:
         n = 7
         tasks = []
 
-        class RecordingPool:
-            """Runs the pool's map in this process and records its tasks."""
-
-            def __init__(self, max_workers):
-                assert max_workers == threads
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                tasks.extend(items)
-                return [fn(task) for task in items]
+        def recording_map(fn, items):
+            """Runs the fork map's calls in this process and records its tasks."""
+            assert fn is engine._scan_branch
+            tasks.extend(items)
+            return [fn(task) for task in items]
 
         monkeypatch.setattr(engine, "POOL_MIN_N", n)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine, "_fork_map", recording_map)
         got = scan(n, threads=threads)
         dealt = [branch for _n, branches in tasks for branch in branches]
         assert sorted(dealt) == sorted(engine._branches(n))
         assert len(tasks) == min(threads, len(engine._branches(n)))
         assert got.tallies == scan(n, threads=1).tallies
+
+    def test_tasks_are_dealt_boustrophedon(self):
+        # 0, 1, 1, 0, 0, 1, ...: the larger task at n=8 holds 64,751 leaves,
+        # where dealing round-robin gave 67,481 and 61,252
+        tasks = engine._tasks(8, 2)
+        branches = engine._branches(8)
+        assert tasks[0][1][:3] == (branches[0], branches[3], branches[4])
+        assert [engine._scan_branch(task)[0] for task in tasks] == [64751, 63982]
 
     def test_visited_matchings_are_pinned(self):
         # about one in thirteen of the (2n-1)!! matchings at n=7
@@ -321,24 +323,86 @@ class TestScanKernel:
     def test_small_n_runs_in_process(self, monkeypatch):
         serial = {n: scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
 
-        def no_pool(*_args, **_kwargs):
-            raise AssertionError("a process pool was created")
+        def no_fork():
+            raise AssertionError("a child process was forked")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         for n, expected in serial.items():
             got = scan(n, threads=2)
             assert got.tallies == expected.tallies
+
+    def test_without_fork_the_scan_runs_in_process(self, monkeypatch):
+        expected = scan(engine.POOL_MIN_N, threads=1).tallies
+        monkeypatch.delattr(os, "fork")
+        assert scan(engine.POOL_MIN_N, threads=2).tallies == expected
 
     @pytest.mark.parametrize("n, threads", [(7, 0), (8, 0), (8, -2)])
     def test_threads_below_one_are_rejected_before_any_work(self, monkeypatch, n, threads):
         def no_work(*_args, **_kwargs):
             raise AssertionError("the scan started")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(os, "fork", no_work)
         monkeypatch.setattr(engine, "_scan_branch", no_work)
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
             scan(n, threads=threads)
         assert main(["expand", "--n", str(n), "--threads", str(threads)]) == 1
+
+
+class TestForkMap:
+    """The scan's workers: one forked child per task, each reaped."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_come_back_in_task_order(self):
+        results = engine._fork_map(lambda k: (k, os.getpid(), {(k,): k * k}), [3, 1, 2])
+        assert [(k, tally) for k, _pid, tally in results] == [(3, {(3,): 9}), (1, {(1,): 1}),
+                                                             (2, {(2,): 4})]
+        assert os.getpid() not in {pid for _k, pid, _tally in results}
+        self.assert_no_child_left()
+
+    def test_a_dead_child_kills_and_reaps_the_others(self):
+        def work(task):
+            if task == "die":
+                os._exit(1)
+            time.sleep(60)
+
+        t0 = time.monotonic()
+        with pytest.raises(engine.WorkerDiedError, match=r"died \(exit code 1\)"):
+            engine._fork_map(work, ["die", "sleep"])
+        assert time.monotonic() - t0 < 30
+        self.assert_no_child_left()
+
+    def test_a_failure_while_reading_kills_and_reaps_the_others(self, monkeypatch):
+        def work(task):
+            if task == "sleep":
+                time.sleep(60)
+            return task
+
+        def unreadable(_data):
+            raise OSError("read failed")
+
+        fake = types.SimpleNamespace(dumps=marshal.dumps, loads=unreadable)
+        monkeypatch.setattr(engine, "marshal", fake)
+        t0 = time.monotonic()
+        with pytest.raises(OSError, match="read failed"):
+            engine._fork_map(work, ["answer", "sleep"])
+        assert time.monotonic() - t0 < 30
+        self.assert_no_child_left()
+
+    def test_an_exception_in_a_child_is_raised_with_its_type_and_text(self):
+        def work(task):
+            return 1 // task
+
+        with pytest.raises(engine.WorkerDiedError) as exc:
+            engine._fork_map(work, [1, 0])
+        assert str(exc.value) == (
+            "a worker process raised ZeroDivisionError: integer division or modulo by zero"
+        )
+        self.assert_no_child_left()
+
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda b: st.integers(1, 6).flatmap(lambda w: st.tuples(
