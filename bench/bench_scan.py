@@ -114,13 +114,7 @@ if kind == "tasks":
     from zkerov import engine
     task_leaves = {}
     for n in map(int, args):
-        if hasattr(engine, "_tasks"):
-            tasks = engine._tasks(n, 2)
-        else:
-            # an older tree, which dealt its branches round-robin
-            branches = tuple(engine._branches(n))
-            tasks = [(n, branches[k::2]) for k in range(2)]
-        task_leaves[str(n)] = [engine._scan_branch(task)[0] for task in tasks]
+        task_leaves[str(n)] = [engine._scan_branch(task)[0] for task in engine._tasks(n, 2)]
     print(json.dumps({"task_leaves": task_leaves}))
     sys.exit()
 if kind == "scan":
@@ -157,15 +151,7 @@ elapsed = time.perf_counter() - t0
 extra = {}
 if kind == "scan" and threads == 1:
     # the matchings the kernel visits, counted after the timed call
-    if hasattr(engine, "_branches"):
-        branches = tuple(engine._branches(n))
-        try:
-            extra["leaves"] = engine._scan_branch((n, branches))[0]
-        except ValueError:
-            # an older tree whose task also names the parity of the black corners
-            extra["leaves"] = engine._scan_branch((n, branches, 0))[0]
-    else:
-        extra["leaves"] = count
+    extra["leaves"] = engine._scan_branch((n, tuple(engine._branches(n))))[0]
 print(json.dumps({"seconds": elapsed, "count": count, **extra}))
 """
 

@@ -10,12 +10,21 @@ Identity conventions
   twisted, color-ignored reduced census at n <= 3 yields exactly 5 classes
   under it; cyclic-by-2 alone leaves mirror images distinct.
 
-Reduction rewrites a colored multigraph to its fixpoint under two rules:
-delete a degree-1 white vertex with its edge; smooth an adjacent
-white/black pair of degree-2 vertices into a single edge.  Reduced
-bipartite maps are the connected bipartite fixpoints without degree-1
-vertices or bridges; contributing ones admit at least one admissible
-q-coloring.
+Reduction works on the bipartite multigraph of a matching's map
+(``admissibility.BipartiteGraph``; every color-preserving matching glues to
+one) and rewrites it to its fixpoint under two rules: delete a degree-1
+white vertex with its edge; smooth an adjacent white/black pair of degree-2
+vertices into a single edge.  Reduced bipartite maps are the connected
+bipartite fixpoints without degree-1 vertices or bridges; contributing ones
+admit at least one admissible q-coloring.
+
+Bridges are read off the face boundary.  A glued map has one face, whose
+boundary walks the corners 0..2n-1 and traverses the edge of a side pair
+i < j twice, along side i and along side j.  Deleting that edge cuts the
+walk into corners i+1..j and the other corners; each part stays
+connected, and every other edge lies within one part (an edge traversed
+once in each would have an endpoint in both).  So the edge is a bridge
+iff the two parts share no vertex.
 
 Genus-pruned enumeration
 ------------------------
@@ -37,9 +46,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .admissibility import enumerate_q
+from .admissibility import BipartiteGraph, bipartite_graph, enumerate_q
 from .engine import InternalConsistencyError
 from .polygon import (
     BLACK,
@@ -59,89 +69,21 @@ DIHEDRAL = "dihedral"
 
 
 # ---------------------------------------------------------------------------
-# colored multigraphs and reduction
+# bridges and reduction
 
 
-class ColoredMultigraph:
-    """Vertex colors plus an edge list with multiplicity (u <= v per edge,
-    loops allowed and counted twice in degrees)."""
-
-    __slots__ = ("colors", "edges")
-
-    def __init__(self, colors: dict[int, str], edges: list[tuple[int, int]]) -> None:
-        self.colors = colors
-        self.edges = edges
-
-    def copy(self) -> "ColoredMultigraph":
-        return ColoredMultigraph(dict(self.colors), list(self.edges))
-
-
-def underlying_multigraph(m: GluedMap) -> ColoredMultigraph:
-    return ColoredMultigraph(
-        colors=dict(m.vertex_color),
-        edges=list(m.graph_edges),
-    )
-
-
-def _degrees(g: ColoredMultigraph) -> dict[int, int]:
-    deg = {v: 0 for v in g.colors}
-    for u, v in g.edges:
-        if u == v:
-            deg[u] += 2
-        else:
-            deg[u] += 1
-            deg[v] += 1
-    return deg
-
-
-def has_bridge(g: ColoredMultigraph | GluedMap) -> bool:
-    """True iff some non-loop edge disconnects the graph."""
-    if isinstance(g, GluedMap):
-        g = underlying_multigraph(g)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.colors}
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue  # loops are never bridges
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = itertools.count()
-    found = False
-
-    def dfs(root: int) -> None:
-        nonlocal found
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        disc[root] = low[root] = next(timer)
-        while stack:
-            u, in_edge, idx = stack.pop()
-            if idx < len(adj[u]):
-                stack.append((u, in_edge, idx + 1))
-                v, eid = adj[u][idx]
-                if eid == in_edge:
-                    continue
-                if v in disc:
-                    low[u] = min(low[u], disc[v])
-                else:
-                    disc[v] = low[v] = next(timer)
-                    stack.append((v, eid, 0))
-            elif stack:
-                # returning from u into its parent frame
-                pu = stack[-1][0]
-                low[pu] = min(low[pu], low[u])
-                if low[u] > disc[pu]:
-                    found = True
-
-    for v in g.colors:
-        if v not in disc:
-            dfs(v)
-    return found
+def has_bridge(m: GluedMap) -> bool:
+    """True iff some edge disconnects the map (face-boundary test, module
+    docstring); loops never do."""
+    v = m.vertex_of
+    return any(set(v[i + 1:j + 1]).isdisjoint(v[:i + 1] + v[j + 1:])
+               for i, j in enumerate(m.pairing) if i < j)
 
 
 def reduce_multigraph(
-    g: ColoredMultigraph, rule_order: Sequence[str] = ("leaf", "smooth")
-) -> ColoredMultigraph:
-    """Fixpoint of leaf deletion and degree-2 pair smoothing.
+    g: BipartiteGraph, rule_order: Sequence[str] = ("leaf", "smooth")
+) -> BipartiteGraph:
+    """Fixpoint of white-leaf deletion and degree-2 pair smoothing.
 
     ``rule_order`` fixes which rule is tried first at every step.  On maps
     the decoration procedure can produce (in particular every contributing
@@ -149,66 +91,50 @@ def reduce_multigraph(
     that family and the two orders may genuinely diverge on them, which the
     tests pin down.
     """
-    g = g.copy()
+    blacks, whites, edges = list(g.blacks), list(g.whites), list(g.edges)
     while True:
-        deg = _degrees(g)
-        applied = False
+        deg = Counter(itertools.chain.from_iterable(edges))
         for rule in rule_order:
             if rule == "leaf":
-                target = None
-                for v in sorted(g.colors):
-                    if g.colors[v] == WHITE and deg[v] == 1:
-                        target = v
-                        break
-                if target is None:
-                    continue
-                g.edges = [e for e in g.edges if target not in e]
-                del g.colors[target]
-                applied = True
-                break
-            if rule == "smooth":
-                pair = None
-                for u, v in sorted(g.edges):
-                    if u == v or deg[u] != 2 or deg[v] != 2:
-                        continue
-                    if {g.colors[u], g.colors[v]} != {BLACK, WHITE}:
-                        continue
-                    if sum(1 for e in g.edges if set(e) == {u, v}) == 2:
-                        continue  # closed digon component, nothing to reconnect
-                    pair = (u, v)
+                leaves = [w for w in whites if deg[w] == 1]
+                if leaves:
+                    x = min(leaves)
+                    whites.remove(x)
+                    edges = [e for e in edges if e[1] != x]
                     break
-                if pair is None:
-                    continue
-                u, v = pair
-                x, y = (u, v) if g.colors[u] == WHITE else (v, u)  # x white, y black
-                # other endpoints of x and y besides the smoothing edge
-                rest = list(g.edges)
-                rest.remove((min(x, y), max(x, y)))
-                ux = next(a if b == x else b for a, b in rest if x in (a, b))
-                vy = next(a if b == y else b for a, b in rest if y in (a, b))
-                g.edges = [e for e in rest if x not in e and y not in e]
-                g.edges.append((min(ux, vy), max(ux, vy)))
-                del g.colors[x]
-                del g.colors[y]
-                applied = True
-                break
-        if not applied:
-            return g
+            elif rule == "smooth":
+                # a black y and a white x of degree 2 joined once: a double
+                # edge between them is a closed digon, nothing to reconnect
+                pair = next((e for e in sorted(edges, key=sorted)
+                             if deg[e[0]] == deg[e[1]] == 2 and edges.count(e) == 1), None)
+                if pair is not None:
+                    y, x = pair
+                    edges.remove(pair)
+                    (ux,) = [b for b, w in edges if w == x]
+                    (vy,) = [w for b, w in edges if b == y]
+                    edges = [(b, w) for b, w in edges if b != y and w != x]
+                    edges.append((ux, vy))
+                    blacks.remove(y)
+                    whites.remove(x)
+                    break
+        else:
+            return BipartiteGraph(tuple(blacks), tuple(whites), tuple(edges))
 
 
 def reduce_map(
     m: GluedMap, rule_order: Sequence[str] = ("leaf", "smooth")
-) -> ColoredMultigraph:
-    return reduce_multigraph(underlying_multigraph(m), rule_order)
+) -> BipartiteGraph:
+    return reduce_multigraph(bipartite_graph(m), rule_order)
 
 
-def canonical_key(g: ColoredMultigraph) -> tuple:
-    """Canonical form of a small colored multigraph: minimum edge multiset
-    over all color- and degree-preserving relabelings."""
-    deg = _degrees(g)
+def canonical_key(g: BipartiteGraph) -> tuple:
+    """Canonical form of a small bipartite multigraph: minimum edge multiset
+    over all relabelings that keep each vertex's color and degree."""
+    deg = Counter(itertools.chain.from_iterable(g.edges))
     groups: dict[tuple[str, int], list[int]] = {}
-    for v in sorted(g.colors):
-        groups.setdefault((g.colors[v], deg[v]), []).append(v)
+    for color, vertices in ((BLACK, g.blacks), (WHITE, g.whites)):
+        for v in sorted(vertices):
+            groups.setdefault((color, deg[v]), []).append(v)
     keys = sorted(groups)
     signature = tuple((c, d, len(groups[(c, d)])) for c, d in keys)
     total = 1
@@ -227,9 +153,7 @@ def canonical_key(g: ColoredMultigraph) -> tuple:
         for k, perm in zip(keys, perms):
             for pos, v in enumerate(perm):
                 relabel[v] = offsets[k] + pos
-        edges = tuple(
-            sorted((min(relabel[u], relabel[v]), max(relabel[u], relabel[v])) for u, v in g.edges)
-        )
+        edges = tuple(sorted((relabel[b], relabel[w]) for b, w in g.edges))
         if best is None or edges < best:
             best = edges
     return (signature, best)
@@ -375,28 +299,34 @@ def census_classes(
     return classes
 
 
-def small_reduced_census(max_n: int = 3) -> list[ReducedMapClass]:
+# The two pinned presets, each pooled over n = 1..max_n: the default max_n
+# and the census_classes keywords.
+PRESETS: dict[str, tuple[int, dict]] = {
+    "reduced": (3, {"universe": "twisted", "doubled_genus": 2, "reduced_only": True,
+                    "convention": DIHEDRAL}),
+    "contributing": (6, {"doubled_genus": 2, "reduced_bipartite_only": True,
+                         "contributing_only": True}),
+}
+
+
+def preset(name: str, max_n: int | None = None) -> tuple[range, dict]:
+    """The n range and census_classes keywords of a preset."""
+    default_max_n, keywords = PRESETS[name]
+    return range(1, (default_max_n if max_n is None else max_n) + 1), keywords
+
+
+def small_reduced_census(max_n: int | None = None) -> list[ReducedMapClass]:
     """Reduced (colors-ignored) one-face classes of doubled genus 2 over the
     twisted universe, pooled for n <= max_n, dihedral identity."""
-    return census_classes(
-        range(1, max_n + 1),
-        universe="twisted",
-        doubled_genus=2,
-        reduced_only=True,
-        convention=DIHEDRAL,
-    )
+    ns, keywords = preset("reduced", max_n)
+    return census_classes(ns, **keywords)
 
 
-def contributing_reduced_bipartite_census(max_n: int = 6) -> list[ReducedMapClass]:
+def contributing_reduced_bipartite_census(max_n: int | None = None) -> list[ReducedMapClass]:
     """Contributing reduced-bipartite classes of doubled genus 2 over the
     matching universe, pooled for n <= max_n, cyclic identity."""
-    return census_classes(
-        range(1, max_n + 1),
-        doubled_genus=2,
-        reduced_bipartite_only=True,
-        contributing_only=True,
-        convention=CYCLIC,
-    )
+    ns, keywords = preset("contributing", max_n)
+    return census_classes(ns, **keywords)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +441,9 @@ def verify_decoration_accounting(base: ReducedMapClass | Gluing, target_black: i
     the *same* gluing, so naive per-edge stars-and-bars overcounts there);
     the generated side applies every rotation of the decorated polygon and
     deduplicates.  The two sides are tied together across rotation orbits,
-    so the equality is a genuine check of the stabilizer accounting.
+    so the equality is a genuine check of the stabilizer accounting.  A
+    target the base cannot reach reports a negative added count and no
+    decorated map.
     """
     base_g = base.representative if isinstance(base, ReducedMapClass) else base
     base_map = glue(base_g)
@@ -524,27 +456,15 @@ def verify_decoration_accounting(base: ReducedMapClass | Gluing, target_black: i
 
     k_pairs = target_black - b0
     leaves = target_white - w0 - k_pairs
-    if k_pairs < 0 or leaves < 0:
-        return DecorationReport(
-            base=base_g,
-            base_stabilizer=stab,
-            target_black=target_black,
-            target_white=target_white,
-            added_pairs=max(k_pairs, 0),
-            added_leaves=max(leaves, 0),
-            decorated_edge_count=m,
-            decoration_ways=0,
-            expected_labeled_maps=0,
-            generated_labeled_maps=0,
-        )
     n_decorated = m + 2 * k_pairs + leaves
 
     decorated: set[Gluing] = set()
-    for pair_choice in itertools.combinations_with_replacement(range(m), k_pairs):
-        g1 = insert_pairs(base_g, pair_choice)
-        black_corners = [c for c in range(2 * g1.n) if c % 2 == 0]
-        for leaf_choice in itertools.combinations_with_replacement(black_corners, leaves):
-            decorated.add(insert_leaves(g1, leaf_choice))
+    if k_pairs >= 0 and leaves >= 0:  # else no decoration reaches the target
+        for pair_choice in itertools.combinations_with_replacement(range(m), k_pairs):
+            g1 = insert_pairs(base_g, pair_choice)
+            black_corners = [c for c in range(2 * g1.n) if c % 2 == 0]
+            for leaf_choice in itertools.combinations_with_replacement(black_corners, leaves):
+                decorated.add(insert_leaves(g1, leaf_choice))
 
     generated: set[Gluing] = set()
     for g2 in decorated:

@@ -239,38 +239,38 @@ def cmd_genus1(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     from . import census as census_mod
 
-    convention = census_mod.DIHEDRAL if args.dihedral else census_mod.CYCLIC
-    doubled_genus = args.genus_doubled
+    # the options given on the command line; a preset fills in the rest
+    options = {
+        "universe": "twisted" if args.twisted else "matchings",
+        "reduced_only": args.reduced,
+        "reduced_bipartite_only": args.reduced_bipartite,
+        "bipartite_only": args.bipartite,
+        "contributing_only": args.contributing,
+    }
+    if args.genus_doubled is not None:
+        options["doubled_genus"] = args.genus_doubled
+    if args.dihedral:
+        options["convention"] = census_mod.DIHEDRAL
     if args.n is not None:
         ns: Sequence[int] = [args.n]
-    elif args.twisted and args.reduced:
-        # the pinned reduced-census preset: pooled small n, dihedral identity
-        ns = range(1, (3 if args.max_n is None else args.max_n) + 1)
-        convention = census_mod.DIHEDRAL
-        if doubled_genus is None:
-            doubled_genus = 2
-    elif args.reduced_bipartite and args.contributing:
-        ns = range(1, (6 if args.max_n is None else args.max_n) + 1)
-        if doubled_genus is None:
-            doubled_genus = 2
     else:
-        raise UsageError("census needs --n, or one of the presets "
-                         "(--twisted --reduced | --reduced-bipartite --contributing)")
+        if args.twisted and args.reduced:
+            name = "reduced"
+        elif args.reduced_bipartite and args.contributing:
+            name = "contributing"
+        else:
+            raise UsageError("census needs --n, or one of the presets "
+                             "(--twisted --reduced | --reduced-bipartite --contributing)")
+        ns, defaults = census_mod.preset(name, args.max_n)
+        options = {**defaults, **options}
     check_limit(max(ns), args.force)
+    doubled_genus = options.get("doubled_genus")
+    convention = options.setdefault("convention", census_mod.CYCLIC)
 
-    classes = census_mod.census_classes(
-        ns,
-        universe="twisted" if args.twisted else "matchings",
-        doubled_genus=doubled_genus,
-        reduced_only=args.reduced,
-        reduced_bipartite_only=args.reduced_bipartite,
-        bipartite_only=args.bipartite,
-        contributing_only=args.contributing,
-        convention=convention,
-    )
+    classes = census_mod.census_classes(ns, **options)
     rows = []
     lines = [
-        f"universe={'twisted' if args.twisted else 'matchings'} convention={convention} "
+        f"universe={options['universe']} convention={convention} "
         f"ns={list(ns)} classes={len(classes)}"
     ]
     for c in classes:
@@ -300,7 +300,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         )
     doc = {
         "command": "census",
-        "universe": "twisted" if args.twisted else "matchings",
+        "universe": options["universe"],
         "convention": convention,
         "ns": list(ns),
         "filters": {

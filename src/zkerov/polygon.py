@@ -80,9 +80,12 @@ class GluedMap(NamedTuple):
     Vertex ids are the minimal corner index of each identified corner
     class.  ``graph_edges`` holds one entry per glued side pair, in the
     order of ``Gluing.pairs()``: its two endpoint vertices, sorted.
+    ``pairing`` is the gluing's, so the face boundary can be walked side
+    by side.
     """
 
     n: int
+    pairing: tuple[int, ...]
     vertex_of: tuple[int, ...]
     vertex_color: dict[int, str]
     degree: dict[int, int]
@@ -287,6 +290,7 @@ def glue(gluing: Gluing) -> GluedMap:
     chi = v_count - n + 1
     return GluedMap(
         n=n,
+        pairing=p,
         vertex_of=vertex_of,
         vertex_color=vertex_color,
         degree=degree,

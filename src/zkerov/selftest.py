@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 from . import engine
 from .admissibility import (
     Monomial,
+    bipartite_graph,
     candidate_colorings,
     enumerate_q,
     hall_condition,
@@ -41,7 +42,6 @@ from .census import (
     is_contributing,
     reduce_map,
     stabilizer_order,
-    underlying_multigraph,
     verify_decoration_accounting,
 )
 from .closedform import genus1_mismatches, partition_coefficient
@@ -244,8 +244,7 @@ def _check_decoration_accounting(max_n: int, _scan_of: ScanOf, census_of: Census
 
 def _check_reduction(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
     top = min(max_n, 6)
-    targets = {canonical_key(underlying_multigraph(glue(c.representative)))
-               for c in census_of()}
+    targets = {canonical_key(bipartite_graph(glue(c.representative))) for c in census_of()}
     reduced_maps = 0
     for n in range(1, top + 1):
         for g in enumerate_gluings(n):

@@ -1,15 +1,13 @@
 import itertools
-import random
 
 import pytest
 
 from reference import admissible_colorings
 import zkerov.census as census_mod
-from zkerov.admissibility import Monomial
+from zkerov.admissibility import Monomial, bipartite_graph
 from zkerov.census import (
     CYCLIC,
     DIHEDRAL,
-    ColoredMultigraph,
     canonical_key,
     census_classes,
     contributing_reduced_bipartite_census,
@@ -26,11 +24,17 @@ from zkerov.census import (
     reduce_map,
     reduce_multigraph,
     stabilizer_order,
-    underlying_multigraph,
     verify_decoration_accounting,
 )
 from zkerov.engine import InternalConsistencyError
-from zkerov.polygon import BLACK, WHITE, Gluing, double_factorial, enumerate_gluings, glue
+from zkerov.polygon import (
+    MIXED,
+    Gluing,
+    double_factorial,
+    enumerate_gluings,
+    enumerate_twisted_gluings,
+    glue,
+)
 
 THETA_STAB3 = Gluing((3, 4, 5, 0, 1, 2))
 THETA_STAB1 = Gluing((2, 4, 0, 5, 1, 3))
@@ -58,13 +62,13 @@ def _component_count(edges, verts):
     return out
 
 
-def naive_has_bridge(g):
-    verts = list(g.colors)
-    base = _component_count(g.edges, verts)
-    for k, (u, v) in enumerate(g.edges):
+def naive_has_bridge(m):
+    verts, edges = list(m.degree), list(m.graph_edges)
+    base = _component_count(edges, verts)
+    for k, (u, v) in enumerate(edges):
         if u == v:
             continue
-        if _component_count(g.edges[:k] + g.edges[k + 1:], verts) > base:
+        if _component_count(edges[:k] + edges[k + 1:], verts) > base:
             return True
     return False
 
@@ -89,18 +93,22 @@ class TestPredicates:
         assert not has_bridge(glue(THETA_STAB3))
 
     def test_bridge_detection_matches_edge_removal_oracle(self):
-        rng = random.Random(13)
-        for _ in range(800):
-            nv = rng.randint(1, 7)
-            verts = list(range(nv))
-            edges = []
-            for _e in range(rng.randint(0, 10)):
-                u, v = rng.randint(0, nv - 1), rng.randint(0, nv - 1)
-                edges.append((min(u, v), max(u, v)))
-            g = ColoredMultigraph(
-                {v: BLACK if v % 2 == 0 else WHITE for v in verts}, edges
-            )
-            assert has_bridge(g) == naive_has_bridge(g), (verts, edges)
+        # every matching for n <= 6 and every twisted gluing for n <= 4;
+        # the twisted maps bring loops and MIXED vertices
+        seen = set()
+        gluings = itertools.chain(
+            *(enumerate_gluings(n) for n in range(1, 7)),
+            *(enumerate_twisted_gluings(n) for n in range(1, 5)),
+        )
+        for g in gluings:
+            m = glue(g)
+            bridged = has_bridge(m)
+            assert bridged == naive_has_bridge(m), g
+            seen.add(("bridge", bridged))
+            seen.update({"loop" for u, v in m.graph_edges if u == v})
+            seen.update({"multi-edge" for e in m.graph_edges if m.graph_edges.count(e) > 1})
+            seen.update({"mixed" for c in m.vertex_color.values() if c == MIXED})
+        assert seen == {("bridge", True), ("bridge", False), "loop", "multi-edge", "mixed"}
 
     def test_reduced_bipartite_families(self):
         assert is_reduced_bipartite(glue(THETA_STAB3))
@@ -117,19 +125,19 @@ class TestPredicates:
 
 class TestReduce:
     def test_fixpoint(self):
-        g = underlying_multigraph(glue(THETA_STAB3))
+        g = bipartite_graph(glue(THETA_STAB3))
         assert canonical_key(reduce_map(glue(THETA_STAB3))) == canonical_key(g)
 
     def test_leaf_deletion(self):
         decorated = glue(insert_leaf(THETA_STAB3, 0))
         assert canonical_key(reduce_map(decorated)) == canonical_key(
-            underlying_multigraph(glue(THETA_STAB3))
+            bipartite_graph(glue(THETA_STAB3))
         )
 
     def test_pair_smoothing(self):
         decorated = glue(insert_pair(THETA_STAB3, 0))
         assert canonical_key(reduce_map(decorated)) == canonical_key(
-            underlying_multigraph(glue(THETA_STAB3))
+            bipartite_graph(glue(THETA_STAB3))
         )
 
     def test_idempotent_everywhere(self):
@@ -162,7 +170,7 @@ class TestReduce:
 
     def test_contributing_maps_reduce_into_the_seven_classes(self):
         targets = {
-            canonical_key(underlying_multigraph(glue(c.representative)))
+            canonical_key(bipartite_graph(glue(c.representative)))
             for c in contributing_reduced_bipartite_census(6)
         }
         assert len(targets) == 3  # theta, two-loop, doubled theta shapes
