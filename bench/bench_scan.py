@@ -11,8 +11,10 @@ two sides, for example ``--side parent=/tmp/parent/src --side change=src``,
 to record a before/after pair on the same machine in one file.
 
 Every timing is one call in a fresh interpreter, so no side inherits
-another's imports or warm state.  Sides alternate within each repeat, and
-the reported figure is the median over repeats:
+another's imports or warm state.  Each side's tree is byte-compiled once
+(``python -m compileall``) before the repeats, so no timing includes
+compiling the package.  Sides alternate within each repeat, and the
+reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8;
 * ``scan_2t_s``: ``scan(n, threads=2)`` for n = 8, 9 and 10
@@ -206,7 +208,8 @@ def machine_info() -> dict:
         "cpuCount": os.cpu_count(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        # without .pyc files every child compiles the modules it imports
+        # the children then write no .pyc files of their own; each side's
+        # tree is compiled once before the repeats, so none of them compiles
         "dontWriteBytecode": bool(sys.flags.dont_write_bytecode),
     }
 
@@ -266,6 +269,10 @@ def main(argv: list[str] | None = None) -> int:
         warm = {label: work / f"warm-{label}" for label, _src in sides}
         task_leaves = {}
         for label, src in sides:
+            # bytecode up front, so that no fresh-interpreter row compiles the
+            # package (an installed package or perfbench run has its .pyc files)
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)],
+                           stdout=subprocess.DEVNULL, check=True)
             run_cli(src, [*QUERY, "--cache", str(warm[label])])
             task_leaves[label] = run_child(src, "tasks", [str(n) for n in TASK_NS])["task_leaves"]
         for rep in range(args.repeats):

@@ -32,9 +32,6 @@ from .engine import (
     strata,
 )
 from .polygon import (
-    BLACK,
-    MIXED,
-    WHITE,
     GluedMap,
     Gluing,
     double_factorial,

@@ -41,10 +41,6 @@ class Monomial(_MonomialFields):
         return super().__new__(cls, tuple(sorted(parts, reverse=True)))
 
     @property
-    def black_count(self) -> int:
-        return len(self.parts)
-
-    @property
     def vertex_count(self) -> int:
         return sum(self.parts)
 

@@ -52,8 +52,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .admissibility import BipartiteGraph, bipartite_graph, enumerate_q
 from .engine import InternalConsistencyError
 from .polygon import (
-    BLACK,
-    WHITE,
     GluedMap,
     Gluing,
     enumerate_gluings,
@@ -132,7 +130,7 @@ def canonical_key(g: BipartiteGraph) -> tuple:
     over all relabelings that keep each vertex's color and degree."""
     deg = Counter(itertools.chain.from_iterable(g.edges))
     groups: dict[tuple[str, int], list[int]] = {}
-    for color, vertices in ((BLACK, g.blacks), (WHITE, g.whites)):
+    for color, vertices in (("black", g.blacks), ("white", g.whites)):
         for v in sorted(vertices):
             groups.setdefault((color, deg[v]), []).append(v)
     keys = sorted(groups)
@@ -392,21 +390,16 @@ def insert_leaf(g: Gluing, corner: int) -> Gluing:
 
 
 def insert_pairs(g: Gluing, edge_multiset: Sequence[int]) -> Gluing:
-    """Insert one subdivision pair per entry; entries index g.pairs()."""
+    """Insert one subdivision pair per entry; entries index g.pairs().
+
+    Edges are subdivided from the highest first side down: an insertion
+    shifts only the sides after its own first side, and a repeated edge is
+    subdivided again at that same side.
+    """
     edges = g.pairs()
-    cur = {e: edges[e] for e in range(len(edges))}
-    out = g
-    for e in sorted(edge_multiset):
-        i, j = cur[e]
-        out = insert_pair(out, i)
-        for e2, (a, b) in cur.items():
-            if e2 == e:
-                cur[e2] = (i, out.pairing[i])
-            else:
-                a2 = a + 2 * (a > i) + 2 * (a > j)
-                b2 = b + 2 * (b > i) + 2 * (b > j)
-                cur[e2] = (a2, b2)
-    return out
+    for e in sorted(edge_multiset, reverse=True):
+        g = insert_pair(g, edges[e][0])
+    return g
 
 
 def insert_leaves(g: Gluing, corner_multiset: Sequence[int]) -> Gluing:
@@ -432,7 +425,7 @@ class DecorationReport(NamedTuple):
         return self.expected_labeled_maps == self.generated_labeled_maps
 
 
-def verify_decoration_accounting(base: ReducedMapClass | Gluing, target_black: int, target_white: int) -> DecorationReport:
+def verify_decoration_accounting(base: Gluing, target_black: int, target_white: int) -> DecorationReport:
     """Check the labeled-map accounting: #distinct labeled decorated maps ==
     (ways of adding vertices) * n / |Stab(base)|.
 
@@ -445,14 +438,13 @@ def verify_decoration_accounting(base: ReducedMapClass | Gluing, target_black: i
     target the base cannot reach reports a negative added count and no
     decorated map.
     """
-    base_g = base.representative if isinstance(base, ReducedMapClass) else base
-    base_map = glue(base_g)
+    base_map = glue(base)
     if not base_map.bipartite:
         raise ValueError("decoration accounting applies to bipartite bases")
     b0 = len(base_map.black_vertices)
     w0 = len(base_map.white_vertices)
-    m = base_g.n
-    stab = stabilizer_order(base_g)
+    m = base.n
+    stab = stabilizer_order(base)
 
     k_pairs = target_black - b0
     leaves = target_white - w0 - k_pairs
@@ -461,7 +453,7 @@ def verify_decoration_accounting(base: ReducedMapClass | Gluing, target_black: i
     decorated: set[Gluing] = set()
     if k_pairs >= 0 and leaves >= 0:  # else no decoration reaches the target
         for pair_choice in itertools.combinations_with_replacement(range(m), k_pairs):
-            g1 = insert_pairs(base_g, pair_choice)
+            g1 = insert_pairs(base, pair_choice)
             black_corners = [c for c in range(2 * g1.n) if c % 2 == 0]
             for leaf_choice in itertools.combinations_with_replacement(black_corners, leaves):
                 decorated.add(insert_leaves(g1, leaf_choice))
@@ -478,7 +470,7 @@ def verify_decoration_accounting(base: ReducedMapClass | Gluing, target_black: i
             f"decorated count {ways}*{n_decorated} not divisible by stabilizer {stab}"
         )
     return DecorationReport(
-        base=base_g,
+        base=base,
         base_stabilizer=stab,
         target_black=target_black,
         target_white=target_white,

@@ -100,8 +100,8 @@ def build_parser() -> _Parser:
     add_common(p, threads_help="accepted and ignored: census runs in one process", cache=False)
     p.add_argument("--genus-doubled", type=int, default=None)
     p.add_argument("--bipartite", action="store_true",
-                   help="keep bipartite maps only: a filter on --twisted, since "
-                        "every matching without it glues to a bipartite map")
+                   help="keep bipartite maps only; selects nothing new: they are all "
+                        "the matchings (with --twisted, carrying color-preserving flags)")
     p.add_argument("--reduced", action="store_true", help="min degree 3 and bridgeless")
     p.add_argument("--reduced-bipartite", action="store_true")
     p.add_argument("--contributing", action="store_true",

@@ -15,25 +15,20 @@ must agree term by term:
 Arithmetic is in integers: each formula is evaluated times a fixed
 denominator (24 for the bracket, 12 for the families), the tuple routes
 add these scaled values per partition, and every total is divided once,
-with a remainder raising InternalConsistencyError.  The exact fractions
-(_bracket, family_tuple_values) are those integers over the denominator.
-In genus one the enumeration's sign (-1)^(n+1+V) is +1, so these values
-equal raw (M,q) pair counts; genus1_mismatches compares the three routes
-with the genus-one stratum of a scan.  ``fractions`` is imported only by
-the two Fraction helpers and the error path, so the CLI does not load it.
+with a remainder raising InternalConsistencyError.  In genus one the
+enumeration's sign (-1)^(n+1+V) is +1, so these values equal raw (M,q)
+pair counts; genus1_mismatches compares the three routes with the
+genus-one stratum of a scan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .admissibility import Monomial
 from .engine import InternalConsistencyError, ScanResult, strata
 from .partitions import compositions_any_length, partitions
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # what _scaled_bracket and _scaled_families are multiplied by
 BRACKET_DENOMINATOR = 24
@@ -50,12 +45,6 @@ def _scaled_bracket(parts: tuple[int, ...]) -> int:
     s1 = sum(parts)
     s2 = sum(a * a for a in parts)
     return 5 * s2 + 6 * s1 + 4 * (s1 * s1 - s2)
-
-
-def _bracket(parts: tuple[int, ...]) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(_scaled_bracket(parts), BRACKET_DENOMINATOR)
 
 
 def _scaled_families(n: int, tup: tuple[int, ...]) -> tuple[int, int, int]:
@@ -77,18 +66,6 @@ def _scaled_families(n: int, tup: tuple[int, ...]) -> tuple[int, int, int]:
     return t1, t2, t3
 
 
-def family_tuple_values(n: int, tup: tuple[int, ...]) -> tuple[Fraction, Fraction, Fraction]:
-    """The three family contributions (T1, T2, T3) of one ordered tuple."""
-    from fractions import Fraction
-
-    t1, t2, t3 = _scaled_families(n, tup)
-    return (
-        Fraction(t1, FAMILY_DENOMINATOR),
-        Fraction(t2, FAMILY_DENOMINATOR),
-        Fraction(t3, FAMILY_DENOMINATOR),
-    )
-
-
 def _multiplicity_factor(mu: Monomial) -> int:
     counts: dict[int, int] = {}
     for a in mu.parts:
@@ -102,11 +79,7 @@ def _multiplicity_factor(mu: Monomial) -> int:
 def _exact_quotient(total: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(total, denominator)
     if remainder:
-        from fractions import Fraction
-
-        raise InternalConsistencyError(
-            f"{what} is not an integer: {Fraction(total, denominator)}"
-        )
+        raise InternalConsistencyError(f"{what} is not an integer: {total}/{denominator}")
     return quotient
 
 

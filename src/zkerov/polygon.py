@@ -4,26 +4,22 @@ Conventions used throughout the package:
 
 * The polygon has 2n corners 0..2n-1 and 2n boundary sides 0..2n-1;
   side i joins corners i and (i+1) mod 2n.
-* Corner c is BLACK iff c is even (the two endpoints of every side
-  therefore have opposite colors).
+* Corner c is black iff c is even, so the two endpoints of every side
+  have opposite colors; a vertex's color is the parity of its corners.
 * A gluing is a fixed-point-free involution on side indices.  Without
   twist flags, each pair (i, j) is identified by the unique pattern that
   preserves corner colors: corners (i, j) and (i+1, j+1) are merged when
   i and j have equal parity, corners (i, j+1) and (i+1, j) otherwise.
 * With explicit twist flags, STRAIGHT always identifies (i, j), (i+1, j+1)
   and TWISTED always identifies (i, j+1), (i+1, j); the result need not
-  be two-colorable (vertices may come out MIXED).
+  be two-colorable (a vertex may hold corners of both parities).
 * Every glued map has exactly one face (the polygon interior), so
-  chi = V - n + 1 and doubledGenus = 2 - chi.
+  the Euler characteristic is V - n + 1 and doubledGenus = n + 1 - V.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
-
-BLACK = "black"
-WHITE = "white"
-MIXED = "mixed"
 
 STRAIGHT = False
 TWISTED = True
@@ -78,18 +74,18 @@ class GluedMap(NamedTuple):
     """The one-face map obtained from a gluing.
 
     Vertex ids are the minimal corner index of each identified corner
-    class.  ``graph_edges`` holds one entry per glued side pair, in the
-    order of ``Gluing.pairs()``: its two endpoint vertices, sorted.
-    ``pairing`` is the gluing's, so the face boundary can be walked side
-    by side.
+    class.  Color is corner parity, with no color labels: a class of even
+    corners only is black, of odd corners only white, and one of both
+    parities is neither and makes the map non-bipartite.  ``graph_edges``
+    holds one entry per glued side pair, in the order of ``Gluing.pairs()``:
+    its two endpoint vertices, sorted.  ``pairing`` is the gluing's, so the
+    face boundary can be walked side by side.
     """
 
     n: int
     pairing: tuple[int, ...]
     vertex_of: tuple[int, ...]
-    vertex_color: dict[int, str]
     degree: dict[int, int]
-    euler_char: int
     doubled_genus: int
     black_vertices: tuple[int, ...]
     white_vertices: tuple[int, ...]
@@ -261,45 +257,38 @@ def glue(gluing: Gluing) -> GluedMap:
     for c, r in enumerate(vertex_of):
         classes.setdefault(r, []).append(c)
 
-    vertex_color: dict[int, str] = {}
+    # classes come in increasing order of their minimal corner: sorted lists
     degree: dict[int, int] = {}
+    black: list[int] = []
+    white: list[int] = []
     for r, members in classes.items():
-        parities = {c % 2 for c in members}
+        parities = {c & 1 for c in members}
         if parities == {0}:
-            vertex_color[r] = BLACK
-        elif len(parities) == 1:
-            vertex_color[r] = WHITE
-        else:
-            vertex_color[r] = MIXED
+            black.append(r)
+        elif parities == {1}:
+            white.append(r)
         degree[r] = len(members)
 
     edges = []
-    bipartite = MIXED not in vertex_color.values()
     for i, j in enumerate(p):
         if j < i:
             continue
         u = vertex_of[i]
         v = vertex_of[(i + 1) % m]
-        if u > v:
-            u, v = v, u
-        edges.append((u, v))
-        if u == v or vertex_color[u] == vertex_color[v]:
-            bipartite = False
+        edges.append((u, v) if u < v else (v, u))
 
-    v_count = len(classes)
-    chi = v_count - n + 1
     return GluedMap(
         n=n,
         pairing=p,
         vertex_of=vertex_of,
-        vertex_color=vertex_color,
         degree=degree,
-        euler_char=chi,
-        doubled_genus=2 - chi,
-        black_vertices=tuple(sorted(r for r, c in vertex_color.items() if c == BLACK)),
-        white_vertices=tuple(sorted(r for r, c in vertex_color.items() if c == WHITE)),
+        doubled_genus=n + 1 - len(classes),
+        black_vertices=tuple(black),
+        white_vertices=tuple(white),
         graph_edges=tuple(edges),
-        bipartite=bipartite,
+        # the two ends of a side have opposite parities, so a loop or an
+        # edge between two vertices of one color needs a mixed class
+        bipartite=len(black) + len(white) == len(classes),
     )
 
 

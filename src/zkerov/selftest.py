@@ -102,7 +102,7 @@ def _check_glue_invariants(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -
         for g in enumerate_gluings(n):
             m = glue(g)
             assert sum(m.degree.values()) == 2 * n
-            assert m.euler_char == m.vertex_count - n + 1
+            assert 2 - m.doubled_genus == m.vertex_count - n + 1  # V - E + F
             assert m.doubled_genus >= 0
             assert m.bipartite
             maps += 1
@@ -115,11 +115,11 @@ def _check_rotation_equivariance(max_n: int, _scan_of: ScanOf, _census_of: Censu
     for n in range(1, top + 1):
         for g in enumerate_gluings(n):
             m = glue(g)
-            sig = (sorted(m.degree.values()), m.euler_char,
+            sig = (sorted(m.degree.values()), m.doubled_genus,
                    len(m.black_vertices), len(m.white_vertices))
             for r in range(n):
                 m2 = glue(rotate_gluing(g, r))
-                sig2 = (sorted(m2.degree.values()), m2.euler_char,
+                sig2 = (sorted(m2.degree.values()), m2.doubled_genus,
                         len(m2.black_vertices), len(m2.white_vertices))
                 assert sig == sig2, (g, r)
                 checked += 1
@@ -236,7 +236,7 @@ def _check_decoration_accounting(max_n: int, _scan_of: ScanOf, census_of: Census
         b0, w0 = len(m.black_vertices), len(m.white_vertices)
         for kp in range(3):
             for lv in range(4):
-                report = verify_decoration_accounting(c, b0 + kp, w0 + kp + lv)
+                report = verify_decoration_accounting(c.representative, b0 + kp, w0 + kp + lv)
                 assert report.ok, report
                 cases += 1
     return f"labeled-map accounting holds for {cases} decoration targets on {len(bases)} bases"

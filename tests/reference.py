@@ -3,19 +3,22 @@
 Each one computes a quantity the package also computes, by a different
 route: the genus-one bracket as a single fraction; the bracket, the three
 tuple families and both ordered-tuple routes written literally in
-Fractions, where the package sums integers over a fixed denominator; and
+Fractions, where the package sums integers over a fixed denominator;
 admissible colorings counted over the distinct assignments of a part
-multiset instead of through enumerate_q.
+multiset instead of through enumerate_q; and pair insertion that tracks
+every edge's sides through each insertion, where the package inserts
+from the highest first side down.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from zkerov.admissibility import GraphLike, Monomial, bipartite_graph, hall_condition
+from zkerov.census import insert_pair
 from zkerov.partitions import compositions_any_length
-from zkerov.polygon import GluedMap
+from zkerov.polygon import GluedMap, Gluing
 
 
 def bracket_combined(parts: tuple[int, ...]) -> Fraction:
@@ -124,7 +127,7 @@ def admissible_colorings(g: GraphLike, mono: Monomial) -> int:
         return 0
     graph = bipartite_graph(g) if isinstance(g, GluedMap) else g
     blacks = sorted(graph.blacks)
-    if len(blacks) != mono.black_count or graph.vertex_count != mono.vertex_count:
+    if len(blacks) != len(mono.parts) or graph.vertex_count != mono.vertex_count:
         return 0
     count = 0
     for values in multiset_permutations(mono.parts):
@@ -132,3 +135,23 @@ def admissible_colorings(g: GraphLike, mono: Monomial) -> int:
         if hall_condition(graph, q):
             count += 1
     return count
+
+
+def insert_pairs_tracked(g: Gluing, edge_multiset: Sequence[int]) -> Gluing:
+    """Insert one subdivision pair per entry (entries index g.pairs()) in
+    ascending edge order, moving every edge's two sides through each
+    insertion."""
+    edges = g.pairs()
+    cur = {e: edges[e] for e in range(len(edges))}
+    out = g
+    for e in sorted(edge_multiset):
+        i, j = cur[e]
+        out = insert_pair(out, i)
+        for e2, (a, b) in cur.items():
+            if e2 == e:
+                cur[e2] = (i, out.pairing[i])
+            else:
+                a2 = a + 2 * (a > i) + 2 * (a > j)
+                b2 = b + 2 * (b > i) + 2 * (b > j)
+                cur[e2] = (a2, b2)
+    return out

@@ -32,7 +32,7 @@ class TestMonomial:
     def test_normalization_and_counts(self):
         m = Monomial((2, 3, 2))
         assert m.parts == (3, 2, 2)
-        assert m.black_count == 3
+        assert len(m.parts) == 3
         assert m.vertex_count == 7
         assert m.label() == "R3*R2*R2"
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from reference import admissible_colorings
+from reference import admissible_colorings, insert_pairs_tracked
 import zkerov.census as census_mod
 from zkerov.admissibility import Monomial, bipartite_graph
 from zkerov.census import (
@@ -28,7 +28,6 @@ from zkerov.census import (
 )
 from zkerov.engine import InternalConsistencyError
 from zkerov.polygon import (
-    MIXED,
     Gluing,
     double_factorial,
     enumerate_gluings,
@@ -94,7 +93,7 @@ class TestPredicates:
 
     def test_bridge_detection_matches_edge_removal_oracle(self):
         # every matching for n <= 6 and every twisted gluing for n <= 4;
-        # the twisted maps bring loops and MIXED vertices
+        # the twisted maps bring loops and vertices of mixed corner parity
         seen = set()
         gluings = itertools.chain(
             *(enumerate_gluings(n) for n in range(1, 7)),
@@ -107,7 +106,8 @@ class TestPredicates:
             seen.add(("bridge", bridged))
             seen.update({"loop" for u, v in m.graph_edges if u == v})
             seen.update({"multi-edge" for e in m.graph_edges if m.graph_edges.count(e) > 1})
-            seen.update({"mixed" for c in m.vertex_color.values() if c == MIXED})
+            if len({(v, c & 1) for c, v in enumerate(m.vertex_of)}) > m.vertex_count:
+                seen.add("mixed")
         assert seen == {("bridge", True), ("bridge", False), "loop", "multi-edge", "mixed"}
 
     def test_reduced_bipartite_families(self):
@@ -202,6 +202,20 @@ class TestCensusClasses:
         assert len(classes) == 2
         assert sorted((c.orbit_size, c.stabilizer_order) for c in classes) == [(1, 3), (3, 1)]
         assert sum(c.orbit_size for c in classes) == 4
+
+    def test_bipartite_filter_selects_only_the_matchings(self):
+        # a twisted gluing glues to a bipartite map iff every pair carries
+        # its color-preserving flag, so --twisted --bipartite is the matching
+        # universe with explicit flags and --bipartite alone keeps everything
+        for n, matchings in zip(range(1, 6), (1, 3, 15, 105, 945)):
+            bipartite = [g for g in enumerate_twisted_gluings(n) if glue(g).bipartite]
+            assert len(bipartite) == matchings
+            assert sorted(g.pairing for g in bipartite) == sorted(
+                g.pairing for g in enumerate_gluings(n))
+            for g in bipartite:
+                assert all(g.twists[i] == bool((i ^ j) & 1) for i, j in enumerate(g.pairing)), g
+        for n in range(1, 5):
+            assert census_classes(n, bipartite_only=True) == census_classes(n)
 
     def test_orbit_stabilizer_identity(self):
         for n in range(1, 6):
@@ -308,6 +322,17 @@ class TestDecorations:
         with pytest.raises(ValueError):
             insert_leaf(THETA_STAB3, 1)
 
+    def test_insert_pairs_matches_side_tracking_reference(self):
+        # every matching for n <= 4 and every multiset of at most 3 edges
+        cases = 0
+        for n in range(1, 5):
+            for g in enumerate_gluings(n):
+                for k in range(4):
+                    for ms in itertools.combinations_with_replacement(range(n), k):
+                        assert insert_pairs(g, ms) == insert_pairs_tracked(g, ms), (g, ms)
+                        cases += 1
+        assert cases == 1 * 4 + 3 * 10 + 15 * 20 + 105 * 35
+
     def test_distinct_pair_multisets_give_distinct_gluings_on_theta(self):
         outs = [insert_pairs(THETA_STAB3, ms)
                 for ms in itertools.combinations_with_replacement(range(3), 2)]
@@ -331,7 +356,8 @@ class TestDecorationAccounting:
             b0, w0 = len(m.black_vertices), len(m.white_vertices)
             for kp in range(3):
                 for lv in range(4):
-                    report = verify_decoration_accounting(c, b0 + kp, w0 + kp + lv)
+                    report = verify_decoration_accounting(c.representative, b0 + kp,
+                                                          w0 + kp + lv)
                     assert report.ok, report
 
     def test_loop_halves_collapse_in_decoration_count(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from reference import (
@@ -10,10 +12,13 @@ from reference import (
 from zkerov import closedform
 from zkerov.admissibility import Monomial
 from zkerov.closedform import (
+    BRACKET_DENOMINATOR,
+    FAMILY_DENOMINATOR,
+    _scaled_bracket,
+    _scaled_families,
     partition_coefficient,
     partition_polynomial,
     family_sum_polynomial,
-    family_tuple_values,
     symmetrized_polynomial,
 )
 from zkerov.engine import InternalConsistencyError, scan, strata
@@ -22,6 +27,14 @@ from zkerov.partitions import compositions_any_length, partitions
 
 def terms_dict(result):
     return {m.parts: v for m, v in result.terms.items()}
+
+
+def bracket(parts):
+    return Fraction(_scaled_bracket(parts), BRACKET_DENOMINATOR)
+
+
+def family_tuple_values(n, tup):
+    return tuple(Fraction(t, FAMILY_DENOMINATOR) for t in _scaled_families(n, tup))
 
 
 class TestPartitionCoefficient:
@@ -114,17 +127,13 @@ class TestAgainstEnumeration:
 
 class TestBracketIdentity:
     def test_two_evaluation_routes_agree(self):
-        from zkerov.closedform import _bracket
-
         for n in range(3, 11):
             for tup in compositions_any_length(n - 1, 2):
-                assert _bracket(tup) == bracket_combined(tup)
+                assert bracket(tup) == bracket_combined(tup)
 
     def test_bracket_is_positive(self):
-        from zkerov.closedform import _bracket
-
         for tup in compositions_any_length(9, 2):
-            assert _bracket(tup) > 0
+            assert bracket(tup) > 0
 
 
 class TestFractionReference:
@@ -134,7 +143,7 @@ class TestFractionReference:
     def test_tuple_values_equal_fraction_forms(self):
         for n in range(1, 17):
             for tup in compositions_any_length(n - 1, 2):
-                assert closedform._bracket(tup) == bracket_fraction(tup), tup
+                assert bracket(tup) == bracket_fraction(tup), tup
                 assert family_tuple_values(n, tup) == family_values_fraction(n, tup), (n, tup)
 
     def test_routes_equal_fraction_routes_up_to_twenty(self):

@@ -4,7 +4,6 @@ import math
 import pytest
 
 from zkerov.polygon import (
-    MIXED,
     Gluing,
     double_factorial,
     enumerate_gluings,
@@ -89,7 +88,6 @@ def test_gluing_validate():
 def test_glue_digon():
     m = glue(Gluing((1, 0)))
     assert m.vertex_count == 2
-    assert m.euler_char == 2
     assert m.doubled_genus == 0
     assert len(m.black_vertices) == 1 and len(m.white_vertices) == 1
     assert sorted(m.degree.values()) == [1, 1]
@@ -98,14 +96,12 @@ def test_glue_digon():
 def test_glue_square_cross_pairing():
     m = glue(Gluing((2, 3, 0, 1)))  # pairs (0,2), (1,3)
     assert m.vertex_count == 2
-    assert m.euler_char == 1
     assert m.doubled_genus == 1
 
 
 def test_glue_hexagon_all_corners_merge():
     m = glue(Gluing((2, 4, 0, 5, 1, 3)))  # pairs (0,2), (1,4), (3,5)
     assert m.vertex_count == 2
-    assert m.euler_char == 0
     assert m.doubled_genus == 2
     assert m.black_vertices == (0,) and m.vertex_of[2] == 0 and m.vertex_of[4] == 0
     assert m.degree == {0: 3, 1: 3}
@@ -122,7 +118,7 @@ def test_glue_invariants_exhaustive_small():
         for g in enumerate_gluings(n):
             m = glue(g)
             assert sum(m.degree.values()) == 2 * n
-            assert m.euler_char == m.vertex_count - n + 1
+            assert 2 - m.doubled_genus == m.vertex_count - n + 1
             assert m.doubled_genus >= 0
             assert m.bipartite
             black = set(m.black_vertices)
@@ -133,10 +129,11 @@ def test_glue_invariants_exhaustive_small():
 
 
 def test_twisted_glue_can_mix_colors():
-    # straight digon gluing merges the two corners into one MIXED vertex
+    # straight digon gluing merges an even and an odd corner into one vertex
     m = glue(Gluing((1, 0), (False, False)))
     assert m.vertex_count == 1
-    assert m.vertex_color[0] == MIXED
+    assert m.vertex_of == (0, 0)
+    assert m.black_vertices == () and m.white_vertices == ()
     assert not m.bipartite
     assert m.doubled_genus == 1
     # the twisted flag reproduces the color-forced sphere
@@ -166,11 +163,11 @@ def test_rotation_equivariance_of_glue():
     for n in (2, 3, 4):
         for g in enumerate_gluings(n):
             m = glue(g)
-            base = (sorted(m.degree.values()), m.euler_char,
+            base = (sorted(m.degree.values()), m.doubled_genus,
                     len(m.black_vertices), len(m.white_vertices))
             for r in range(n):
                 m2 = glue(rotate_gluing(g, r))
-                assert (sorted(m2.degree.values()), m2.euler_char,
+                assert (sorted(m2.degree.values()), m2.doubled_genus,
                         len(m2.black_vertices), len(m2.white_vertices)) == base
 
 
@@ -184,7 +181,7 @@ def test_reflection_and_shift_are_involutive_symmetries():
     g = Gluing((2, 4, 0, 5, 1, 3))
     m, mr = glue(g), glue(reflect_gluing(g, 0))
     assert sorted(m.degree.values()) == sorted(mr.degree.values())
-    assert m.euler_char == mr.euler_char
+    assert m.doubled_genus == mr.doubled_genus
 
 
 def test_color_swap_is_an_automorphism_of_counts():
@@ -200,4 +197,4 @@ def test_color_swap_is_an_automorphism_of_counts():
             m, swapped = glue(g), glue(shift_gluing(g, 1))
             assert degrees(swapped, swapped.black_vertices) == degrees(m, m.white_vertices), g
             assert degrees(swapped, swapped.white_vertices) == degrees(m, m.black_vertices), g
-            assert swapped.euler_char == m.euler_char
+            assert swapped.doubled_genus == m.doubled_genus
