@@ -69,10 +69,6 @@ class BipartiteGraph(_BipartiteGraphFields):
                 raise ValueError(f"edge ({b},{w}) not between a black and a white vertex")
         return super().__new__(cls, blacks, whites, edges)
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.blacks) + len(self.whites)
-
 
 GraphLike = Union[GluedMap, BipartiteGraph]
 

@@ -43,10 +43,6 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for
     # verification mismatches
@@ -59,9 +55,9 @@ def _parse_mu(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"--mu expects comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"--mu expects comma-separated integers, got {text!r}") from exc
     if not parts or any(p < 2 for p in parts):
-        raise UsageError(f"--mu parts must all be >= 2, got {text!r}")
+        raise ValueError(f"--mu parts must all be >= 2, got {text!r}")
     return tuple(sorted(parts, reverse=True))
 
 
@@ -122,12 +118,17 @@ def build_parser() -> _Parser:
 
 def _validate(args: argparse.Namespace) -> None:
     """Usage checks argparse cannot express; replaces --mu by its parts."""
-    if getattr(args, "mu", None) is not None:
-        args.mu = _parse_mu(args.mu)
     for name, least in (("n", 1), ("threads", 1), ("max_n", 1), ("genus_doubled", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
+    if getattr(args, "mu", None) is not None:
+        args.mu = _parse_mu(args.mu)
+        # |mu| counts a map's vertices, and a one-face map with n edges has
+        # at most n + 1 (doubled genus n + 1 - |mu| >= 0)
+        if sum(args.mu) > args.n + 1:
+            raise ValueError(f"--mu has {sum(args.mu)} vertices, but a map with "
+                             f"n={args.n} edges has at most {args.n + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         elif args.reduced_bipartite and args.contributing:
             name = "contributing"
         else:
-            raise UsageError("census needs --n, or one of the presets "
+            raise ValueError("census needs --n, or one of the presets "
                              "(--twisted --reduced | --reduced-bipartite --contributing)")
         ns, defaults = census_mod.preset(name, args.max_n)
         options = {**defaults, **options}
@@ -351,9 +352,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _validate(args)
         return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"zkerov: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"zkerov: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -14,11 +14,11 @@ must agree term by term:
 
 Arithmetic is in integers: each formula is evaluated times a fixed
 denominator (24 for the bracket, 12 for the families), the tuple routes
-add these scaled values per partition, and every total is divided once,
-with a remainder raising InternalConsistencyError.  In genus one the
-enumeration's sign (-1)^(n+1+V) is +1, so these values equal raw (M,q)
-pair counts; genus1_mismatches compares the three routes with the
-genus-one stratum of a scan.
+add these scaled values per partition, and every total is divided once
+by ``engine.exact_quotient``, a remainder raising InternalConsistencyError.
+In genus one the enumeration's sign (-1)^(n+1+V) is +1, so these values
+equal raw (M,q) pair counts; genus1_mismatches compares the three routes
+with the genus-one stratum of a scan.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .admissibility import Monomial
-from .engine import InternalConsistencyError, ScanResult, strata
+from .engine import ScanResult, exact_quotient, strata
 from .partitions import compositions_any_length, partitions
 
 # what _scaled_bracket and _scaled_families are multiplied by
@@ -76,19 +76,12 @@ def _multiplicity_factor(mu: Monomial) -> int:
     return out
 
 
-def _exact_quotient(total: int, denominator: int, what: str) -> int:
-    quotient, remainder = divmod(total, denominator)
-    if remainder:
-        raise InternalConsistencyError(f"{what} is not an integer: {total}/{denominator}")
-    return quotient
-
-
 def _divided_terms(
     n: int, scaled: dict[tuple[int, ...], int], denominator: int
 ) -> ClosedFormResult:
     """Per-partition scaled totals divided once by their denominator."""
     terms = {
-        Monomial(parts): _exact_quotient(total, denominator, f"term {parts} at n={n}")
+        Monomial(parts): exact_quotient(total, denominator, f"term {parts} at n={n}")
         for parts, total in scaled.items()
     }
     return ClosedFormResult(n=n, terms=terms)
@@ -103,10 +96,7 @@ def partition_coefficient(n: int, mu: Monomial) -> int:
     scaled = n * _multiplicity_factor(mu) * _scaled_bracket(mu.parts)
     for a in mu.parts:
         scaled *= a - 1
-    out = _exact_quotient(scaled, BRACKET_DENOMINATOR, f"coefficient of {mu.parts} at n={n}")
-    if out < 0:
-        raise InternalConsistencyError(f"negative genus-one coefficient {out} for {mu.parts}")
-    return out
+    return exact_quotient(scaled, BRACKET_DENOMINATOR, f"coefficient of {mu.parts} at n={n}")
 
 
 def symmetrized_polynomial(n: int) -> ClosedFormResult:

@@ -84,8 +84,7 @@ and recurses on the sides left free, or, with fewer than six left (n <= 4),
 places every completion there.  Small n runs in-process.  Otherwise the
 branches, largest types first, are dealt into one task per worker in
 boustrophedon order (0, 1, ..., k-1, k-1, ..., 0, 0, 1, ...), which at
-n=8 gives the two tasks 64,751 and 63,982 leaves where round-robin gave
-67,481 and 61,252.  The weighted tallies are merged by plain addition, so
+n=8 gives the two tasks 64,751 and 63,982 leaves.  The weighted tallies are merged by plain addition, so
 results are independent of the worker count.  A task builds its automaton
 and its (w, masks) table once for all its branches, which one task per
 branch would repeat.
@@ -141,6 +140,17 @@ class InternalConsistencyError(RuntimeError):
 class WorkerDiedError(RuntimeError):
     """A worker process of the scan died, or its kernel raised, before it
     returned its tallies."""
+
+
+def exact_quotient(total: int, denominator: int, what: str) -> int:
+    """``total // denominator`` for a quotient that must be an integer;
+    a remainder raises InternalConsistencyError."""
+    quotient, remainder = divmod(total, denominator)
+    if remainder:
+        raise InternalConsistencyError(
+            f"{what} is not an integer: {total} is not a multiple of {denominator}"
+        )
+    return quotient
 
 
 def rescaled_coefficient(n: int, mono: Monomial, raw_count: int) -> int:
@@ -581,15 +591,10 @@ def _exact_tallies(
         raise InternalConsistencyError(
             f"weighted matching total {total} at n={n}, expected {expected}"
         )
-    tallies = {}
-    for key, c in merged.items():
-        q, r = divmod(c, denominator)
-        if r:
-            raise InternalConsistencyError(
-                f"weighted count {c} of mu={key} at n={n} is not a multiple of {denominator}"
-            )
-        tallies[key] = q
-    return tallies
+    return {
+        key: exact_quotient(c, denominator, f"raw count of mu={key} at n={n}")
+        for key, c in merged.items()
+    }
 
 
 def scan(
@@ -695,7 +700,7 @@ def _decimal(value: Any, what: str) -> int:
 
 def _parse_cache(doc: Any, n: int) -> ScanResult:
     # imported here: closedform imports this module
-    from .closedform import partition_polynomial
+    from .closedform import genus1_mismatches
 
     if not isinstance(doc, dict):
         raise ValueError("not a JSON object")
@@ -715,22 +720,18 @@ def _parse_cache(doc: Any, n: int) -> ScanResult:
         if mono.vertex_count > n + 1 or raw < 1 or mono in tallies:
             raise ValueError(f"impossible entry mu={entry['mu']} rawCount={raw}")
         tallies[mono] = raw
-    genus_one = {
-        m: rescaled_coefficient(n, m, c)
-        for m, c in tallies.items()
-        if m.vertex_count == n - 1
-    }
-    if genus_one != partition_polynomial(n).terms:
+    result = ScanResult(n=n, gluing_count=gluings, tallies=tallies)
+    if genus1_mismatches(n, result):
         raise ValueError("genus-one stratum disagrees with the closed form")
-    return ScanResult(n=n, gluing_count=gluings, tallies=tallies)
+    return result
 
 
 def load_cache(cache_dir: str | Path, n: int) -> ScanResult | None:
     """Tallies of one n from the cache, or None on a miss.
 
     A file that does not parse or fails validation (schema, n, gluing total,
-    part and vertex bounds, genus-one stratum against the closed form) is a
-    miss too, reported on stderr.  Any other OSError reading the file (a
+    part and vertex bounds, genus-one stratum by ``genus1_mismatches``) is
+    a miss too, reported on stderr.  Any other OSError reading the file (a
     path that cannot hold it, a denied permission) raises ValueError.
     """
     path = cache_path(cache_dir, n)

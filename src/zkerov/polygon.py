@@ -54,21 +54,6 @@ class Gluing(NamedTuple):
         """Side pairs (i, j) with i < j, sorted by i."""
         return [(i, j) for i, j in enumerate(self.pairing) if i < j]
 
-    def validate(self) -> None:
-        p = self.pairing
-        m = len(p)
-        if m == 0 or m % 2:
-            raise ValueError(f"pairing must have positive even length, got {m}")
-        for i, j in enumerate(p):
-            if not 0 <= j < m or j == i or p[j] != i:
-                raise ValueError(f"pairing is not a fixed-point-free involution at {i}")
-        if self.twists is not None:
-            if len(self.twists) != m:
-                raise ValueError("twists length must equal pairing length")
-            for i, j in enumerate(p):
-                if self.twists[i] != self.twists[j]:
-                    raise ValueError(f"twist flags disagree within pair ({i},{j})")
-
 
 class GluedMap(NamedTuple):
     """The one-face map obtained from a gluing.
@@ -91,10 +76,6 @@ class GluedMap(NamedTuple):
     white_vertices: tuple[int, ...]
     graph_edges: tuple[tuple[int, int], ...]
     bipartite: bool
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.degree)
 
 
 def enumerate_gluings(n: int, *, doubled_genus: int | None = None) -> Iterator[Gluing]:

@@ -7,7 +7,9 @@ Fractions, where the package sums integers over a fixed denominator;
 admissible colorings counted over the distinct assignments of a part
 multiset instead of through enumerate_q; and pair insertion that tracks
 every edge's sides through each insertion, where the package inserts
-from the highest first side down.
+from the highest first side down.  ``validate`` checks that a gluing the
+tests build is well formed; none enters the package from outside, since
+the CLI takes only n and mu.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def admissible_colorings(g: GraphLike, mono: Monomial) -> int:
         return 0
     graph = bipartite_graph(g) if isinstance(g, GluedMap) else g
     blacks = sorted(graph.blacks)
-    if len(blacks) != len(mono.parts) or graph.vertex_count != mono.vertex_count:
+    if len(blacks) != len(mono.parts) or len(blacks) + len(graph.whites) != mono.vertex_count:
         return 0
     count = 0
     for values in multiset_permutations(mono.parts):
@@ -135,6 +137,25 @@ def admissible_colorings(g: GraphLike, mono: Monomial) -> int:
         if hall_condition(graph, q):
             count += 1
     return count
+
+
+def validate(g: Gluing) -> None:
+    """Raise ValueError unless ``g.pairing`` is a fixed-point-free
+    involution of positive even length whose twist flags, if any, agree
+    within each pair."""
+    p = g.pairing
+    m = len(p)
+    if m == 0 or m % 2:
+        raise ValueError(f"pairing must have positive even length, got {m}")
+    for i, j in enumerate(p):
+        if not 0 <= j < m or j == i or p[j] != i:
+            raise ValueError(f"pairing is not a fixed-point-free involution at {i}")
+    if g.twists is not None:
+        if len(g.twists) != m:
+            raise ValueError("twists length must equal pairing length")
+        for i, j in enumerate(p):
+            if g.twists[i] != g.twists[j]:
+                raise ValueError(f"twist flags disagree within pair ({i},{j})")
 
 
 def insert_pairs_tracked(g: Gluing, edge_multiset: Sequence[int]) -> Gluing:

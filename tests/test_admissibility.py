@@ -181,4 +181,4 @@ class TestAdmissibleColorings:
                 for parts, count in stream.items():
                     assert admissible_colorings(m, Monomial(parts)) == count
                 # a monomial that cannot occur
-                assert admissible_colorings(m, Monomial((m.vertex_count + 2,))) == 0
+                assert admissible_colorings(m, Monomial((len(m.degree) + 2,))) == 0

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from reference import admissible_colorings, insert_pairs_tracked
+from reference import admissible_colorings, insert_pairs_tracked, validate
 import zkerov.census as census_mod
 from zkerov.admissibility import Monomial, bipartite_graph
 from zkerov.census import (
@@ -82,7 +82,7 @@ class TestPredicates:
     def test_single_vertex_loops_are_reduced(self):
         # all four corners merge: one vertex of degree 4, loops are not bridges
         m = glue(Gluing((1, 0, 3, 2), (False, False, False, False)))
-        assert m.vertex_count == 1
+        assert len(m.degree) == 1
         assert is_reduced(m)
 
     def test_bridge_detection(self):
@@ -106,7 +106,7 @@ class TestPredicates:
             seen.add(("bridge", bridged))
             seen.update({"loop" for u, v in m.graph_edges if u == v})
             seen.update({"multi-edge" for e in m.graph_edges if m.graph_edges.count(e) > 1})
-            if len({(v, c & 1) for c, v in enumerate(m.vertex_of)}) > m.vertex_count:
+            if len({(v, c & 1) for c, v in enumerate(m.vertex_of)}) > len(m.degree):
                 seen.add("mixed")
         assert seen == {("bridge", True), ("bridge", False), "loop", "multi-edge", "mixed"}
 
@@ -304,16 +304,16 @@ class TestDecorations:
 
     def test_insert_pair_keeps_genus_and_colors(self):
         g = insert_pairs(THETA_STAB3, (0, 0))
-        g.validate()
+        validate(g)
         m = glue(g)
         assert m.doubled_genus == 2
         assert m.bipartite
-        assert m.vertex_count == 6
+        assert len(m.degree) == 6
         assert sorted(m.degree.values()) == [2, 2, 2, 2, 3, 3]
 
     def test_insert_leaf_adds_pendant_white(self):
         g = insert_leaves(THETA_STAB3, (0, 0, 2))
-        g.validate()
+        validate(g)
         m = glue(g)
         assert m.doubled_genus == 2
         assert sorted(m.degree.values()) == [1, 1, 1, 3, 6]

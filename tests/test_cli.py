@@ -100,6 +100,20 @@ class TestCoeff:
         assert "invalid cache file" in err
         assert cache_file.read_text() == text
 
+    @pytest.mark.parametrize("mu,vertices", [("5", 5), ("9,9", 18)])
+    def test_mu_with_more_than_n_plus_one_vertices_exits_one(self, capsys, tmp_path, mu, vertices):
+        # a map with 3 edges has at most 4 vertices: rejected before any scan
+        code, out, err = run(capsys, "coeff", "--n", "3", "--mu", mu, "--cache", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == (f"zkerov: error: --mu has {vertices} vertices, "
+                       "but a map with n=3 edges has at most 4\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mu_with_n_plus_one_vertices_is_planar(self, capsys):
+        code, doc, _ = run_json(capsys, "coeff", "--n", "3", "--mu", "4")
+        assert code == 0
+        assert (doc["doubledGenus"], doc["rawCount"], doc["coefficient"]) == (0, "1", "1")
+
     def test_inexact_halving_exits_three(self, capsys):
         # no halving: R_4 in zonal K_6 is the integer -701, so coeff answers
         code, doc, err = run_json(capsys, "coeff", "--n", "6", "--mu", "4")
@@ -128,9 +142,14 @@ class TestMuParsing:
     @given(st.lists(st.integers(min_value=2), min_size=1, max_size=6))
     def test_parts_of_two_or_more_are_accepted_and_sorted(self, parts):
         mu = ",".join(map(str, parts))
+        assert cli._parse_mu(mu) == tuple(sorted(parts, reverse=True))
         code, out = quiet_main("coeff", "--n", "3", "--mu", mu, "--threads", "1", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["mu"] == sorted(parts, reverse=True)
+        # at n=3 a monomial has at most n + 1 = 4 vertices
+        if sum(parts) > 4:
+            assert (code, out) == (1, "")
+        else:
+            assert code == 0
+            assert json.loads(out)["mu"] == sorted(parts, reverse=True)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(), min_size=1, max_size=6).filter(lambda ps: min(ps) < 2))

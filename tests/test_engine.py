@@ -228,7 +228,7 @@ class TestScanKernel:
         every pair but any one already gives glue()'s vertex classes."""
         m = 2 * n
         for g in enumerate_gluings(n):
-            vertices = glue(g).vertex_count
+            vertices = len(glue(g).degree)
             for last in g.pairs():
                 root = list(range(m))
 

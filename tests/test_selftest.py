@@ -88,6 +88,15 @@ def test_positivity_check_rejects_a_zero_coefficient(monkeypatch):
     assert "non-positive coefficient 0 for mu=(4, 3) at n=8" in result.detail
 
 
+def test_euler_check_has_a_second_route_to_the_genus(monkeypatch):
+    # a glue that returns the first map it built for each n, as a memo keyed
+    # on n would: every map keeps its degree sum and stays bipartite
+    real, first = selftest.glue, {}
+    monkeypatch.setattr(selftest, "glue", lambda g: first.setdefault(g.n, real(g)))
+    result = run_check("glue-invariants", 5, engine.scan)
+    assert not result.passed and result.detail.startswith("AssertionError")
+
+
 def test_orbit_stabilizer_check_uses_the_direct_count(monkeypatch):
     # every class claims stabilizer 1; the published orders disagree
     monkeypatch.setattr(selftest, "stabilizer_order", lambda g: 1)
