@@ -4,6 +4,7 @@ source trees and write BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
+                               [--rows KEY[,KEY...]]
 
 Each ``--side`` names a source tree (the directory holding the ``zkerov``
 package); the default is this checkout's ``src`` labelled ``change``.  Pass
@@ -59,6 +60,14 @@ reported figure is the median over repeats:
 
 Whole processes run the console script's body, ``python -c "from
 zkerov.cli import main; ..."``, with the side's tree on PYTHONPATH.
+
+``--rows`` times only the named samples (``n8_t1``, ``n9_t2``,
+``census_twisted_s``, ``query_warm_ms``, ``expand_2t``, ...; an unknown
+name lists them all) and writes only the figures they give, with the list
+under ``rows``; the ``task_leaves`` set-up runs either way.  Without it
+every sample is timed.  Many repeats of a few rows, for example
+``--rows census_twisted_s,census_contrib_s --repeats 10``, then cost no
+n=9 or n=10 scans.
 
 The ``counts`` of each side hold the class counts of the census presets,
 the number of gluings enumerated, the number of terms of each closed form,
@@ -238,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="LABEL=SRC_DIR", help="source tree to time (repeatable)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scan.json")
+    parser.add_argument("--rows", type=lambda text: text.split(","), default=None,
+                        metavar="KEY[,KEY...]", help="time only these samples")
     args = parser.parse_args(argv)
     sides = args.side or [("change", ROOT / "src")]
     if args.repeats < 1:
@@ -263,6 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     for threads in EXPAND_THREADS:
         jobs[f"expand_{threads}t"] = (
             "cli", ["expand", "--n", EXPAND_N, "--threads", threads, "--cache", "{cold}"])
+    if args.rows is not None:
+        unknown = [key for key in args.rows if key not in jobs]
+        if unknown:
+            parser.error(f"unknown rows {unknown}; choose from {list(jobs)}")
+        jobs = {key: jobs[key] for key in args.rows}
 
     samples: dict[str, dict[str, list[float]]] = {
         label: {key: [] for key in jobs} for label, _src in sides
@@ -310,38 +326,43 @@ def main(argv: list[str] | None = None) -> int:
         "statistic": "median",
         "sides": {},
     }
+    if args.rows is not None:
+        report["rows"] = list(jobs)
     for label, _src in sides:
         med = {key: statistics.median(xs) for key, xs in samples[label].items()}
-        report["sides"][label] = {
-            "scan_1t_s": {str(n): round(med[f"n{n}_t1"], 4) for n in SINGLE_NS},
-            "scan_2t_s": {str(n): round(med[f"n{n}_t{t}"], 4) for n, t in PARALLEL},
-            "ns_per_matching": {
-                str(n): round(med[f"n{n}_t1"] / counts[label][f"n{n}_t1"] * 1e9, 1)
-                for n in SINGLE_NS
-            },
-            "ns_per_leaf": {
-                str(n): round(med[f"n{n}_t1"] / leaves[label][f"n{n}_t1"] * 1e9, 1)
-                for n in SINGLE_NS
-            },
+        single = [(str(n), f"n{n}_t1") for n in SINGLE_NS if f"n{n}_t1" in med]
+        expand = {t: round(med[f"expand_{t}t"], 4)
+                  for t in EXPAND_THREADS if f"expand_{t}t" in med}
+        figures = {
+            "scan_1t_s": {n: round(med[key], 4) for n, key in single},
+            "scan_2t_s": {str(n): round(med[f"n{n}_t{t}"], 4)
+                          for n, t in PARALLEL if f"n{n}_t{t}" in med},
+            "ns_per_matching": {n: round(med[key] / counts[label][key] * 1e9, 1)
+                                for n, key in single},
+            "ns_per_leaf": {n: round(med[key] / leaves[label][key] * 1e9, 1)
+                            for n, key in single},
             "scan_rss_mb": {key: round(statistics.median(xs), 1)
-                            for key, xs in rss[label].items()},
-            "leaves": {str(n): leaves[label][f"n{n}_t1"] for n in SINGLE_NS},
+                            for key, xs in rss[label].items() if xs},
+            "leaves": {n: leaves[label][key] for n, key in single},
             "task_leaves": task_leaves[label],
-            **{key: {max_n: round(med[key], 4)} for key, (max_n, _flags) in CENSUS.items()},
-            **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items()},
-            **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM},
-            "selftest_s": {SELFTEST_MAX_N: round(med["selftest_s"], 4)},
-            "cli_import_ms": round(med["cli_import_ms"] * 1e3, 1),
-            "query_warm_ms": round(med["query_warm_ms"] * 1e3, 1),
-            "expand_cold_s": {
-                EXPAND_N: {t: round(med[f"expand_{t}t"], 4) for t in EXPAND_THREADS}
-            },
+            **{key: {max_n: round(med[key], 4)}
+               for key, (max_n, _flags) in CENSUS.items() if key in med},
+            **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items() if key in med},
+            **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM if key in med},
+            "selftest_s": {SELFTEST_MAX_N: round(med["selftest_s"], 4)}
+            if "selftest_s" in med else {},
+            **{key: round(med[key] * 1e3, 1)
+               for key in ("cli_import_ms", "query_warm_ms") if key in med},
+            "expand_cold_s": {EXPAND_N: expand} if expand else {},
             "counts": {key: counts[label][key]
                        for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM, "selftest_s",
                                    "cli_import_ms", "query_warm_ms",
-                                   *(f"expand_{t}t" for t in EXPAND_THREADS)]},
+                                   *(f"expand_{t}t" for t in EXPAND_THREADS)]
+                       if key in counts[label]},
             "samples_s": {key: [round(x, 4) for x in xs] for key, xs in samples[label].items()},
         }
+        # a figure whose rows were not timed is left out
+        report["sides"][label] = {key: value for key, value in figures.items() if value != {}}
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dihedral", action="store_true",
                    help="identify classes under the full dihedral group")
     p.add_argument("--max-n", type=int, default=None,
-                   help="pool n=1..max-n when --n is not given")
+                   help="pool n=1..max-n for a preset; not with --n")
 
     p = sub.add_parser("selftest", help="run the verification battery")
     # selftest checks the kernel at n=1..max-n, never the cache
@@ -253,6 +253,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.dihedral:
         options["convention"] = census_mod.DIHEDRAL
     if args.n is not None:
+        if args.max_n is not None:
+            raise ValueError("census takes --n or --max-n, not both")
         ns: Sequence[int] = [args.n]
     else:
         if args.twisted and args.reduced:

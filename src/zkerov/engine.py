@@ -51,8 +51,8 @@ sides.  A side pair merges one pair of black and one pair of white corners,
 and each colour's corner classes, a set partition of its n corners, are a
 state of an automaton built per kernel call on first use (``_Partitions``).
 The recursion passes (black state, white state) down, so a merge is two
-table lookups and nothing is undone on backtrack: at n=8 about 225k merges
-meet 2,751 states and 13,025 distinct transitions.
+table lookups and nothing is undone on backtrack: at n=8 about 218k merges
+meet 2,743 states and 12,924 distinct transitions.
 
 A matching's last pair never merges two classes.  Once the other n-1 pairs
 are glued, the polygon is a surface whose boundary is the two free sides s
@@ -62,16 +62,30 @@ class of their black ends and that of their white ends, which are exactly
 the corners the last pair identifies.  So no leaf merges anything: the
 blocks of the two states before the last pair are the map's b black and w
 white vertices.  The frame of the recursion with six free sides places the
-last two pairs too: for each partner of its first side it tests both pairs
-of each of the three completions of the other four against the type table
-and merges only the first.  A leaf only adds its weight to a table keyed by
-(black state, white state), inline in that frame.  After each branch one
-pass reads each state pair once, adds its weight to the call's weight of
-(w, black/white adjacency masks), read off the two states, and empties the
-table.  At the end Hall's condition runs once per distinct (w, masks) and
-gives that weight to each admissible monomial: one black vertex has the
-one monomial (w+1), and w < b has none.  At n=8 the 128,733 leaves give
-23,789 state pairs over the 66 branches and 662 distinct (w, masks).
+last three pairs from a plan.  Which pairs the type table allows depends
+only on the branch's type and the free sides, so the plan of six free
+sides is built once, on first use, and kept while the branches of one
+type run: each partner of the first side that the table allows, with its
+black and white merge codes and its count of type-tau pairs, and under it
+the completions of the other four whose two pairs the table allows, each
+as its first pair's merge codes and the two pairs' count.  The frame
+merges each partner and each completion's first pair, and tests no pair:
+at n=8 it is entered 18,267 times and builds 1,453 plans (248,735 and
+2,786 at n=9).  A leaf only adds its weight to a table keyed by (black
+state, white state), inline in that frame.  After each branch one pass
+reads each state pair once, adds its weight to the call's weight of (w,
+black/white adjacency masks), read off the two states, and empties the
+table.  The white blocks next to each black element are read once per
+white state of the branch, so a pair's masks cost one OR per black
+element; those white bits are emptied with the table.  Kept for the
+whole call instead, the plans and white bits raised the peak RSS of
+``scan(10, threads=2)`` from 55 to 72 MB at the same speed; emptied per
+branch, the plans cost ``scan(8)`` about 11% more time than per type
+(slower in 9 of 10 alternated interpreters).  At the end Hall's condition
+runs once per distinct (w, masks) and gives that weight to each
+admissible monomial: one black vertex has the one monomial (w+1), and
+w < b has none.  At n=8 the 128,733 leaves give 23,789 state pairs over
+the 66 branches and 662 distinct (w, masks).
 Tests cross-validate the kernel against the glue()/enumerate_q() path
 over every matching and over its image under the color swap, the side
 shift by one (``polygon.shift_gluing``).
@@ -94,9 +108,14 @@ marshalled result back through a pipe and leaves by ``os._exit``.  A child
 that exits non-zero, is killed or sends a short result, or whose kernel
 raises, makes ``scan`` raise WorkerDiedError, which ``cli.main`` reports as
 an internal failure (exit 3); the other children are then killed, and
-every child is reaped.  Where ``os.fork`` is missing the scan runs
-in-process.  A fork copies only the calling thread, so a caller that runs
-threads of its own should scan with threads=1; the CLI starts none.  No
+every child is reaped.  Child k runs on the k-th of the CPUs the scan may
+use, in turn (``os.sched_setaffinity``, skipped where the platform lacks
+it).  Left to the scheduler, the two children of ``scan(8, threads=2)``
+often shared one vCPU of a 2-vCPU Xeon: over 20 fresh interpreters the
+call took 0.23 s in the median and 0.25 s at p90, against 0.12 and 0.13 s
+pinned.  Where ``os.fork`` is missing the scan runs in-process.  A fork
+copies only the calling thread, so a caller that runs threads of its own
+should scan with threads=1; the CLI starts none.  No
 scan loads ``concurrent.futures`` or ``multiprocessing``, and ``tempfile``
 is imported only when a cache file is written, so a query answered from
 the cache loads neither.
@@ -355,6 +374,11 @@ def _pairings(sides: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((sides[0], sides[k]),) + rest
 
 
+# the last three pairs on six free sides: per partner of the first side,
+# its black and white merge codes, its d and its completions (``_scan_branch``)
+_Plan = list[tuple[int, int, int, list[tuple[int, int, int]]]]
+
+
 def _scan_branch(
     task: tuple[int, tuple[tuple[tuple[int, int], ...], ...]],
 ) -> tuple[int, int, dict[tuple[int, ...], int]]:
@@ -378,9 +402,10 @@ def _scan_branch(
     table, _reps, sizes = _type_table(n)
     denominator = _weight_denominator(n)
     leaves = 0
-    # per branch: step[a][b] is -1 for a banned pair or one of an earlier
+    # per type tau: step[a][b] is -1 for a banned pair or one of an earlier
     # type, else the number of type-tau pairs it adds; weights[c] the
-    # weight at c of them; agg[bs][ws] the weight of the leaves at (bs, ws)
+    # weight at c of them; per branch: agg[bs][ws] the weight of the
+    # leaves at (bs, ws)
     step: list[list[int]] = []
     weights: list[int] = []
     agg: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -401,55 +426,91 @@ def _scan_branch(
     around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(0, m, 2)]
     # weight by (w, masks), over all branches
     graphs: dict[tuple[int, tuple[int, ...]], int] = {}
+    # the plan of each six free sides (``plan_of``), kept while the
+    # branches of one type run; per branch, emptied with agg: the
+    # white-block bits next to each black element, per white state
+    plans: dict[tuple[int, ...], _Plan] = {}
+    white_bits: dict[int, list[int]] = {}
 
     def rec(free: tuple[int, ...], same: int, bs: int, ws: int) -> None:
         # same: the type-tau pairs placed so far; bs, ws: black and white
         # states; six or more sides are free, and the frame with six places
-        # the last two pairs too (module docstring)
+        # the last three pairs from the type's plan for its free sides
+        # (module docstring)
         nonlocal leaves
-        i = free[0]
-        row, black_row, white_row = step[i], black[i], white[i]
         black_trans, white_trans = trans[bs], trans[ws]
-        deeper = len(free) > 6
-        for k in range(1, len(free)):
+        if len(free) > 6:
+            i = free[0]
+            row, black_row, white_row = step[i], black[i], white[i]
+            for k in range(1, len(free)):
+                x = free[k]
+                d = row[x]
+                if d < 0:
+                    continue
+                b = black_trans[black_row[x]]
+                if b < 0:
+                    b = merge(bs, black_row[x])
+                w = white_trans[white_row[x]]
+                if w < 0:
+                    w = merge(ws, white_row[x])
+                rec(free[1:k] + free[k + 1:], same + d, b, w)
+            return
+        plan = plans.get(free)
+        if plan is None:
+            plan = plans[free] = plan_of(free)
+        for black_code, white_code, d, completions in plan:
+            b = black_trans[black_code]
+            if b < 0:
+                b = merge(bs, black_code)
+            w = white_trans[white_code]
+            if w < 0:
+                w = merge(ws, white_code)
+            # only a completion's first pair is merged: the last merges nothing
+            black_next, white_next = trans[b], trans[w]
+            same_d = same + d
+            leaves += len(completions)
+            for black_code2, white_code2, ef in completions:
+                b2 = black_next[black_code2]
+                if b2 < 0:
+                    b2 = merge(b, black_code2)
+                w2 = white_next[white_code2]
+                if w2 < 0:
+                    w2 = merge(w, white_code2)
+                cell = agg[b2]
+                cell[w2] = cell.get(w2, 0) + weights[same_d + ef]
+
+    def plan_of(free: tuple[int, ...]) -> _Plan:
+        # the last three pairs on six free sides under this type's step:
+        # for each partner x of free[0] that step allows, the merge codes
+        # and d of (free[0], x), and the completions of the other four
+        # whose two pairs step allows, as (black code, white code, e + f)
+        i = free[0]
+        plan = []
+        for k in range(1, 6):
             x = free[k]
-            d = row[x]
+            d = step[i][x]
             if d < 0:
                 continue
-            b = black_trans[black_row[x]]
-            if b < 0:
-                b = merge(bs, black_row[x])
-            w = white_trans[white_row[x]]
-            if w < 0:
-                w = merge(ws, white_row[x])
-            rest = free[1:k] + free[k + 1:]
-            if deeper:
-                rec(rest, same + d, b, w)
-                continue
-            # four sides left: a completion's two pairs are tested and only
-            # the first is merged, since the last pair merges nothing
-            j, p, q, r = rest
-            row_j, black_j, white_j = step[j], black[j], white[j]
-            black_next, white_next = trans[b], trans[w]
-            for y, u, v in ((p, q, r), (q, p, r), (r, p, q)):
-                e = row_j[y]
-                f = step[u][v]
-                if e >= 0 and f >= 0:
-                    b2 = black_next[black_j[y]]
-                    if b2 < 0:
-                        b2 = merge(b, black_j[y])
-                    w2 = white_next[white_j[y]]
-                    if w2 < 0:
-                        w2 = merge(w, white_j[y])
-                    leaves += 1
-                    cell = agg[b2]
-                    cell[w2] = cell.get(w2, 0) + weights[same + d + e + f]
+            j, p, q, r = free[1:k] + free[k + 1:]
+            completions = [
+                (black[j][y], white[j][y], step[j][y] + step[u][v])
+                for y, u, v in ((p, q, r), (q, p, r), (r, p, q))
+                if step[j][y] >= 0 and step[u][v] >= 0
+            ]
+            if completions:
+                plan.append((black[i][x], white[i][x], d, completions))
+        return plan
 
+    tau = -1
     for branch in branches:
         a, b = branch[0]
-        tau = table[a][b]
-        step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
-        weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
+        if table[a][b] != tau:
+            # the first branch of a type: a plan depends only on the type
+            # and the free sides, so the last type's plans go
+            tau = table[a][b]
+            step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
+            weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
+            plans.clear()
         free = tuple(s for s in range(m) if all(s not in pair for pair in branch))
         # with fewer than six sides free (n <= 4) each matching is placed
         # whole here: merging its last pair changes neither state
@@ -471,13 +532,17 @@ def _scan_branch(
         for bs, row in agg.items():
             b, black_labels = blocks[bs], strings[bs]
             for ws, weight in row.items():
-                white_labels = strings[ws]
+                bits = white_bits.get(ws)
+                if bits is None:
+                    labels = strings[ws]
+                    bits = white_bits[ws] = [1 << labels[x] | 1 << labels[y] for x, y in around]
                 masks = [0] * b
-                for e, (x, y) in enumerate(around):
-                    masks[black_labels[e]] |= 1 << white_labels[x] | 1 << white_labels[y]
+                for label, bit in zip(black_labels, bits):
+                    masks[label] |= bit
                 key = (blocks[ws], tuple(masks))
                 graphs[key] = graphs.get(key, 0) + weight
         agg.clear()
+        white_bits.clear()
 
     del rec  # it refers to itself: free the tables now, not at the next gc
     tally: dict[tuple[int, ...], int] = {}
@@ -507,12 +572,15 @@ def _fork_map(fn: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
     A child that exits non-zero, is killed or sends a short result raises
     WorkerDiedError, and so does an exception in ``fn``, whose type and
     text the child sends instead.  On any failure the children still
-    running are killed; every child is reaped before this returns."""
+    running are killed; every child is reaped before this returns.  Child
+    k runs on the k-th of the CPUs this process may use, in turn, where
+    the platform lets a process choose (module docstring)."""
     import signal  # here, so that a query answered from the cache skips it
 
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
     try:
-        for task in tasks:
+        for k, task in enumerate(tasks):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -521,7 +589,7 @@ def _fork_map(fn: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(fn, task, w)
+                _child(fn, task, w, cpus[k % len(cpus)])
             # closed before the next fork, so that only this child holds it
             os.close(w)
             children[pid] = open(r, "rb")
@@ -554,11 +622,16 @@ def _fork_map(fn: Callable[[Any], Any], tasks: list[Any]) -> list[Any]:
                 os.waitpid(pid, 0)
 
 
-def _child(fn: Callable[[Any], Any], task: Any, w: int) -> NoReturn:
+def _child(fn: Callable[[Any], Any], task: Any, w: int, cpu: int | None) -> NoReturn:
     # a forked child of _fork_map: it leaves by os._exit, so none of the
     # parent's cleanup (finally blocks, atexit, buffered output) runs twice
     status = 1
     try:
+        if cpu is not None:
+            # a CPU taken away since the parent read its set leaves the
+            # child where the scheduler puts it
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
         try:
             message = (fn(task), None)
         except Exception as exc:

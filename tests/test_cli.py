@@ -378,6 +378,12 @@ class TestCensus:
         assert code == 1
         assert "census" in err
 
+    def test_n_with_max_n_exits_one(self, capsys):
+        # --max-n sets a preset's range, which --n replaces
+        code, out, err = run(capsys, "census", "--n", "3", "--max-n", "5")
+        assert code == 1 and out == ""
+        assert err == "zkerov: error: census takes --n or --max-n, not both\n"
+
     def test_n_above_default_limit_exits_one(self, capsys):
         code, out, err = run(capsys, "census", "--n", "9")
         assert code == 1 and out == ""

@@ -316,9 +316,48 @@ class TestScanKernel:
         assert [engine._scan_branch(task)[0] for task in tasks] == [64751, 63982]
 
     def test_visited_matchings_are_pinned(self):
-        # about one in thirteen of the (2n-1)!! matchings at n=7
-        leaves = [engine._scan_branch((n, tuple(engine._branches(n))))[0] for n in range(1, 8)]
-        assert leaves == [1, 2, 4, 19, 109, 938, 10026]
+        # about one in thirteen of the (2n-1)!! matchings at n=7, one in
+        # sixteen at n=8
+        leaves = [engine._scan_branch((n, tuple(engine._branches(n))))[0] for n in range(1, 9)]
+        assert leaves == [1, 2, 4, 19, 109, 938, 10026, 128733]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_each_branch_matches_a_brute_force_sum(self, n):
+        """Each branch against its own matchings, glued and colored by
+        glue()/enumerate_q(): those with the branch's pairs and neither a
+        banned pair nor one of an earlier type, each counted with weight
+        L*|O_tau|/c_tau.  A branch's share is read as the difference of two
+        kernel calls over the branches up to it and up to the one before,
+        so it runs after every earlier branch in one call, as in a scan: a
+        kernel table wrongly kept from an earlier branch shows there, where
+        the summed totals of a whole scan could hide it."""
+        types, _reps, sizes = engine._pair_types(n)
+        banned = banned_pairs(n, 0)
+        denominator = engine._weight_denominator(n)
+        colorings = {g: Counter(mono.parts for _q, mono in enumerate_q(glue(g)))
+                     for g in enumerate_gluings(n)}
+        branches = engine._branches(n)
+        before = (0, 0, Counter())
+        for k, branch in enumerate(branches):
+            tau = types[branch[0][0]][branch[0][1]]
+            leaves = total = 0
+            tally: Counter[tuple[int, ...]] = Counter()
+            for g, parts in colorings.items():
+                pairs = set(g.pairs())
+                if not pairs >= set(branch) or pairs & banned:
+                    continue
+                if any(types[a][b] < tau for a, b in pairs):
+                    continue
+                weight = sizes[tau] * denominator // sum(types[a][b] == tau for a, b in pairs)
+                leaves += 1
+                total += weight
+                for key, count in parts.items():
+                    tally[key] += weight * count
+            got_leaves, got_total, got_tally = engine._scan_branch((n, tuple(branches[:k + 1])))
+            after = (got_leaves, got_total, Counter(got_tally))
+            share = (after[0] - before[0], after[1] - before[1], after[2] - before[2])
+            assert share == (leaves, total, tally), branch
+            before = after
 
     def test_small_n_runs_in_process(self, monkeypatch):
         serial = {n: scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
@@ -401,6 +440,14 @@ class TestForkMap:
         assert str(exc.value) == (
             "a worker process raised ZeroDivisionError: integer division or modulo by zero"
         )
+        self.assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_each_child_runs_on_its_own_cpu_in_turn(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        got = engine._fork_map(lambda _task: sorted(os.sched_getaffinity(0)), [0, 1, 2])
+        assert got == [[cpus[k % len(cpus)]] for k in range(3)]
+        assert sorted(os.sched_getaffinity(0)) == cpus
         self.assert_no_child_left()
 
 
