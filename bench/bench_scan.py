@@ -38,6 +38,10 @@ reported figure is the median over repeats:
   ``scan(n, threads=2)`` deals at n = 8 and 9, counted once per side in
   its own interpreter before the timed calls (the larger task sets the
   time of a two-worker scan);
+* ``task_s``: the kernel seconds of each of those tasks, one
+  ``_scan_branch`` call in that interpreter, the fastest of three: a
+  task's cost does not follow its leaves alone, since the kernel's
+  tables are shared by all the branches of a task;
 * ``census_twisted_s``: ``census --reduced --twisted --max-n 6`` and
   ``census_contrib_s``: ``census --reduced-bipartite --contributing
   --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
@@ -64,7 +68,7 @@ zkerov.cli import main; ..."``, with the side's tree on PYTHONPATH.
 ``--rows`` times only the named samples (``n8_t1``, ``n9_t2``,
 ``census_twisted_s``, ``query_warm_ms``, ``expand_2t``, ...; an unknown
 name lists them all) and writes only the figures they give, with the list
-under ``rows``; the ``task_leaves`` set-up runs either way.  Without it
+under ``rows``; the ``task_leaves`` and ``task_s`` set-up runs either way.  Without it
 every sample is timed.  Many repeats of a few rows, for example
 ``--rows census_twisted_s,census_contrib_s --repeats 10``, then cost no
 n=9 or n=10 scans.
@@ -127,10 +131,19 @@ if kind == "import":
 import contextlib, io, json
 if kind == "tasks":
     from zkerov import engine
-    task_leaves = {}
+    task_leaves, task_s = {}, {}
     for n in map(int, args):
-        task_leaves[str(n)] = [engine._scan_branch(task)[0] for task in engine._tasks(n, 2)]
-    print(json.dumps({"task_leaves": task_leaves}))
+        task_leaves[str(n)], task_s[str(n)] = [], []
+        for task in engine._tasks(n, 2):
+            # the kernel seconds of a task: the fastest of three calls
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                leaves = engine._scan_branch(task)[0]
+                times.append(time.perf_counter() - t0)
+            task_leaves[str(n)].append(leaves)
+            task_s[str(n)].append(min(times))
+    print(json.dumps({"task_leaves": task_leaves, "task_s": task_s}))
     sys.exit()
 if kind == "scan":
     from zkerov import engine
@@ -291,14 +304,16 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-scan-") as tmp:
         work = Path(tmp)
         warm = {label: work / f"warm-{label}" for label, _src in sides}
-        task_leaves = {}
+        task_leaves, task_s = {}, {}
         for label, src in sides:
             # bytecode up front, so that no fresh-interpreter row compiles the
             # package (an installed package or perfbench run has its .pyc files)
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)],
                            stdout=subprocess.DEVNULL, check=True)
             run_cli(src, [*QUERY, "--cache", str(warm[label])])
-            task_leaves[label] = run_child(src, "tasks", [str(n) for n in TASK_NS])["task_leaves"]
+            tasks = run_child(src, "tasks", [str(n) for n in TASK_NS])
+            task_leaves[label] = tasks["task_leaves"]
+            task_s[label] = {n: [round(x, 4) for x in xs] for n, xs in tasks["task_s"].items()}
         for rep in range(args.repeats):
             order = sides if rep % 2 == 0 else sides[::-1]
             for key, (kind, child_args) in jobs.items():
@@ -345,6 +360,7 @@ def main(argv: list[str] | None = None) -> int:
                             for key, xs in rss[label].items() if xs},
             "leaves": {n: leaves[label][key] for n, key in single},
             "task_leaves": task_leaves[label],
+            "task_s": task_s[label],
             **{key: {max_n: round(med[key], 4)}
                for key, (max_n, _flags) in CENSUS.items() if key in med},
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items() if key in med},

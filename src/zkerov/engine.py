@@ -51,8 +51,8 @@ sides.  A side pair merges one pair of black and one pair of white corners,
 and each colour's corner classes, a set partition of its n corners, are a
 state of an automaton built per kernel call on first use (``_Partitions``).
 The recursion passes (black state, white state) down, so a merge is two
-table lookups and nothing is undone on backtrack: at n=8 about 218k merges
-meet 2,743 states and 12,924 distinct transitions.
+table lookups and nothing is undone on backtrack: at n=8 about 217k merges
+meet 2,732 states and 12,875 distinct transitions.
 
 A matching's last pair never merges two classes.  Once the other n-1 pairs
 are glued, the polygon is a surface whose boundary is the two free sides s
@@ -61,31 +61,34 @@ boundary circle on its own: s and t form one circle and already share the
 class of their black ends and that of their white ends, which are exactly
 the corners the last pair identifies.  So no leaf merges anything: the
 blocks of the two states before the last pair are the map's b black and w
-white vertices.  The frame of the recursion with six free sides places the
-last three pairs from a plan.  Which pairs the type table allows depends
-only on the branch's type and the free sides, so the plan of six free
-sides is built once, on first use, and kept while the branches of one
-type run: each partner of the first side that the table allows, with its
-black and white merge codes and its count of type-tau pairs, and under it
-the completions of the other four whose two pairs the table allows, each
-as its first pair's merge codes and the two pairs' count.  The frame
-merges each partner and each completion's first pair, and tests no pair:
-at n=8 it is entered 18,267 times and builds 1,453 plans (248,735 and
-2,786 at n=9).  A leaf only adds its weight to a table keyed by (black
-state, white state), inline in that frame.  After each branch one pass
-reads each state pair once, adds its weight to the call's weight of (w,
-black/white adjacency masks), read off the two states, and empties the
-table.  The white blocks next to each black element are read once per
-white state of the branch, so a pair's masks cost one OR per black
-element; those white bits are emptied with the table.  Kept for the
-whole call instead, the plans and white bits raised the peak RSS of
-``scan(10, threads=2)`` from 55 to 72 MB at the same speed; emptied per
-branch, the plans cost ``scan(8)`` about 11% more time than per type
-(slower in 9 of 10 alternated interpreters).  At the end Hall's condition
-runs once per distinct (w, masks) and gives that weight to each
-admissible monomial: one black vertex has the one monomial (w+1), and
-w < b has none.  At n=8 the 128,733 leaves give 23,789 state pairs over
-the 66 branches and 662 distinct (w, masks).
+white vertices.  The frame of the recursion with eight free sides (six
+at n=5) places the last four (three) pairs from a plan, built on first
+use and kept while the branches of one type run, since which pairs the
+type table allows depends only on the type and the free sides.  A plan
+holds each partner of the first side that the table allows, with its
+black and white merge codes and its count of type-tau pairs, and under
+it the plan of the other six, or the completions of the other four whose
+two pairs the table allows.  The frame runs both levels inline (at n=5
+under a first pair that merges nothing) and tests no pair: at n=8 it is
+entered 3,309 times and builds 995 plans of eight sides and 1,453 of six
+(42,317, 2,925 and 2,786 at n=9).  A leaf only adds its weight to a
+table keyed by (black state, white state), inline in that frame and kept
+across branches and types.  After a branch that leaves it with more than
+TABLE_BOUND pairs, and at the end of the call, one pass reads each state
+pair once and empties the table.  One black vertex has the one monomial
+(w+1), and w < b has none, so such a pair's weight goes there, or to the
+weighted total alone; any other pair's goes to the call's weight of (w,
+black/white adjacency masks), read off the two states, with the white
+blocks next to each black element read once per white state until the
+table empties.  At the end Hall's condition runs once per distinct (w,
+masks) and gives that weight to each admissible monomial.  At n=8 the
+128,733 leaves give 15,051 state pairs in two passes, 4,453 of them
+forced, 2,361 white-bit lists and 577 distinct (w, masks); a pass after
+every branch read 23,789 pairs and built 5,207 lists (n=9: 174,302 pairs
+in 18 passes against 206,854).  The bound, 2^13, keeps the peak RSS where
+a pass after every branch kept it: 55.1 against 55.0 MB for ``scan(10,
+threads=2)``, 17.2 against 16.7 MB for three one-thread ``scan(8)``
+calls (2^14: 56.1 and 18.1 MB; 2^16: 60.5 MB at n=10).
 Tests cross-validate the kernel against the glue()/enumerate_q() path
 over every matching and over its image under the color swap, the side
 shift by one (``polygon.shift_gluing``).
@@ -94,14 +97,14 @@ A branch of the sum is the tuple of side pairs it places first: a type's
 representative and a partner of the lowest side that leaves free, when
 neither is banned (66 branches at n=8; at n=1 the representative alone).
 The kernel enters each branch the same way: it merges the branch's pairs
-and recurses on the sides left free, or, with fewer than six left (n <= 4),
-places every completion there.  Small n runs in-process.  Otherwise the
-branches, largest types first, are dealt into one task per worker in
-boustrophedon order (0, 1, ..., k-1, k-1, ..., 0, 0, 1, ...), which at
-n=8 gives the two tasks 64,751 and 63,982 leaves.  The weighted tallies are merged by plain addition, so
-results are independent of the worker count.  A task builds its automaton
-and its (w, masks) table once for all its branches, which one task per
-branch would repeat.
+and recurses on the sides left free, or, with fewer than six left
+(n <= 4), places every completion there.  Small n runs in-process.
+Otherwise the branches, largest types first, are dealt into one task per
+worker in boustrophedon order (0, 1, ..., k-1, k-1, ..., 0, 0, 1, ...),
+which at n=8 gives the two tasks 64,751 and 63,982 leaves.  The weighted
+tallies are merged by plain addition, so results are independent of the
+worker count.  A task builds its automaton and its tables once for all
+its branches, which one task per branch would repeat.
 
 Each task runs in a child forked for it (``_fork_map``), which sends its
 marshalled result back through a pipe and leaves by ``os._exit``.  A child
@@ -148,7 +151,15 @@ CACHE_SCHEMA_VERSION = 1
 # the children were faster in 0, 9 and 0 of 10 in three runs (medians 35-37
 # vs 30-47 ms); at n=8 in 4, 10 and 7 of 10 (medians 0.26-0.27 vs
 # 0.16-0.28 s), varying with the host's load, so n=8 stays on the workers.
+# With pinned workers and one state-pair table per kernel call, scan(7,
+# threads=2) timed inside 20 alternated fresh interpreters: forked faster
+# in 2 of 20, twice (medians 20.0 vs 17.9 ms, then 13.8 vs 10.6 ms).
 POOL_MIN_N = 8
+
+# A kernel call's (black state, white state) table moves into its (w,
+# masks) weights after a branch only when it holds more than this many
+# pairs, and at the end of the call (module docstring).
+TABLE_BOUND = 1 << 13
 
 
 class InternalConsistencyError(RuntimeError):
@@ -329,14 +340,19 @@ class _Partitions:
         if target < 0:
             u, v = self.pairs[code]
             rgs = self.strings[state]
-            keep, drop = sorted((rgs[u], rgs[v]))
-            if keep < drop:
+            keep, drop = rgs[u], rgs[v]
+            if keep == drop:
+                target = state
+            else:
+                if keep > drop:
+                    keep, drop = drop, keep
                 rgs = rgs.translate(self.relabel[keep][drop])
-            target = self.ids.setdefault(rgs, len(self.strings))
-            if target == len(self.strings):
-                self.strings.append(rgs)
-                self.blocks.append(self.blocks[state] - 1)
-                self.trans.append([-1] * len(self.pairs))
+                target = self.ids.get(rgs)
+                if target is None:
+                    target = self.ids[rgs] = len(self.strings)
+                    self.strings.append(rgs)
+                    self.blocks.append(self.blocks[state] - 1)
+                    self.trans.append([-1] * len(self.pairs))
             self.trans[state][code] = target
         return target
 
@@ -374,9 +390,8 @@ def _pairings(sides: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
             yield ((sides[0], sides[k]),) + rest
 
 
-# the last three pairs on six free sides: per partner of the first side,
-# its black and white merge codes, its d and its completions (``_scan_branch``)
-_Plan = list[tuple[int, int, int, list[tuple[int, int, int]]]]
+# the last pairs on eight or six free sides (``_scan_branch``)
+_Plan = list[tuple[int, int, int, list[Any]]]
 
 
 def _scan_branch(
@@ -390,9 +405,11 @@ def _scan_branch(
     nor a banned pair.  Each such matching M counts with weight
     L*|O_tau|/c_tau(M) (module docstring).
 
-    A leaf adds its weight to ``agg[black state][white state]``; after each
-    branch a pass moves each pair's weight to ``graphs[(w, masks)]``, which
-    ``_hall_keys`` classifies once per call (module docstring).
+    A leaf adds its weight to ``agg[black state][white state]``, a table
+    kept across branches; a pass moves each pair's weight to its monomial
+    (one black vertex), to the total alone (w < b) or to
+    ``graphs[(w, masks)]``, which ``_hall_keys`` classifies once per call
+    (module docstring).
 
     Returns (leaves, weighted matching total, {monomial parts: weighted
     raw count}); ``_exact_tallies`` divides the totals of all branches by L.
@@ -401,11 +418,11 @@ def _scan_branch(
     m = 2 * n
     table, _reps, sizes = _type_table(n)
     denominator = _weight_denominator(n)
-    leaves = 0
+    leaves = forced = 0  # forced: the weight of pairs that skip graphs
     # per type tau: step[a][b] is -1 for a banned pair or one of an earlier
     # type, else the number of type-tau pairs it adds; weights[c] the
-    # weight at c of them; per branch: agg[bs][ws] the weight of the
-    # leaves at (bs, ws)
+    # weight at c of them; agg[bs][ws] the weight of the leaves at (bs, ws)
+    # since the table last moved
     step: list[list[int]] = []
     weights: list[int] = []
     agg: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -424,22 +441,24 @@ def _scan_branch(
     white = [[code(i, j, 1) for j in range(m)] for i in range(m)]
     # the white elements next to each black element
     around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(0, m, 2)]
-    # weight by (w, masks), over all branches
+    # over all branches: weight by (w, masks), and the call's tally, which
+    # a pair with one black vertex enters directly
     graphs: dict[tuple[int, tuple[int, ...]], int] = {}
-    # the plan of each six free sides (``plan_of``), kept while the
-    # branches of one type run; per branch, emptied with agg: the
-    # white-block bits next to each black element, per white state
+    tally: dict[tuple[int, ...], int] = {}
+    # the plan of each eight or six free sides (``plan_of``), kept while
+    # the branches of one type run; emptied with agg: the white-block bits
+    # next to each black element, per white state
     plans: dict[tuple[int, ...], _Plan] = {}
     white_bits: dict[int, list[int]] = {}
 
     def rec(free: tuple[int, ...], same: int, bs: int, ws: int) -> None:
         # same: the type-tau pairs placed so far; bs, ws: black and white
-        # states; six or more sides are free, and the frame with six places
-        # the last three pairs from the type's plan for its free sides
-        # (module docstring)
+        # states; six or more sides are free, and the frame with eight (or
+        # six) places the last four (three) pairs from the type's plan for
+        # its free sides (module docstring)
         nonlocal leaves
         black_trans, white_trans = trans[bs], trans[ws]
-        if len(free) > 6:
+        if len(free) > 8:
             i = free[0]
             row, black_row, white_row = step[i], black[i], white[i]
             for k in range(1, len(free)):
@@ -458,48 +477,95 @@ def _scan_branch(
         plan = plans.get(free)
         if plan is None:
             plan = plans[free] = plan_of(free)
-        for black_code, white_code, d, completions in plan:
+        if len(free) == 6:  # n = 5: under code 0, element 0 with itself
+            plan = [(0, 0, 0, plan)]
+        for black_code, white_code, d, six in plan:
             b = black_trans[black_code]
             if b < 0:
                 b = merge(bs, black_code)
             w = white_trans[white_code]
             if w < 0:
                 w = merge(ws, white_code)
-            # only a completion's first pair is merged: the last merges nothing
-            black_next, white_next = trans[b], trans[w]
+            black_six, white_six = trans[b], trans[w]
             same_d = same + d
-            leaves += len(completions)
-            for black_code2, white_code2, ef in completions:
-                b2 = black_next[black_code2]
+            for black_code2, white_code2, d2, completions in six:
+                b2 = black_six[black_code2]
                 if b2 < 0:
                     b2 = merge(b, black_code2)
-                w2 = white_next[white_code2]
+                w2 = white_six[white_code2]
                 if w2 < 0:
                     w2 = merge(w, white_code2)
-                cell = agg[b2]
-                cell[w2] = cell.get(w2, 0) + weights[same_d + ef]
+                # only a completion's first pair is merged: the last merges nothing
+                black_next, white_next = trans[b2], trans[w2]
+                same_d2 = same_d + d2
+                leaves += len(completions)
+                for black_code3, white_code3, ef in completions:
+                    b3 = black_next[black_code3]
+                    if b3 < 0:
+                        b3 = merge(b2, black_code3)
+                    w3 = white_next[white_code3]
+                    if w3 < 0:
+                        w3 = merge(w2, white_code3)
+                    cell = agg[b3]
+                    cell[w3] = cell.get(w3, 0) + weights[same_d2 + ef]
 
     def plan_of(free: tuple[int, ...]) -> _Plan:
-        # the last three pairs on six free sides under this type's step:
+        # the last pairs on eight or six free sides under this type's step:
         # for each partner x of free[0] that step allows, the merge codes
-        # and d of (free[0], x), and the completions of the other four
-        # whose two pairs step allows, as (black code, white code, e + f)
+        # and d of (free[0], x), and, when it is not empty, the plan of the
+        # other six or the completions of the other four whose two pairs
+        # step allows, as (black code, white code, e + f)
         i = free[0]
         plan = []
-        for k in range(1, 6):
+        for k in range(1, len(free)):
             x = free[k]
             d = step[i][x]
             if d < 0:
                 continue
-            j, p, q, r = free[1:k] + free[k + 1:]
-            completions = [
-                (black[j][y], white[j][y], step[j][y] + step[u][v])
-                for y, u, v in ((p, q, r), (q, p, r), (r, p, q))
-                if step[j][y] >= 0 and step[u][v] >= 0
-            ]
-            if completions:
-                plan.append((black[i][x], white[i][x], d, completions))
+            rest = free[1:k] + free[k + 1:]
+            if len(rest) == 6:
+                after = plans.get(rest)
+                if after is None:
+                    after = plans[rest] = plan_of(rest)
+            else:
+                j, p, q, r = rest
+                after = [
+                    (black[j][y], white[j][y], step[j][y] + step[u][v])
+                    for y, u, v in ((p, q, r), (q, p, r), (r, p, q))
+                    if step[j][y] >= 0 and step[u][v] >= 0
+                ]
+            if after:
+                plan.append((black[i][x], white[i][x], d, after))
         return plan
+
+    def move() -> None:
+        # the pass over agg, which it empties (module docstring)
+        nonlocal forced
+        for bs, row in agg.items():
+            b = blocks[bs]
+            if b == 1:
+                forced += sum(row.values())
+                for ws, weight in row.items():
+                    parts = (blocks[ws] + 1,)
+                    tally[parts] = tally.get(parts, 0) + weight
+                continue
+            black_labels = strings[bs]
+            for ws, weight in row.items():
+                w = blocks[ws]
+                if w < b:
+                    forced += weight
+                    continue
+                bits = white_bits.get(ws)
+                if bits is None:
+                    labels = strings[ws]
+                    bits = white_bits[ws] = [1 << labels[x] | 1 << labels[y] for x, y in around]
+                masks = [0] * b
+                for label, bit in zip(black_labels, bits):
+                    masks[label] |= bit
+                key = (w, tuple(masks))
+                graphs[key] = graphs.get(key, 0) + weight
+        agg.clear()
+        white_bits.clear()
 
     tau = -1
     for branch in branches:
@@ -529,27 +595,15 @@ def _scan_branch(
                     row[ws] = row.get(ws, 0) + weights[same]
                 else:
                     rec(free, same, bs, ws)
-        for bs, row in agg.items():
-            b, black_labels = blocks[bs], strings[bs]
-            for ws, weight in row.items():
-                bits = white_bits.get(ws)
-                if bits is None:
-                    labels = strings[ws]
-                    bits = white_bits[ws] = [1 << labels[x] | 1 << labels[y] for x, y in around]
-                masks = [0] * b
-                for label, bit in zip(black_labels, bits):
-                    masks[label] |= bit
-                key = (blocks[ws], tuple(masks))
-                graphs[key] = graphs.get(key, 0) + weight
-        agg.clear()
-        white_bits.clear()
+        if sum(map(len, agg.values())) > TABLE_BOUND:
+            move()
+    move()
 
-    del rec  # it refers to itself: free the tables now, not at the next gc
-    tally: dict[tuple[int, ...], int] = {}
+    del rec, plan_of  # they refer to themselves: free the tables now, not at the next gc
     for (w, masks), weight in graphs.items():
         for parts in _hall_keys(w, masks):
             tally[parts] = tally.get(parts, 0) + weight
-    return leaves, sum(graphs.values()), tally
+    return leaves, forced + sum(graphs.values()), tally
 
 
 def _tasks(n: int, count: int) -> list[tuple[int, tuple[tuple[tuple[int, int], ...], ...]]]:

@@ -359,6 +359,32 @@ class TestScanKernel:
             assert share == (leaves, total, tally), branch
             before = after
 
+    @pytest.mark.parametrize("bound", [0, 1 << 30])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_the_table_bound_does_not_change_results(self, monkeypatch, n, bound):
+        """The state-pair table moved after every branch (bound 0) or only
+        at the end of the call gives what the default bound gives."""
+        task = (n, tuple(engine._branches(n)))
+        expected = engine._scan_branch(task)
+        monkeypatch.setattr(engine, "TABLE_BOUND", bound)
+        assert engine._scan_branch(task) == expected
+
+    # the two facts the kernel's pass relies on when it gives a state pair
+    # with one black vertex the monomial (w+1), and one with w < b nothing,
+    # without calling _hall_keys
+    @pytest.mark.parametrize("w", range(1, 7))
+    def test_one_black_vertex_has_the_one_monomial_w_plus_one(self, w):
+        for mask in range(1 << w):
+            assert engine._hall_keys(w, (mask,)) == [(w + 1,)], mask
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda w: st.tuples(
+        st.just(w), st.lists(st.integers(0, (1 << w) - 1), min_size=w + 1, max_size=w + 3),
+    )))
+    def test_fewer_whites_than_blacks_have_no_monomial(self, case):
+        w, masks = case
+        assert engine._hall_keys(w, tuple(masks)) == []
+
     def test_small_n_runs_in_process(self, monkeypatch):
         serial = {n: scan(n, threads=1) for n in range(1, engine.POOL_MIN_N)}
 
