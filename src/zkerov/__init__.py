@@ -27,7 +27,6 @@ from .engine import (
     InternalConsistencyError,
     ScanResult,
     rescaled_coefficient,
-    rescaled_coefficient_exact,
     scan,
     strata,
 )

@@ -61,34 +61,38 @@ boundary circle on its own: s and t form one circle and already share the
 class of their black ends and that of their white ends, which are exactly
 the corners the last pair identifies.  So no leaf merges anything: the
 blocks of the two states before the last pair are the map's b black and w
-white vertices.  The frame of the recursion with eight free sides (six
-at n=5) places the last four (three) pairs from a plan, built on first
-use and kept while the branches of one type run, since which pairs the
-type table allows depends only on the type and the free sides.  A plan
-holds each partner of the first side that the table allows, with its
-black and white merge codes and its count of type-tau pairs, and under
-it the plan of the other six, or the completions of the other four whose
-two pairs the table allows.  The frame runs both levels inline (at n=5
-under a first pair that merges nothing) and tests no pair: at n=8 it is
-entered 3,309 times and builds 995 plans of eight sides and 1,453 of six
-(42,317, 2,925 and 2,786 at n=9).  A leaf only adds its weight to a
-table keyed by (black state, white state), inline in that frame and kept
-across branches and types.  After a branch that leaves it with more than
-TABLE_BOUND pairs, and at the end of the call, one pass reads each state
-pair once and empties the table.  One black vertex has the one monomial
-(w+1), and w < b has none, so such a pair's weight goes there, or to the
-weighted total alone; any other pair's goes to the call's weight of (w,
-black/white adjacency masks), read off the two states, with the white
-blocks next to each black element read once per white state until the
-table empties.  At the end Hall's condition runs once per distinct (w,
-masks) and gives that weight to each admissible monomial.  At n=8 the
-128,733 leaves give 15,051 state pairs in two passes, 4,453 of them
-forced, 2,361 white-bit lists and 577 distinct (w, masks); a pass after
-every branch read 23,789 pairs and built 5,207 lists (n=9: 174,302 pairs
-in 18 passes against 206,854).  The bound, 2^13, keeps the peak RSS where
-a pass after every branch kept it: 55.1 against 55.0 MB for ``scan(10,
-threads=2)``, 17.2 against 16.7 MB for three one-thread ``scan(8)``
-calls (2^14: 56.1 and 18.1 MB; 2^16: 60.5 MB at n=10).
+white vertices.  The frame of the recursion with eight or fewer free
+sides places the rest from a plan, built on first use and kept while the
+branches of one type run, since which pairs the type table allows depends
+only on the type and the free sides.  The plan of eight or six sides holds
+each partner of the first side that the table allows, with its black and
+white merge codes and its count of type-tau pairs, and under it the plan
+of the other sides when that is not empty; the plan of four or fewer holds
+the completions whose pairs the table allows, with the merge codes of their
+first pair (code 0, which merges element 0 with itself, when there is
+none) and their count of type-tau pairs.  The frame runs three levels
+inline and tests no pair.  For n >= 6 it always starts at eight sides;
+for n <= 5 a branch leaves fewer, and the frame puts one level (six
+sides) or two (four or fewer) that merge nothing above their plan.  At
+n=8 it is entered 3,309 times and builds 995 plans of eight sides, 1,453
+of six and 967 of four (42,317, 2,925, 2,786 and 1,355 at n=9).  A leaf
+only adds its weight to a table keyed by (black state, white state),
+inline in that frame and kept across branches and types.  After a branch
+that leaves it with more than TABLE_BOUND pairs, and at the end of the
+call, one pass reads each state pair once and empties the table.  One
+black vertex has the one monomial (w+1), and w < b has none, so such a
+pair's weight goes there, or to the weighted total alone; any other pair's
+goes to the call's weight of (w, black/white adjacency masks), read off
+the two states, with the white blocks next to each black element read once
+per white state until the table empties.  At the end Hall's condition runs
+once per distinct (w, masks) and gives that weight to each admissible
+monomial.  At n=8 the 128,733 leaves give 15,051 state pairs in two
+passes, 4,453 of them forced, 2,361 white-bit lists and 577 distinct (w,
+masks); a pass after every branch read 23,789 pairs and built 5,207 lists
+(n=9: 174,302 pairs in 18 passes against 206,854).  The bound, 2^13, keeps
+the peak RSS where a pass after every branch kept it: 55.1 against 55.0 MB
+for ``scan(10, threads=2)``, 17.2 against 16.7 MB for three one-thread
+``scan(8)`` calls (2^14: 56.1 and 18.1 MB; 2^16: 60.5 MB at n=10).
 Tests cross-validate the kernel against the glue()/enumerate_q() path
 over every matching and over its image under the color swap, the side
 shift by one (``polygon.shift_gluing``).
@@ -97,8 +101,7 @@ A branch of the sum is the tuple of side pairs it places first: a type's
 representative and a partner of the lowest side that leaves free, when
 neither is banned (66 branches at n=8; at n=1 the representative alone).
 The kernel enters each branch the same way: it merges the branch's pairs
-and recurses on the sides left free, or, with fewer than six left
-(n <= 4), places every completion there.  Small n runs in-process.
+and recurses on the sides left free.  Small n runs in-process.
 Otherwise the branches, largest types first, are dealt into one task per
 worker in boustrophedon order (0, 1, ..., k-1, k-1, ..., 0, 0, 1, ...),
 which at n=8 gives the two tasks 64,751 and 63,982 leaves.  The weighted
@@ -134,7 +137,7 @@ import os
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, NoReturn
+from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 from .admissibility import Monomial
 from .partitions import compositions
@@ -380,18 +383,10 @@ def _hall_keys(w: int, masks: tuple[int, ...]) -> list[tuple[int, ...]]:
     return keys
 
 
-def _pairings(sides: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every perfect matching of ``sides``, as a tuple of pairs."""
-    if not sides:
-        yield ()
-        return
-    for k in range(1, len(sides)):
-        for rest in _pairings(sides[1:k] + sides[k + 1:]):
-            yield ((sides[0], sides[k]),) + rest
-
-
-# the last pairs on eight or six free sides (``_scan_branch``)
-_Plan = list[tuple[int, int, int, list[Any]]]
+# the last pairs on eight or fewer free sides (``_scan_branch``): on six
+# or more, (black code, white code, d, plan of the rest) per first pair; on
+# four or fewer, (black code, white code, e + f) per completion
+_Plan = list[tuple[Any, ...]]
 
 
 def _scan_branch(
@@ -445,7 +440,7 @@ def _scan_branch(
     # a pair with one black vertex enters directly
     graphs: dict[tuple[int, tuple[int, ...]], int] = {}
     tally: dict[tuple[int, ...], int] = {}
-    # the plan of each eight or six free sides (``plan_of``), kept while
+    # the plan of each eight or fewer free sides (``plan_of``), kept while
     # the branches of one type run; emptied with agg: the white-block bits
     # next to each black element, per white state
     plans: dict[tuple[int, ...], _Plan] = {}
@@ -453,9 +448,9 @@ def _scan_branch(
 
     def rec(free: tuple[int, ...], same: int, bs: int, ws: int) -> None:
         # same: the type-tau pairs placed so far; bs, ws: black and white
-        # states; six or more sides are free, and the frame with eight (or
-        # six) places the last four (three) pairs from the type's plan for
-        # its free sides (module docstring)
+        # states; the frame with eight or fewer free sides places the rest
+        # from the type's plan for them, under one or two levels that merge
+        # nothing when fewer than eight are free (module docstring)
         nonlocal leaves
         black_trans, white_trans = trans[bs], trans[ws]
         if len(free) > 8:
@@ -477,7 +472,7 @@ def _scan_branch(
         plan = plans.get(free)
         if plan is None:
             plan = plans[free] = plan_of(free)
-        if len(free) == 6:  # n = 5: under code 0, element 0 with itself
+        for _ in range(min(2, 4 - len(free) // 2)):
             plan = [(0, 0, 0, plan)]
         for black_code, white_code, d, six in plan:
             b = black_trans[black_code]
@@ -510,11 +505,22 @@ def _scan_branch(
                     cell[w3] = cell.get(w3, 0) + weights[same_d2 + ef]
 
     def plan_of(free: tuple[int, ...]) -> _Plan:
-        # the last pairs on eight or six free sides under this type's step:
-        # for each partner x of free[0] that step allows, the merge codes
-        # and d of (free[0], x), and, when it is not empty, the plan of the
-        # other six or the completions of the other four whose two pairs
-        # step allows, as (black code, white code, e + f)
+        # the last pairs on the free sides under this type's step.  On four
+        # or fewer: the completions whose pairs step allows, as (black code,
+        # white code, e + f) of their first pair, code 0 where there is none.
+        # On six or eight: for each partner x of free[0] that step allows,
+        # the merge codes and d of (free[0], x), and, when it is not empty,
+        # the plan of the other sides
+        if len(free) < 4:
+            d = step[free[0]][free[1]] if free else 0
+            return [(0, 0, d)] if d >= 0 else []
+        if len(free) == 4:
+            j, p, q, r = free
+            return [
+                (black[j][y], white[j][y], step[j][y] + step[u][v])
+                for y, u, v in ((p, q, r), (q, p, r), (r, p, q))
+                if step[j][y] >= 0 and step[u][v] >= 0
+            ]
         i = free[0]
         plan = []
         for k in range(1, len(free)):
@@ -523,17 +529,9 @@ def _scan_branch(
             if d < 0:
                 continue
             rest = free[1:k] + free[k + 1:]
-            if len(rest) == 6:
-                after = plans.get(rest)
-                if after is None:
-                    after = plans[rest] = plan_of(rest)
-            else:
-                j, p, q, r = rest
-                after = [
-                    (black[j][y], white[j][y], step[j][y] + step[u][v])
-                    for y, u, v in ((p, q, r), (q, p, r), (r, p, q))
-                    if step[j][y] >= 0 and step[u][v] >= 0
-                ]
+            after = plans.get(rest)
+            if after is None:
+                after = plans[rest] = plan_of(rest)
             if after:
                 plan.append((black[i][x], white[i][x], d, after))
         return plan
@@ -577,24 +575,12 @@ def _scan_branch(
             step = [[-1 if t < tau else int(t == tau) for t in row] for row in table]
             weights = [0] + [sizes[tau] * denominator // c for c in range(1, n + 1)]
             plans.clear()
-        free = tuple(s for s in range(m) if all(s not in pair for pair in branch))
-        # with fewer than six sides free (n <= 4) each matching is placed
-        # whole here: merging its last pair changes neither state
-        whole = len(free) < 6
-        for rest in _pairings(free) if whole else [()]:
-            same = bs = ws = 0
-            for i, j in branch + rest:
-                if step[i][j] < 0:
-                    break
-                same += step[i][j]
-                bs, ws = merge(bs, black[i][j]), merge(ws, white[i][j])
-            else:
-                if whole:
-                    leaves += 1
-                    row = agg[bs]
-                    row[ws] = row.get(ws, 0) + weights[same]
-                else:
-                    rec(free, same, bs, ws)
+        # _branches emits only pairs that step allows
+        same = bs = ws = 0
+        for i, j in branch:
+            same += step[i][j]
+            bs, ws = merge(bs, black[i][j]), merge(ws, white[i][j])
+        rec(tuple(s for s in range(m) if all(s not in pair for pair in branch)), same, bs, ws)
         if sum(map(len, agg.values())) > TABLE_BOUND:
             move()
     move()
