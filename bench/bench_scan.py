@@ -13,14 +13,17 @@ to record a before/after pair on the same machine in one file.
 
 Every timing is one call in a fresh interpreter, so no side inherits
 another's imports or warm state, except ``scan_1t_s``: its interpreter
-calls ``scan(n)`` three times and reports the fastest, since one call of
-0.01-0.3 s is at the mercy of a busy host.  Each side's tree is byte-compiled once
+calls ``scan(n)`` at least three times, and until the calls fill about
+0.2 s, and reports the fastest, since one call of 0.001-0.3 s is at the
+mercy of a busy host (at n = 5..7 three calls left the median in one of
+two modes).  Each side's tree is byte-compiled once
 (``python -m compileall``) before the repeats, so no timing includes
 compiling the package.  Sides alternate within each repeat, and the
 reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8,
-  the fastest of three calls in one interpreter;
+  the fastest of the calls in one interpreter (three at n=8, about 200
+  at n=5);
 * ``scan_2t_s``: ``scan(n, threads=2)`` for n = 8, 9 and 10
   (``force=True`` above the default limit);
 * ``ns_per_matching``: single-thread time divided by (2n-1)!! matchings,
@@ -28,7 +31,7 @@ reported figure is the median over repeats:
 * ``ns_per_leaf``: single-thread time divided by the ``leaves`` below;
 * ``scan_rss_mb``: the peak RSS, read by ``os.wait4``, of a fresh
   interpreter (with its worker processes) running single-thread ``scan(8)``
-  (three times),
+  (at least three times),
   ``scan(9, threads=2, force=True)`` and ``scan(10, threads=2,
   force=True)``, the three timed above;
 * ``leaves``: the matchings the scan kernel visits at n = 5..8, counted
@@ -67,11 +70,16 @@ zkerov.cli import main; ..."``, with the side's tree on PYTHONPATH.
 
 ``--rows`` times only the named samples (``n8_t1``, ``n9_t2``,
 ``census_twisted_s``, ``query_warm_ms``, ``expand_2t``, ...; an unknown
-name lists them all) and writes only the figures they give, with the list
-under ``rows``; the ``task_leaves`` and ``task_s`` set-up runs either way.  Without it
-every sample is timed.  Many repeats of a few rows, for example
-``--rows census_twisted_s,census_contrib_s --repeats 10``, then cost no
-n=9 or n=10 scans.
+name lists them all) and merges their figures into the report at
+``--out``: every other row stays, and ``rows`` lists the rows timed apart
+from the full run.  Each side records ``source``, a hash of its
+``zkerov`` sources, so the merge refuses to run (before timing anything)
+when ``--out`` holds other sides, other trees or another ``--repeats``:
+one file then holds one comparison, timed one way.  The ``task_leaves``
+and ``task_s`` set-up runs either way, and replaces those figures.
+Without ``--rows`` every sample is timed.  Many repeats of a few rows, for
+example ``--rows census_twisted_s,census_contrib_s --repeats 10 --out
+FILE`` into a new file, then cost no n=9 or n=10 scans.
 
 The ``counts`` of each side hold the class counts of the census presets,
 the number of gluings enumerated, the number of terms of each closed form,
@@ -86,6 +94,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -148,9 +157,10 @@ if kind == "tasks":
 if kind == "scan":
     from zkerov import engine
     n, threads = int(args[0]), int(args[1])
-    # one thread: the fastest of three calls in this interpreter; two: one call
+    # one thread: the fastest of at least three calls that fill about 0.2 s
+    # in this interpreter; two: one call
     times = []
-    for _ in range(3 if threads == 1 else 1):
+    while not times or threads == 1 and (len(times) < 3 or sum(times) < 0.2):
         t0 = time.perf_counter()
         count = engine.scan(n, threads=threads, force=n > engine.DEFAULT_N_LIMIT).gluing_count
         times.append(time.perf_counter() - t0)
@@ -244,6 +254,27 @@ def machine_info() -> dict:
     }
 
 
+def merge(old: dict, new: dict) -> dict:
+    """``old`` with the figures of ``new`` in place, nested dicts merged key
+    by key."""
+    out = dict(old)
+    for key, value in new.items():
+        if isinstance(value, dict) and isinstance(old.get(key), dict):
+            out[key] = merge(old[key], value)
+        else:
+            out[key] = value
+    return out
+
+
+def source_id(src: Path) -> str:
+    """A hash of the ``zkerov`` sources under src, naming the tree a side
+    timed."""
+    digest = hashlib.sha256()
+    for path in sorted((src / "zkerov").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
 def parse_side(text: str) -> tuple[str, Path]:
     label, sep, path = text.partition("=")
     if not sep or not label or not path:
@@ -292,6 +323,14 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown rows {unknown}; choose from {list(jobs)}")
         jobs = {key: jobs[key] for key in args.rows}
+    base: dict = {}
+    if args.rows is not None and args.out.is_file():
+        base = json.loads(args.out.read_text(encoding="utf-8"))
+        found = {label: side.get("source") for label, side in base.get("sides", {}).items()}
+        wanted = {label: source_id(src) for label, src in sides}
+        if found != wanted or base.get("repeats") != args.repeats:
+            parser.error(f"{args.out} holds sides {found} at --repeats {base.get('repeats')}, "
+                         f"not {wanted} at --repeats {args.repeats}; give another --out")
 
     samples: dict[str, dict[str, list[float]]] = {
         label: {key: [] for key in jobs} for label, _src in sides
@@ -341,14 +380,13 @@ def main(argv: list[str] | None = None) -> int:
         "statistic": "median",
         "sides": {},
     }
-    if args.rows is not None:
-        report["rows"] = list(jobs)
-    for label, _src in sides:
+    for label, src in sides:
         med = {key: statistics.median(xs) for key, xs in samples[label].items()}
         single = [(str(n), f"n{n}_t1") for n in SINGLE_NS if f"n{n}_t1" in med]
         expand = {t: round(med[f"expand_{t}t"], 4)
                   for t in EXPAND_THREADS if f"expand_{t}t" in med}
         figures = {
+            "source": source_id(src),
             "scan_1t_s": {n: round(med[key], 4) for n, key in single},
             "scan_2t_s": {str(n): round(med[f"n{n}_t{t}"], 4)
                           for n, t in PARALLEL if f"n{n}_t{t}" in med},
@@ -379,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         }
         # a figure whose rows were not timed is left out
         report["sides"][label] = {key: value for key, value in figures.items() if value != {}}
+    if args.rows is not None:
+        earlier = base.get("rows", [])
+        report = merge(base, {"sides": report["sides"]}) if base else report
+        report["rows"] = [*earlier, *(key for key in jobs if key not in earlier)]
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

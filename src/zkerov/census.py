@@ -295,24 +295,10 @@ PRESETS: dict[str, tuple[int, dict]] = {
 }
 
 
-def preset(name: str, max_n: int | None = None) -> tuple[range, dict]:
-    """The n range and census_classes keywords of a preset."""
-    default_max_n, keywords = PRESETS[name]
-    return range(1, (default_max_n if max_n is None else max_n) + 1), keywords
-
-
-def small_reduced_census(max_n: int | None = None) -> list[ReducedMapClass]:
-    """Reduced (colors-ignored) one-face classes of doubled genus 2 over the
-    twisted universe, pooled for n <= max_n, dihedral identity."""
-    ns, keywords = preset("reduced", max_n)
-    return census_classes(ns, **keywords)
-
-
-def contributing_reduced_bipartite_census(max_n: int | None = None) -> list[ReducedMapClass]:
-    """Contributing reduced-bipartite classes of doubled genus 2 over the
-    matching universe, pooled for n <= max_n, cyclic identity."""
-    ns, keywords = preset("contributing", max_n)
-    return census_classes(ns, **keywords)
+def preset(name: str) -> list[ReducedMapClass]:
+    """The classes of a preset, pooled over its n range."""
+    max_n, keywords = PRESETS[name]
+    return census_classes(range(1, max_n + 1), **keywords)
 
 
 # ---------------------------------------------------------------------------

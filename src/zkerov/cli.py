@@ -264,7 +264,8 @@ def cmd_census(args: argparse.Namespace) -> int:
         else:
             raise ValueError("census needs --n, or one of the presets "
                              "(--twisted --reduced | --reduced-bipartite --contributing)")
-        ns, defaults = census_mod.preset(name, args.max_n)
+        default_max_n, defaults = census_mod.PRESETS[name]
+        ns = range(1, (default_max_n if args.max_n is None else args.max_n) + 1)
         options = {**defaults, **options}
     check_limit(max(ns), args.force)
     doubled_genus = options.get("doubled_genus")

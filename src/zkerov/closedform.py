@@ -36,7 +36,6 @@ FAMILY_DENOMINATOR = 12
 
 
 class ClosedFormResult(NamedTuple):
-    n: int
     terms: dict[Monomial, int]
 
 
@@ -84,7 +83,7 @@ def _divided_terms(
         Monomial(parts): exact_quotient(total, denominator, f"term {parts} at n={n}")
         for parts, total in scaled.items()
     }
-    return ClosedFormResult(n=n, terms=terms)
+    return ClosedFormResult(terms=terms)
 
 
 def partition_coefficient(n: int, mu: Monomial) -> int:
@@ -132,7 +131,7 @@ def partition_polynomial(n: int) -> ClosedFormResult:
             continue
         mono = Monomial(parts)
         terms[mono] = partition_coefficient(n, mono)
-    return ClosedFormResult(n=n, terms=terms)
+    return ClosedFormResult(terms=terms)
 
 
 def genus1_mismatches(n: int, result: ScanResult) -> list[str]:

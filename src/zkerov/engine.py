@@ -205,7 +205,6 @@ class GenusPolynomial(NamedTuple):
     """Terms of one genus stratum: monomial -> coefficient, plus the
     unsigned (M,q) pair counts."""
 
-    n: int
     doubled_genus: int
     raw_counts: dict[Monomial, int]
     terms: dict[Monomial, int]
@@ -754,7 +753,6 @@ def strata(result: ScanResult, doubled_genus: int | None = None) -> list[GenusPo
             by_genus.setdefault(dg, {})[m] = c
     return [
         GenusPolynomial(
-            n=n,
             doubled_genus=dg,
             raw_counts=raw,
             terms={m: rescaled_coefficient(n, m, c) for m, c in raw.items()},

@@ -7,11 +7,7 @@ from typing import Iterator
 
 def compositions(total: int, parts: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of ``parts`` integers >= min_part summing to total,
-    in lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    in lexicographic order; ``parts`` >= 1."""
     if parts == 1:
         if total >= min_part:
             yield (total,)

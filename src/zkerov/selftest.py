@@ -3,16 +3,14 @@ acceptance suite.  ``genus1 --verify`` calls the registry's genus-one
 comparison, closedform.genus1_mismatches, directly, so it loads neither
 this module nor the census.
 
-Each entry of CHECKS is ``(name, acceptance criterion or None, fn)``, where
-``fn(max_n, scan_of, census_of)`` runs the check at a scale bounded by
-``max_n`` and returns a one-line detail, raising on failure.  ``scan_of(n)``
-returns the ScanResult of n and ``census_of()`` the contributing
-reduced-bipartite census for n <= 6; run_selftest memoizes both for the
-length of one run, so the checks share one scan per n and one census.
-run_check never raises:
-failures (including unexpected exceptions) come back as a failed
-CheckResult so the CLI can render one line per check and exit 2 when
-anything failed.
+CHECKS maps each check's name to ``fn(max_n, scan_of, census_of)``, which
+runs the check at a scale bounded by ``max_n`` and returns a one-line
+detail, raising on failure.  ``scan_of(n)`` returns the ScanResult of n
+and ``census_of()`` the contributing preset's classes (n <= 6);
+run_selftest memoizes both for the length of one run, so the checks share
+one scan per n and one census.  run_check never raises: failures
+(including unexpected exceptions) come back as a failed CheckResult so the
+CLI can render one line per check and exit 2 when anything failed.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ from .census import (
     ReducedMapClass,
     canonical_key,
     census_classes,
-    contributing_reduced_bipartite_census,
     decoration_count,
-    small_reduced_census,
     is_contributing,
+    preset,
     reduce_map,
     stabilizer_order,
     verify_decoration_accounting,
@@ -186,7 +183,7 @@ def _check_rescale_integrality(max_n: int, scan_of: ScanOf, _census_of: CensusOf
 def _check_pinned_census_counts(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
     details = []
     if max_n >= 3:
-        small = small_reduced_census(3)
+        small = preset("reduced")
         assert len(small) == 5, f"reduced twisted census gave {len(small)} classes, expected 5"
         details.append("5 reduced classes (twisted, dihedral, n<=3)")
     if max_n >= 6:
@@ -206,7 +203,7 @@ def _check_orbit_stabilizer(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) 
             assert c.stabilizer_order == stabilizer_order(c.representative), c
         classes_seen += len(classes)
     # a filtered family: genus-one maps at n=3 total four gluings in two orbits
-    fam = census_classes(3, doubled_genus=2, bipartite_only=True)
+    fam = census_classes(3, doubled_genus=2)
     assert sorted(c.orbit_size for c in fam) == [1, 3]
     direct = sum(1 for g in enumerate_gluings(3) if glue(g).doubled_genus == 2)
     assert direct == 4, f"{direct} genus-one gluings at n=3, expected 4"
@@ -288,40 +285,34 @@ def _check_lassalle(_max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
     return f"{count} genus-one coefficients up to n=12 are positive integers"
 
 
-CHECKS: tuple[tuple[str, int | None, Callable[[int, ScanOf, CensusOf], str]], ...] = (
-    ("gluing-counts", 1, _check_gluing_counts),
-    ("twisted-counts", None, _check_twisted_counts),
-    ("glue-invariants", None, _check_glue_invariants),
-    ("rotation-equivariance", None, _check_rotation_equivariance),
-    ("oracle-equivalence", 4, _check_oracle_equivalence),
-    ("genus1-agreement", 2, _check_genus1_agreement),
-    ("pinned-values", 3, _check_pinned_values),
-    ("rescale-integrality", 9, _check_rescale_integrality),
-    ("census-pinned-counts", 6, _check_pinned_census_counts),
-    ("orbit-stabilizer", 8, _check_orbit_stabilizer),
-    ("decoration-count", 7, _check_decoration_count),
-    ("decoration-accounting", 8, _check_decoration_accounting),
-    ("reduction-closure", None, _check_reduction),
-    ("parallel-determinism", None, _check_determinism),
-    ("color-swap", None, _check_color_swap),
-    ("degenerate-genus1", 11, _check_degenerate_genus1),
-    ("lassalle-positivity", 5, _check_lassalle),
-)
-
-
-def _contributing_census() -> list[ReducedMapClass]:
-    """The contributing reduced-bipartite classes for n <= 6, the census
-    the checks use."""
-    return contributing_reduced_bipartite_census(6)
+CHECKS: dict[str, Callable[[int, ScanOf, CensusOf], str]] = {
+    "gluing-counts": _check_gluing_counts,
+    "twisted-counts": _check_twisted_counts,
+    "glue-invariants": _check_glue_invariants,
+    "rotation-equivariance": _check_rotation_equivariance,
+    "oracle-equivalence": _check_oracle_equivalence,
+    "genus1-agreement": _check_genus1_agreement,
+    "pinned-values": _check_pinned_values,
+    "rescale-integrality": _check_rescale_integrality,
+    "census-pinned-counts": _check_pinned_census_counts,
+    "orbit-stabilizer": _check_orbit_stabilizer,
+    "decoration-count": _check_decoration_count,
+    "decoration-accounting": _check_decoration_accounting,
+    "reduction-closure": _check_reduction,
+    "parallel-determinism": _check_determinism,
+    "color-swap": _check_color_swap,
+    "degenerate-genus1": _check_degenerate_genus1,
+    "lassalle-positivity": _check_lassalle,
+}
 
 
 def run_check(
-    name: str, max_n: int, scan_of: ScanOf, census_of: CensusOf = _contributing_census,
+    name: str, max_n: int, scan_of: ScanOf,
+    census_of: CensusOf = functools.partial(preset, "contributing"),
 ) -> CheckResult:
     """Run one registered check; a failure or exception is a failed result."""
-    fn = {check: fn for check, _criterion, fn in CHECKS}[name]
     try:
-        return CheckResult(name, True, fn(max_n, scan_of, census_of))
+        return CheckResult(name, True, CHECKS[name](max_n, scan_of, census_of))
     except Exception as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
@@ -337,5 +328,5 @@ def run_selftest(max_n: int = 6, threads: int = 1, force: bool = False) -> list[
             scans[n] = engine.scan(n, threads=threads, force=force)
         return scans[n]
 
-    census_of = functools.cache(_contributing_census)
-    return [run_check(name, max_n, scan_of, census_of) for name, _criterion, _fn in CHECKS]
+    census_of = functools.cache(functools.partial(preset, "contributing"))
+    return [run_check(name, max_n, scan_of, census_of) for name in CHECKS]

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Every criterion but 10 runs the checks of the ``selftest`` registry that
-carry its number, at max_n=8, so the suite and ``zkerov selftest`` share
-one copy of each check.  Run with ``pytest tests/test_acceptance.py -v -s``
-to see the lines and timings.  Criterion 9 (rescaling integrality for
+CRITERIA names for it, at max_n=8, so the suite and ``zkerov selftest``
+share one copy of each check; a name the registry lacks fails its
+criterion.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
+lines and timings.  Criterion 9 (rescaling integrality for
 n <= 6) holds by construction: a coefficient is the signed raw count
 (-1)^(n+1+V) * raw, with no power of two.  What shows that this is the
 right normalization is tests/test_kerov_oracle.py, which derives K_1..K_6
@@ -16,10 +17,23 @@ import time
 
 from zkerov.cli import main
 from zkerov.engine import scan
-from zkerov.selftest import CHECKS, run_check
+from zkerov.selftest import run_check
 
 WORKERS = 4
 MAX_N = 8
+# criterion -> the registry checks that serve it; criterion 10 runs the CLI
+CRITERIA = {
+    1: ("gluing-counts",),
+    2: ("genus1-agreement",),
+    3: ("pinned-values",),
+    4: ("oracle-equivalence",),
+    5: ("lassalle-positivity",),
+    6: ("census-pinned-counts",),
+    7: ("decoration-count",),
+    8: ("orbit-stabilizer", "decoration-accounting"),
+    9: ("rescale-integrality",),
+    11: ("degenerate-genus1",),
+}
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -30,13 +44,12 @@ def check_criterion(number: int, bound_s: float | None = None) -> None:
     """Run the registry checks of one criterion, within ``bound_s`` seconds."""
     t0 = time.perf_counter()
     results = [run_check(name, MAX_N, lambda n: scan(n, threads=WORKERS))
-               for name, crit, _fn in CHECKS if crit == number]
+               for name in CRITERIA[number]]
     elapsed = time.perf_counter() - t0
     in_time = bound_s is None or elapsed < bound_s
-    ok = bool(results) and all(r.passed for r in results) and in_time
+    ok = all(r.passed for r in results) and in_time
     report(number, ok, "; ".join(r.detail for r in results)
            + f" ({elapsed:.1f}s with {WORKERS} workers)")
-    assert results, f"no registry check carries criterion {number}"
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
     assert in_time, f"took {elapsed:.1f}s, bound {bound_s}s"

@@ -10,9 +10,7 @@ from zkerov.census import (
     DIHEDRAL,
     canonical_key,
     census_classes,
-    contributing_reduced_bipartite_census,
     decoration_count,
-    small_reduced_census,
     has_bridge,
     insert_leaf,
     insert_leaves,
@@ -21,6 +19,7 @@ from zkerov.census import (
     is_contributing,
     is_reduced,
     is_reduced_bipartite,
+    preset,
     reduce_map,
     reduce_multigraph,
     stabilizer_order,
@@ -171,7 +170,7 @@ class TestReduce:
     def test_contributing_maps_reduce_into_the_seven_classes(self):
         targets = {
             canonical_key(bipartite_graph(glue(c.representative)))
-            for c in contributing_reduced_bipartite_census(6)
+            for c in preset("contributing")
         }
         assert len(targets) == 3  # theta, two-loop, doubled theta shapes
         hits = 0
@@ -243,7 +242,7 @@ class TestCensusClasses:
         assert len(census_classes(1)) == 1
 
     def test_small_reduced_census_is_five_classes(self):
-        classes = small_reduced_census(3)
+        classes = preset("reduced")
         assert len(classes) == 5
         assert [c.n for c in classes] == [2, 2, 2, 3, 3]
         assert all(c.doubled_genus == 2 and c.reduced for c in classes)
@@ -251,7 +250,7 @@ class TestCensusClasses:
         assert [c.degree_sequence for c in classes] == [(4,), (4,), (4,), (3, 3), (3, 3)]
 
     def test_contributing_census_is_seven_classes(self):
-        classes = contributing_reduced_bipartite_census(6)
+        classes = preset("contributing")
         assert len(classes) == 7
         by_n = {}
         for c in classes:
@@ -349,7 +348,7 @@ class TestDecorationAccounting:
         assert report.ok and report.generated_labeled_maps == 0
 
     def test_full_small_sweep(self):
-        bases = [c for c in contributing_reduced_bipartite_census(6) if c.n <= 4]
+        bases = [c for c in preset("contributing") if c.n <= 4]
         assert len(bases) == 5
         for c in bases:
             m = glue(c.representative)
@@ -377,11 +376,11 @@ class TestContributingCountsMatchEngine:
                 m = glue(g)
                 if m.doubled_genus == 2 and is_reduced_bipartite(m) and is_contributing(m):
                     direct += 1
-            classes = [c for c in contributing_reduced_bipartite_census(6) if c.n == n]
+            classes = [c for c in preset("contributing") if c.n == n]
             assert sum(c.orbit_size for c in classes) == direct
 
     def test_admissible_colorings_on_doubled_theta(self):
-        doubled = [c for c in contributing_reduced_bipartite_census(6) if c.n == 6]
+        doubled = [c for c in preset("contributing") if c.n == 6]
         for c in doubled:
             m = glue(c.representative)
             assert admissible_colorings(m, Monomial((3, 2))) == 2

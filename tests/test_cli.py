@@ -114,7 +114,7 @@ class TestCoeff:
         assert code == 0
         assert (doc["doubledGenus"], doc["rawCount"], doc["coefficient"]) == (0, "1", "1")
 
-    def test_inexact_halving_exits_three(self, capsys):
+    def test_r4_at_n6_is_the_integer_minus_701(self, capsys):
         # no halving: R_4 in zonal K_6 is the integer -701, so coeff answers
         code, doc, err = run_json(capsys, "coeff", "--n", "6", "--mu", "4")
         assert code == 0 and err == ""
@@ -353,6 +353,26 @@ class TestCensus:
         assert sorted((c["orbitSize"], c["stabilizerOrder"]) for c in doc["classes"]) == [
             (1, 3), (3, 1),
         ]
+
+    def test_twisted_bipartite_keeps_the_matchings_with_their_flags(self, capsys):
+        code, doc, _ = run_json(capsys, "census", "--n", "3", "--twisted", "--bipartite")
+        assert code == 0 and doc["classCount"] == 7
+        assert sum(c["orbitSize"] for c in doc["classes"]) == 15
+        for c in doc["classes"]:
+            rep = c["representative"]
+            assert rep["twists"] == [bool((i ^ j) & 1) for i, j in enumerate(rep["pairing"])]
+
+    def test_twisted_universe_unfiltered(self, capsys):
+        code, doc, _ = run_json(capsys, "census", "--n", "3", "--twisted")
+        assert code == 0 and doc["classCount"] == 44
+        assert sum(c["orbitSize"] for c in doc["classes"]) == 15 * 2**3
+
+    @pytest.mark.parametrize("n,classes", [(3, 5), (4, 17)])
+    def test_dihedral_convention(self, capsys, n, classes):
+        code, doc, _ = run_json(capsys, "census", "--n", str(n), "--dihedral")
+        assert code == 0
+        assert (doc["convention"], doc["classCount"]) == ("dihedral", classes)
+        assert all(c["groupOrder"] == 4 * n for c in doc["classes"])
 
     def test_reduced_twisted_preset_is_five(self, capsys):
         code, doc, _ = run_json(capsys, "census", "--reduced", "--twisted")

@@ -9,8 +9,9 @@ from reference import (
     family_values_fraction,
     symmetrized_fraction,
 )
-from zkerov import closedform
+from zkerov import closedform, engine
 from zkerov.admissibility import Monomial
+from zkerov.cli import main
 from zkerov.closedform import (
     BRACKET_DENOMINATOR,
     FAMILY_DENOMINATOR,
@@ -21,8 +22,9 @@ from zkerov.closedform import (
     family_sum_polynomial,
     symmetrized_polynomial,
 )
-from zkerov.engine import InternalConsistencyError, scan, strata
+from zkerov.engine import InternalConsistencyError, load_cache, scan, strata, write_cache
 from zkerov.partitions import compositions_any_length, partitions
+from zkerov.selftest import run_check
 
 
 def terms_dict(result):
@@ -171,3 +173,53 @@ class TestIntegralityGuard:
         monkeypatch.setattr(closedform, "FAMILY_DENOMINATOR", 10**40)
         with pytest.raises(InternalConsistencyError, match="not an integer"):
             family_sum_polynomial(6)
+
+
+def break_family_sum(monkeypatch):
+    """The tuple-family sum miscounts R_4 at n=5 (65 -> 66)."""
+    real = closedform.family_sum_polynomial
+
+    def mutant(n):
+        result = real(n)
+        if n == 5:
+            result.terms[Monomial((4,))] += 1
+        return result
+
+    monkeypatch.setattr(closedform, "family_sum_polynomial", mutant)
+
+
+class TestMismatchesCanFail:
+    """Each genus-one comparison reports a plausible bug in what it guards."""
+
+    def test_verify_exits_two(self, capsys, monkeypatch):
+        break_family_sum(monkeypatch)
+        code = main(["genus1", "--n", "5", "--verify", "--threads", "1"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "VERIFICATION FAILED:" in out
+        assert "  tuple-family sum disagrees: {(4,): 66, (2, 2): 20} != " in out
+
+    def test_cache_load_rejects_a_valid_file(self, capsys, tmp_path, monkeypatch):
+        path = write_cache(tmp_path, scan(5))
+        assert load_cache(tmp_path, 5) is not None
+        break_family_sum(monkeypatch)
+        assert load_cache(tmp_path, 5) is None
+        assert capsys.readouterr().err == (
+            f"zkerov: warning: ignoring invalid cache file {path}: "
+            "genus-one stratum disagrees with the closed form\n")
+
+    def test_registry_check_fails(self, monkeypatch):
+        break_family_sum(monkeypatch)
+        result = run_check("genus1-agreement", 5, scan)
+        assert not result.passed
+        assert result.detail.startswith("AssertionError: n=5: tuple-family sum disagrees")
+
+    def test_sign_flip_at_genus_one_breaks_the_rescale_factor(self, monkeypatch):
+        real = engine.rescaled_coefficient
+
+        def mutant(n, mono, raw):
+            value = real(n, mono, raw)
+            return -value if n + 1 - mono.vertex_count == 2 else value
+
+        monkeypatch.setattr(engine, "rescaled_coefficient", mutant)
+        assert "genus-one rescale factor is not 1" in closedform.genus1_mismatches(5, scan(5))

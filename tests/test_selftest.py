@@ -31,22 +31,22 @@ def scan_calls(monkeypatch):
 
 @pytest.fixture
 def census_calls(monkeypatch):
-    """Record the max_n of every contributing-census build."""
+    """Record the name of every census preset build."""
     calls = []
-    real_census = selftest.contributing_reduced_bipartite_census
+    real_preset = selftest.preset
 
-    def counting_census(max_n):
-        calls.append(max_n)
-        return real_census(max_n)
+    def counting_preset(name):
+        calls.append(name)
+        return real_preset(name)
 
-    monkeypatch.setattr(selftest, "contributing_reduced_bipartite_census", counting_census)
+    monkeypatch.setattr(selftest, "preset", counting_preset)
     return calls
 
 
 def test_one_scan_per_n_and_golden_details(scan_calls, census_calls):
     results = run_selftest(6)
     assert Counter(n for n, _kw in scan_calls) == {n: 1 for n in range(1, 7)}
-    assert census_calls == [6]
+    assert census_calls == ["reduced", "contributing"]
     golden = json.loads((GOLDEN / "selftest-max-n6.json").read_text())["checks"]
     got = [{"name": r.name, "status": "ok" if r.passed else "fail", "detail": r.detail}
            for r in results]
@@ -62,7 +62,7 @@ def test_memo_does_not_outlive_a_run(scan_calls, census_calls):
     run_selftest(2)
     run_selftest(2)
     assert sorted(n for n, _kw in scan_calls) == [1, 1, 2, 2]
-    assert census_calls == [6, 6]
+    assert census_calls == ["contributing", "contributing"]
 
 
 @pytest.mark.parametrize("max_n,force,message", [
