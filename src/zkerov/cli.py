@@ -27,8 +27,6 @@ from typing import Any, Sequence
 from .admissibility import Monomial
 from .closedform import genus1_mismatches, partition_polynomial
 from .engine import (
-    DEFAULT_N_LIMIT,
-    FORCE_N_LIMIT,
     InternalConsistencyError,
     WorkerDiedError,
     check_limit,
@@ -75,8 +73,6 @@ def build_parser() -> _Parser:
         if cache:
             p.add_argument("--cache", dest="cache_dir", metavar="DIR", default=None,
                            help="directory for per-n tally cache files")
-        p.add_argument("--force", action="store_true",
-                       help=f"allow n up to {FORCE_N_LIMIT} (default limit {DEFAULT_N_LIMIT})")
 
     p = sub.add_parser("coeff", help="one monomial coefficient by exhaustive enumeration")
     add_common(p, n_required=True)
@@ -157,7 +153,7 @@ def _term_rows(poly_terms: dict[Monomial, int], raw: dict[Monomial, int] | None 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
     mono = Monomial(args.mu)
-    result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
+    result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir)
     raw = result.tallies.get(mono, 0)
     coeff = rescaled_coefficient(args.n, mono, raw)
     v = mono.vertex_count
@@ -179,7 +175,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
+    result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir)
     parts = strata(result)
     if args.genus_doubled is not None:
         parts = [p for p in parts if p.doubled_genus == args.genus_doubled]
@@ -221,7 +217,7 @@ def cmd_genus1(args: argparse.Namespace) -> int:
 
     code = EXIT_OK
     if args.verify:
-        result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir, force=args.force)
+        result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir)
         mismatches = genus1_mismatches(args.n, result)
         doc["verification"] = {
             "status": "ok" if not mismatches else "mismatch",
@@ -267,7 +263,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         default_max_n, defaults = census_mod.PRESETS[name]
         ns = range(1, (default_max_n if args.max_n is None else args.max_n) + 1)
         options = {**defaults, **options}
-    check_limit(max(ns), args.force)
+    check_limit(max(ns))
     doubled_genus = options.get("doubled_genus")
     convention = options.setdefault("convention", census_mod.CYCLIC)
 
@@ -324,7 +320,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest as selftest_mod
 
-    checks = selftest_mod.run_selftest(max_n=args.max_n, threads=args.threads, force=args.force)
+    checks = selftest_mod.run_selftest(max_n=args.max_n, threads=args.threads)
     ok = all(c.passed for c in checks)
     rows = [{"name": c.name, "status": "ok" if c.passed else "fail", "detail": c.detail}
             for c in checks]

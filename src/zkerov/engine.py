@@ -143,8 +143,7 @@ from .admissibility import Monomial
 from .partitions import compositions
 from .polygon import double_factorial
 
-DEFAULT_N_LIMIT = 8
-FORCE_N_LIMIT = 10
+N_LIMIT = 10
 
 CACHE_SCHEMA_VERSION = 1
 
@@ -218,15 +217,11 @@ class ScanResult(NamedTuple):
     tallies: dict[Monomial, int]  # monomial -> number of admissible (M,q) pairs
 
 
-def check_limit(n: int, force: bool) -> None:
+def check_limit(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > FORCE_N_LIMIT:
-        raise ValueError(f"n={n} exceeds the hard limit {FORCE_N_LIMIT}")
-    if n > DEFAULT_N_LIMIT and not force:
-        raise ValueError(
-            f"n={n} exceeds the default limit {DEFAULT_N_LIMIT}; pass force=True (--force)"
-        )
+    if n > N_LIMIT:
+        raise ValueError(f"n={n} exceeds the hard limit {N_LIMIT}")
 
 
 def _pair_types(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
@@ -714,11 +709,10 @@ def scan(
     *,
     threads: int = 1,
     cache_dir: str | Path | None = None,
-    force: bool = False,
 ) -> ScanResult:
     """Tallies over every matching of the 2n-gon by the weighted orbit sum,
     or from the cache when ``cache_dir`` holds a valid file for n."""
-    check_limit(n, force)
+    check_limit(n)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if cache_dir is not None:

@@ -317,15 +317,15 @@ def run_check(
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_selftest(max_n: int = 6, threads: int = 1, force: bool = False) -> list[CheckResult]:
+def run_selftest(max_n: int = 6, threads: int = 1) -> list[CheckResult]:
     """Run every check at scale ``max_n``, scanning each n and building the
     contributing census at most once."""
-    engine.check_limit(max_n, force)
+    engine.check_limit(max_n)
     scans: dict[int, ScanResult] = {}
 
     def scan_of(n: int) -> ScanResult:
         if n not in scans:
-            scans[n] = engine.scan(n, threads=threads, force=force)
+            scans[n] = engine.scan(n, threads=threads)
         return scans[n]
 
     census_of = functools.cache(functools.partial(preset, "contributing"))

@@ -206,10 +206,10 @@ class TestExpand:
         assert code == 1 and out == ""
         assert "--genus-doubled must be >= 0" in err
 
-    def test_limit_requires_force(self, capsys):
-        code, _out, err = run(capsys, "expand", "--n", "9")
-        assert code == 1
-        assert "force" in err
+    def test_n_above_hard_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "expand", "--n", "11")
+        assert code == 1 and out == ""
+        assert err == "zkerov: error: n=11 exceeds the hard limit 10\n"
 
     def test_threads_do_not_change_bytes(self, capsys):
         code1, out1, _ = run(capsys, "expand", "--n", "4", "--threads", "1", "--format", "json")
@@ -404,20 +404,20 @@ class TestCensus:
         assert code == 1 and out == ""
         assert err == "zkerov: error: census takes --n or --max-n, not both\n"
 
-    def test_n_above_default_limit_exits_one(self, capsys):
-        code, out, err = run(capsys, "census", "--n", "9")
+    def test_n_zero_exits_one(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "0")
         assert code == 1 and out == ""
-        assert "default limit 8" in err and "--force" in err
+        assert err == "zkerov: error: --n must be >= 1, got 0\n"
 
-    def test_n_above_hard_limit_exits_one_with_force(self, capsys):
-        code, out, err = run(capsys, "census", "--n", "11", "--force")
+    def test_n_above_hard_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "11")
         assert code == 1 and out == ""
-        assert "hard limit 10" in err
+        assert err == "zkerov: error: n=11 exceeds the hard limit 10\n"
 
-    def test_preset_max_n_above_default_limit_exits_one(self, capsys):
-        code, out, err = run(capsys, "census", "--reduced", "--twisted", "--max-n", "9")
+    def test_preset_max_n_above_hard_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "census", "--reduced", "--twisted", "--max-n", "11")
         assert code == 1 and out == ""
-        assert "n=9 exceeds the default limit" in err
+        assert err == "zkerov: error: n=11 exceeds the hard limit 10\n"
 
     def test_cache_is_rejected(self, capsys, tmp_path):
         # census keeps no tallies; --cache, even with a path no cache could
@@ -425,7 +425,7 @@ class TestCensus:
         not_a_dir = tmp_path / "cache"
         not_a_dir.write_text("")
         with pytest.raises(SystemExit) as exc:
-            main(["census", "--n", "2", "--force", "--cache", str(not_a_dir / "sub")])
+            main(["census", "--n", "2", "--cache", str(not_a_dir / "sub")])
         assert exc.value.code == 1
         out = capsys.readouterr()
         assert out.out == "" and "unrecognized arguments: --cache" in out.err
@@ -445,15 +445,13 @@ class TestSelftest:
         failing = [c["name"] for c in doc["checks"] if c["status"] == "fail"]
         assert failing == []
 
-    def test_max_n_above_default_limit_exits_one(self, capsys):
-        code, out, err = run(capsys, "selftest", "--max-n", "9")
+    def test_max_n_zero_exits_one(self, capsys):
+        code, out, err = run(capsys, "selftest", "--max-n", "0")
         assert code == 1 and out == ""
-        assert err.splitlines() == [
-            "zkerov: error: n=9 exceeds the default limit 8; pass force=True (--force)"
-        ]
+        assert err.splitlines() == ["zkerov: error: --max-n must be >= 1, got 0"]
 
-    def test_max_n_above_hard_limit_exits_one_with_force(self, capsys):
-        code, out, err = run(capsys, "selftest", "--max-n", "11", "--force")
+    def test_max_n_above_hard_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "selftest", "--max-n", "11")
         assert code == 1 and out == ""
         assert err.splitlines() == ["zkerov: error: n=11 exceeds the hard limit 10"]
 
@@ -469,6 +467,22 @@ class TestSelftest:
         assert exc.value.code == 1
         out = capsys.readouterr()
         assert out.out == "" and f"unrecognized arguments: {flag}" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--n", "2", "--mu", "2"],
+    ["expand", "--n", "2"],
+    ["genus1", "--n", "2"],
+    ["census", "--n", "2"],
+    ["selftest", "--max-n", "2"],
+])
+def test_force_is_a_usage_error(capsys, argv):
+    # n <= 10 is the one limit, and no flag lifts it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--force"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --force" in out.err
 
 
 # runs each argv through cli.main, output discarded, then prints the

@@ -577,11 +577,15 @@ class TestFullExpansion:
         assert all(type(c) is int for c in terms.values())
         assert (terms[(4,)], terms[(2,)]) == (-701, -1348)
 
-    def test_limit_advice(self):
-        with pytest.raises(ValueError, match="force"):
-            scan(9)
-        with pytest.raises(ValueError):
-            scan(11, force=True)
+    def test_one_hard_limit(self):
+        # n = 9 and 10 pass the limit; they are not scanned here
+        assert engine.check_limit(9) is None and engine.check_limit(10) is None
+        with pytest.raises(ValueError, match="^n=11 exceeds the hard limit 10$"):
+            scan(11)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            scan(0)
+        with pytest.raises(TypeError, match="force"):
+            scan(2, force=True)
 
     def test_result_is_immutable(self):
         result = scan(2)

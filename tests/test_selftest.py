@@ -2,6 +2,7 @@
 limit checked before any check, and checks that fail when what they guard
 is broken."""
 
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -13,6 +14,17 @@ import zkerov.selftest as selftest
 from zkerov.selftest import run_check, run_selftest
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _mutant(fn, old, new):
+    """``fn`` rebuilt from its source with the one occurrence of ``old``
+    replaced by ``new``, in ``fn``'s module namespace."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
 
 
 @pytest.fixture
@@ -53,9 +65,11 @@ def test_one_scan_per_n_and_golden_details(scan_calls, census_calls):
     assert got == golden
 
 
-def test_threads_and_force_reach_the_scans(scan_calls):
-    assert all(r.passed for r in run_selftest(3, threads=2, force=True))
-    assert scan_calls and all(kw == {"threads": 2, "force": True} for _n, kw in scan_calls)
+def test_threads_reach_the_scans(scan_calls):
+    assert all(r.passed for r in run_selftest(3, threads=2))
+    assert scan_calls and all(kw == {"threads": 2} for _n, kw in scan_calls)
+    with pytest.raises(TypeError, match="force"):
+        run_selftest(3, force=True)
 
 
 def test_memo_does_not_outlive_a_run(scan_calls, census_calls):
@@ -65,18 +79,18 @@ def test_memo_does_not_outlive_a_run(scan_calls, census_calls):
     assert census_calls == ["contributing", "contributing"]
 
 
-@pytest.mark.parametrize("max_n,force,message", [
-    (0, False, "n must be >= 1"),
-    (9, False, "n=9 exceeds the default limit 8"),
-    (11, True, "n=11 exceeds the hard limit 10"),
+@pytest.mark.parametrize("max_n,message", [
+    (0, "^n must be >= 1, got 0$"),
+    (11, "^n=11 exceeds the hard limit 10$"),
+    (12, "^n=12 exceeds the hard limit 10$"),
 ])
-def test_limit_is_checked_before_any_check(monkeypatch, max_n, force, message):
+def test_limit_is_checked_before_any_check(monkeypatch, max_n, message):
     def no_check(*_args):
         raise AssertionError("a check ran")
 
     monkeypatch.setattr(selftest, "run_check", no_check)
     with pytest.raises(ValueError, match=message):
-        run_selftest(max_n, force=force)
+        run_selftest(max_n)
 
 
 def test_positivity_check_rejects_a_zero_coefficient(monkeypatch):
@@ -95,6 +109,32 @@ def test_euler_check_has_a_second_route_to_the_genus(monkeypatch):
     monkeypatch.setattr(selftest, "glue", lambda g: first.setdefault(g.n, real(g)))
     result = run_check("glue-invariants", 5, engine.scan)
     assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_color_swap_check_catches_a_loose_hall_test(monkeypatch):
+    """The check compares the kernel's tallies with the ``glue``/``enumerate_q``
+    route on the color-swapped maps, so a kernel bug that admits a coloring
+    Hall's condition rejects makes them differ.  A ``shift_gluing`` that
+    shifts by an even amount would not trip it: a rotation keeps the tallies."""
+    monkeypatch.setattr(engine, "_hall_keys",
+                        _mutant(engine._hall_keys, "bit_count() <= req", "bit_count() < req"))
+    result = run_check("color-swap", 5, engine.scan)
+    assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_determinism_check_catches_a_lost_branch(monkeypatch):
+    # the last task of the split drops its last branch
+    real = engine._tasks
+
+    def short_tasks(n, count):
+        *tasks, (n, branches) = real(n, count)
+        return [*tasks, (n, branches[:-1])]
+
+    monkeypatch.setattr(engine, "_tasks", short_tasks)
+    result = run_check("parallel-determinism", 5, engine.scan)
+    assert not result.passed
+    assert result.detail == ("InternalConsistencyError: weighted matching total 32580 at n=5, "
+                             "expected 32640")
 
 
 def test_orbit_stabilizer_check_uses_the_direct_count(monkeypatch):
