@@ -1,6 +1,7 @@
-"""Time ``engine.scan``, the census presets, the gluing enumerators, the
-ordered-tuple closed forms, ``selftest`` and the CLI shell on one or more
-source trees and write BENCH_scan.json.
+"""Time ``engine.scan``, the census presets, ``glue``, the gluing
+enumerators, the ordered-tuple closed forms and their compositions,
+``selftest`` and the CLI shell on one or more source trees and write
+BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
@@ -12,13 +13,12 @@ two sides, for example ``--side parent=/tmp/parent/src --side change=src``,
 to record a before/after pair on the same machine in one file.
 
 Every timing is one call in a fresh interpreter, so no side inherits
-another's imports or warm state, except ``scan_1t_s``: its interpreter
-calls ``scan(n)`` at least three times, and until the calls fill about
-0.2 s, and reports the fastest, since one call of 0.001-0.3 s is at the
-mercy of a busy host (at n = 5..7 three calls left the median in one of
-two modes).  Each side's tree is byte-compiled once
-(``python -m compileall``) before the repeats, so no timing includes
-compiling the package.  Sides alternate within each repeat, and the
+another's imports or warm state, except ``scan_1t_s``, ``glue_us`` and
+``compositions_ms``: their interpreter repeats the call and reports the
+fastest, since one call of 0.001-0.3 s is at the mercy of a busy host (at
+n = 5..7 three scans left the median in one of two modes).  Each side's
+tree is byte-compiled once (``python -m compileall``) before the repeats,
+so no timing includes compiling the package.  Sides alternate within each repeat, and the
 reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8,
@@ -49,11 +49,17 @@ reported figure is the median over repeats:
   ``census_contrib_s``: ``census --reduced-bipartite --contributing
   --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
   ranges the ``reference`` workload of ``perfbench/`` uses);
+* ``glue_us``: microseconds per ``glue`` call over the dg=2 strata of
+  the census presets' largest n (the twisted gluings at n=6 and the
+  matchings at n=7, 23,410 gluings, enumerated before the timing), the
+  fastest of five passes;
 * ``enumerate_gluings_s`` (n=7) and ``enumerate_twisted_gluings_s``
   (n=6): a full pass of the enumerator with no genus requested;
 * ``closedform_symmetrized_s`` and ``closedform_family_sum_s``:
   ``symmetrized_polynomial(26)`` and ``family_sum_polynomial(26)``, the two
   genus-one routes that sum over every ordered tuple (46,368 at n=26);
+* ``compositions_ms``: one pass over ``compositions_any_length(25, 2)``,
+  those 46,368 tuples, the fastest of five;
 * ``selftest_s``: ``selftest --max-n 6 --threads 1``, one ``cli.main``
   call with its JSON discarded (every check of the registry, each n
   scanned as often as the tree's ``run_selftest`` scans it);
@@ -82,11 +88,12 @@ example ``--rows census_twisted_s,census_contrib_s --repeats 10 --out
 FILE`` into a new file, then cost no n=9 or n=10 scans.
 
 The ``counts`` of each side hold the class counts of the census presets,
-the number of gluings enumerated, the number of terms of each closed form,
-the number of selftest checks passed, the raw count of the warm query and
-the number of terms of each expansion, so that two sides can be seen to
-have done the same work; ``cli_import_ms`` counts the modules loaded, which
-is what an import change alters.
+the number of gluings glued and enumerated, the number of compositions,
+the number of terms of each closed form, the number of selftest checks
+passed, the raw count of the warm query and the number of terms of each
+expansion, so that two sides can be seen to have done the same work;
+``cli_import_ms`` counts the modules loaded, which is what an import
+change alters.
 
 Standard library only.
 """
@@ -115,6 +122,9 @@ CENSUS = {
     "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),
 }
 ENUMERATE = {"enumerate_gluings_s": 7, "enumerate_twisted_gluings_s": 6}
+# the census presets' genus and largest n in each universe
+GLUE_STRATA = ("2", "enumerate_twisted_gluings", "6", "enumerate_gluings", "7")
+COMPOSITIONS = ("25", "2")
 CLOSEDFORM_N = 26
 CLOSEDFORM = {
     "closedform_symmetrized_s": "symmetrized_polynomial",
@@ -169,15 +179,32 @@ if kind == "tasks":
 if kind == "scan":
     from zkerov import engine
     n, threads = int(args[0]), int(args[1])
-    # a tree with the soft limit of 8 takes n = 9 and 10 only with force=True;
-    # this line can go once no recorded side has that limit
-    force = {"force": True} if n > getattr(engine, "DEFAULT_N_LIMIT", n) else {}
     # one thread: the fastest of at least three calls that fill about 0.2 s
     # in this interpreter; two: one call
     times = []
     while not times or threads == 1 and (len(times) < 3 or sum(times) < 0.2):
         t0 = time.perf_counter()
-        count = engine.scan(n, threads=threads, **force).gluing_count
+        count = engine.scan(n, threads=threads).gluing_count
+        times.append(time.perf_counter() - t0)
+elif kind == "glue":
+    from zkerov import polygon
+    dg, strata = int(args[0]), args[1:]
+    gluings = [g for name, n in zip(strata[::2], strata[1::2])
+               for g in getattr(polygon, name)(int(n), doubled_genus=dg)]
+    glue, count, times = polygon.glue, len(gluings), []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for g in gluings:
+            glue(g)
+        times.append(time.perf_counter() - t0)
+elif kind == "compositions":
+    from zkerov.partitions import compositions_any_length
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        count = 0
+        for _tup in compositions_any_length(int(args[0]), int(args[1])):
+            count += 1
         times.append(time.perf_counter() - t0)
 elif kind == "census":
     from zkerov.cli import main
@@ -204,7 +231,7 @@ else:
     enumerate_fn = getattr(polygon, kind)
     t0 = time.perf_counter()
     count = sum(1 for _ in enumerate_fn(int(args[0])))
-elapsed = min(times) if kind == "scan" else time.perf_counter() - t0
+elapsed = min(times) if kind in ("scan", "glue", "compositions") else time.perf_counter() - t0
 extra = {}
 if kind == "scan":
     extra["rss_mb"] = peak_rss_mb()
@@ -317,10 +344,12 @@ def main(argv: list[str] | None = None) -> int:
         jobs[f"n{n}_t{threads}"] = ("scan", [str(n), str(threads)])
     for key, (_n, flags) in CENSUS.items():
         jobs[key] = ("census", flags)
+    jobs["glue_us"] = ("glue", list(GLUE_STRATA))
     for kind, n in ENUMERATE.items():
         jobs[kind] = (kind.removesuffix("_s"), [str(n)])
     for key, route in CLOSEDFORM.items():
         jobs[key] = ("closedform", [route, str(CLOSEDFORM_N)])
+    jobs["compositions_ms"] = ("compositions", list(COMPOSITIONS))
     jobs["selftest_s"] = ("selftest", [SELFTEST_MAX_N])
     jobs["cli_import_ms"] = ("import", [])
     # "cli" jobs are whole processes; {warm} and {cold} stand for the side's
@@ -412,15 +441,20 @@ def main(argv: list[str] | None = None) -> int:
             "task_s": task_s[label],
             **{key: {max_n: round(med[key], 4)}
                for key, (max_n, _flags) in CENSUS.items() if key in med},
+            **({"glue_us": round(med["glue_us"] / counts[label]["glue_us"] * 1e6, 2)}
+               if "glue_us" in med else {}),
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items() if key in med},
             **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM if key in med},
+            **({"compositions_ms": round(med["compositions_ms"] * 1e3, 2)}
+               if "compositions_ms" in med else {}),
             "selftest_s": {SELFTEST_MAX_N: round(med["selftest_s"], 4)}
             if "selftest_s" in med else {},
             **{key: round(med[key] * 1e3, 1)
                for key in ("cli_import_ms", "query_warm_ms") if key in med},
             "expand_cold_s": {EXPAND_N: expand} if expand else {},
             "counts": {key: counts[label][key]
-                       for key in [*CENSUS, *ENUMERATE, *CLOSEDFORM, "selftest_s",
+                       for key in [*CENSUS, "glue_us", *ENUMERATE, *CLOSEDFORM,
+                                   "compositions_ms", "selftest_s",
                                    "cli_import_ms", "query_warm_ms",
                                    *(f"expand_{t}t" for t in EXPAND_THREADS)]
                        if key in counts[label]},

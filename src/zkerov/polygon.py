@@ -15,6 +15,9 @@ Conventions used throughout the package:
   be two-colorable (a vertex may hold corners of both parities).
 * Every glued map has exactly one face (the polygon interior), so
   the Euler characteristic is V - n + 1 and doubledGenus = n + 1 - V.
+* ``glue`` walks each vertex's cycle of corner identifications, and the
+  genus-pruned enumerator keeps a union-find of its own, so the genus it
+  filters on checks ``glue``'s by another mechanism.
 """
 
 from __future__ import annotations
@@ -197,80 +200,71 @@ def _gluings(n: int, twisted: bool, doubled_genus: int | None) -> Iterator[Gluin
 def glue(gluing: Gluing) -> GluedMap:
     """Build the one-face map of a gluing, with the even corners black.
 
+    No union-find: a vertex is a cycle of corner identifications.  Corner
+    c has two ports, 2c where side c starts and 2c + 1 where side c - 1
+    ends.  A side pair links the ports of the corners it identifies, start
+    to start and end to end (STRAIGHT) or start to end (TWISTED), so every
+    port has one partner.  Stepping from a port to its partner and on to
+    the other port of the partner's corner (``port ^ 1``) visits each
+    corner of one vertex once and comes back to the corner it left.  A
+    walk from the least corner not yet visited names its vertex by that
+    corner, and the same pass gives the degree (the corners visited) and
+    the color (whether they share a parity).
+
     The color swap of a matching's map is the map of its odd side shift,
     ``glue(shift_gluing(gluing, 1))``.
     """
-    p = gluing.pairing
+    p, twists = gluing
     m = len(p)
     n = m // 2
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        if ra < rb:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
-
+    partner = [0] * (2 * m)
     for i, j in enumerate(p):
         if j < i:
             continue
-        i1 = (i + 1) % m
-        j1 = (j + 1) % m
-        twisted = ((i ^ j) & 1 == 1) if gluing.twists is None else gluing.twists[i]
-        if twisted:
-            union(i, j1)
-            union(i1, j)
+        # the ports where sides i and j start and where they end
+        si, sj = 2 * i, 2 * j
+        ei = si + 3 if i + 1 < m else 1
+        ej = sj + 3 if j + 1 < m else 1
+        # without flags, the color-preserving pattern (module docstring)
+        if (i ^ j) & 1 if twists is None else twists[i]:
+            partner[si], partner[ej], partner[ei], partner[sj] = ej, si, sj, ei
         else:
-            union(i, j)
-            union(i1, j1)
+            partner[si], partner[sj], partner[ei], partner[ej] = sj, si, ej, ei
 
-    vertex_of = tuple(find(c) for c in range(m))
-    classes: dict[int, list[int]] = {}
-    for c, r in enumerate(vertex_of):
-        classes.setdefault(r, []).append(c)
-
-    # classes come in increasing order of their minimal corner: sorted lists
+    vertex_of = [-1] * m
     degree: dict[int, int] = {}
     black: list[int] = []
     white: list[int] = []
-    for r, members in classes.items():
-        parities = {c & 1 for c in members}
-        if parities == {0}:
-            black.append(r)
-        elif parities == {1}:
-            white.append(r)
-        degree[r] = len(members)
+    for c in range(m):
+        if vertex_of[c] >= 0:
+            continue
+        vertex_of[c], port, walked, mixed = c, partner[2 * c] ^ 1, 1, 0
+        k = port >> 1
+        while k != c:
+            vertex_of[k] = c
+            mixed |= k ^ c
+            walked += 1
+            port = partner[port] ^ 1
+            k = port >> 1
+        degree[c] = walked
+        if not mixed & 1:
+            (white if c & 1 else black).append(c)
 
     edges = []
     for i, j in enumerate(p):
-        if j < i:
-            continue
-        u = vertex_of[i]
-        v = vertex_of[(i + 1) % m]
-        edges.append((u, v) if u < v else (v, u))
+        if i < j:
+            u = vertex_of[i]
+            v = vertex_of[(i + 1) % m]
+            edges.append((u, v) if u < v else (v, u))
 
-    return GluedMap(
-        n=n,
-        pairing=p,
-        vertex_of=vertex_of,
-        degree=degree,
-        doubled_genus=n + 1 - len(classes),
-        black_vertices=tuple(black),
-        white_vertices=tuple(white),
-        graph_edges=tuple(edges),
+    # GluedMap's fields in order, without the Python-level constructor
+    return tuple.__new__(GluedMap, (
+        n, p, tuple(vertex_of), degree, n + 1 - len(degree), tuple(black), tuple(white),
+        tuple(edges),
         # the two ends of a side have opposite parities, so a loop or an
         # edge between two vertices of one color needs a mixed class
-        bipartite=len(black) + len(white) == len(classes),
-    )
+        len(black) + len(white) == len(degree),
+    ))
 
 
 def rotate_gluing(g: Gluing, r: int) -> Gluing:

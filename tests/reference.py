@@ -5,11 +5,14 @@ route: the genus-one bracket as a single fraction; the bracket, the three
 tuple families and both ordered-tuple routes written literally in
 Fractions, where the package sums integers over a fixed denominator;
 admissible colorings counted over the distinct assignments of a part
-multiset instead of through enumerate_q; and pair insertion that tracks
+multiset instead of through enumerate_q; pair insertion that tracks
 every edge's sides through each insertion, where the package inserts
-from the highest first side down.  ``validate`` checks that a gluing the
-tests build is well formed; none enters the package from outside, since
-the CLI takes only n and mu.
+from the highest first side down; the glued map through a union-find of
+corner classes, where ``glue`` walks each vertex's cycle of corners; and
+compositions by recursion on the first part, where the package reads
+them off combinations of cut points.  ``validate`` checks that a gluing
+the tests build is well formed; none enters the package from outside,
+since the CLI takes only n and mu.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from typing import Iterator, Sequence
 
 from zkerov.admissibility import GraphLike, Monomial, bipartite_graph, hall_condition
 from zkerov.census import insert_pair
-from zkerov.partitions import compositions_any_length
 from zkerov.polygon import GluedMap, Gluing
 
 
@@ -70,9 +72,26 @@ def family_values_fraction(n: int, tup: tuple[int, ...]) -> tuple[Fraction, Frac
     return t1, t2, t3
 
 
+def recursive_compositions(total: int, parts: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
+    """``compositions`` by recursion on the first part, lexicographically."""
+    if parts == 1:
+        if total >= min_part:
+            yield (total,)
+        return
+    for first in range(min_part, total - min_part * (parts - 1) + 1):
+        for rest in recursive_compositions(total - first, parts - 1, min_part):
+            yield (first,) + rest
+
+
+def recursive_compositions_any_length(total: int, min_part: int = 2) -> Iterator[tuple[int, ...]]:
+    """``compositions_any_length`` from ``recursive_compositions``."""
+    for k in range(1, total // min_part + 1):
+        yield from recursive_compositions(total, k, min_part)
+
+
 def _fraction_route(n: int, tuple_value) -> dict[tuple[int, ...], Fraction]:
     acc: dict[tuple[int, ...], Fraction] = {}
-    for tup in compositions_any_length(n - 1, 2):
+    for tup in recursive_compositions_any_length(n - 1, 2):
         parts = Monomial(tup).parts
         acc[parts] = acc.get(parts, Fraction(0)) + tuple_value(tup)
     return acc
@@ -176,3 +195,79 @@ def insert_pairs_tracked(g: Gluing, edge_multiset: Sequence[int]) -> Gluing:
                 b2 = b + 2 * (b > i) + 2 * (b > j)
                 cur[e2] = (a2, b2)
     return out
+
+
+def union_find_glue(gluing: Gluing) -> GluedMap:
+    """``glue``'s map built by merging the identified corners in a
+    union-find; each class is named by its least corner."""
+    p = gluing.pairing
+    m = len(p)
+    n = m // 2
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
+
+    for i, j in enumerate(p):
+        if j < i:
+            continue
+        i1 = (i + 1) % m
+        j1 = (j + 1) % m
+        twisted = ((i ^ j) & 1 == 1) if gluing.twists is None else gluing.twists[i]
+        if twisted:
+            union(i, j1)
+            union(i1, j)
+        else:
+            union(i, j)
+            union(i1, j1)
+
+    vertex_of = tuple(find(c) for c in range(m))
+    classes: dict[int, list[int]] = {}
+    for c, r in enumerate(vertex_of):
+        classes.setdefault(r, []).append(c)
+
+    # classes come in increasing order of their minimal corner: sorted lists
+    degree: dict[int, int] = {}
+    black: list[int] = []
+    white: list[int] = []
+    for r, members in classes.items():
+        parities = {c & 1 for c in members}
+        if parities == {0}:
+            black.append(r)
+        elif parities == {1}:
+            white.append(r)
+        degree[r] = len(members)
+
+    edges = []
+    for i, j in enumerate(p):
+        if j < i:
+            continue
+        u = vertex_of[i]
+        v = vertex_of[(i + 1) % m]
+        edges.append((u, v) if u < v else (v, u))
+
+    return GluedMap(
+        n=n,
+        pairing=p,
+        vertex_of=vertex_of,
+        degree=degree,
+        doubled_genus=n + 1 - len(classes),
+        black_vertices=tuple(black),
+        white_vertices=tuple(white),
+        graph_edges=tuple(edges),
+        # the two ends of a side have opposite parities, so a loop or an
+        # edge between two vertices of one color needs a mixed class
+        bipartite=len(black) + len(white) == len(classes),
+    )

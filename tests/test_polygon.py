@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from reference import validate
+from reference import union_find_glue, validate
 from zkerov.polygon import (
+    GluedMap,
     Gluing,
     double_factorial,
     enumerate_gluings,
@@ -199,3 +200,28 @@ def test_color_swap_is_an_automorphism_of_counts():
             assert degrees(swapped, swapped.black_vertices) == degrees(m, m.white_vertices), g
             assert degrees(swapped, swapped.white_vertices) == degrees(m, m.black_vertices), g
             assert swapped.doubled_genus == m.doubled_genus
+
+
+def assert_same_map(g):
+    """glue() equals the union-find oracle field by field, the degree dict
+    in the same order."""
+    got, want = glue(g), union_find_glue(g)
+    for field in GluedMap._fields:
+        assert getattr(got, field) == getattr(want, field), (g, field)
+    assert list(got.degree.items()) == list(want.degree.items()), g
+    assert type(got) is GluedMap and type(got.vertex_of) is tuple
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_gluings, enumerate_twisted_gluings])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_glue_equals_the_union_find_on_every_gluing(enumerate_fn, n):
+    for g in enumerate_fn(n):
+        assert_same_map(g)
+
+
+@pytest.mark.parametrize("enumerate_fn,n",
+                         [(enumerate_twisted_gluings, 6), (enumerate_gluings, 7)])
+def test_glue_equals_the_union_find_on_the_census_genus_one_stratum(enumerate_fn, n):
+    # the dg=2 strata of the census presets' largest n
+    for g in enumerate_fn(n, doubled_genus=2):
+        assert_same_map(g)
