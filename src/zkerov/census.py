@@ -242,7 +242,6 @@ def census_classes(
     doubled_genus: int | None = None,
     reduced_only: bool = False,
     reduced_bipartite_only: bool = False,
-    bipartite_only: bool = False,
     contributing_only: bool = False,
     convention: str = CYCLIC,
 ) -> list[ReducedMapClass]:
@@ -270,8 +269,6 @@ def census_classes(
                     f"enumerated {g} for doubled genus {doubled_genus}, "
                     f"but it glues to {m.doubled_genus}"
                 )
-            if bipartite_only and not m.bipartite:
-                continue
             if reduced_only and not is_reduced(m):
                 continue
             if reduced_bipartite_only and not is_reduced_bipartite(m):

@@ -91,9 +91,6 @@ def build_parser() -> _Parser:
     # census keeps no tallies, so it takes no --cache
     add_common(p, threads_help="accepted and ignored: census runs in one process", cache=False)
     p.add_argument("--genus-doubled", type=int, default=None)
-    p.add_argument("--bipartite", action="store_true",
-                   help="keep bipartite maps only; selects nothing new: they are all "
-                        "the matchings (with --twisted, carrying color-preserving flags)")
     p.add_argument("--reduced", action="store_true", help="min degree 3 and bridgeless")
     p.add_argument("--reduced-bipartite", action="store_true")
     p.add_argument("--contributing", action="store_true",
@@ -176,9 +173,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir)
-    parts = strata(result)
-    if args.genus_doubled is not None:
-        parts = [p for p in parts if p.doubled_genus == args.genus_doubled]
+    parts = [p for p in strata(result, args.genus_doubled) if p.terms]
     doc_parts = []
     lines = [f"n={args.n} gluings={result.gluing_count}"]
     for p in parts:
@@ -189,12 +184,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
             lines.append(
                 f"  {mono.label():<20} raw={p.raw_counts[mono]:<12} coeff={p.terms[mono]}"
             )
-        doc_parts.append({
-            "doubledGenus": p.doubled_genus,
-            "terms": rows,
-            # every coefficient is an integer; the key stays for schema stability
-            "inexactCoefficients": [],
-        })
+        doc_parts.append({"doubledGenus": p.doubled_genus, "terms": rows})
     doc = {
         "command": "expand",
         "n": args.n,
@@ -241,7 +231,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         "universe": "twisted" if args.twisted else "matchings",
         "reduced_only": args.reduced,
         "reduced_bipartite_only": args.reduced_bipartite,
-        "bipartite_only": args.bipartite,
         "contributing_only": args.contributing,
     }
     if args.genus_doubled is not None:
@@ -305,7 +294,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         "ns": list(ns),
         "filters": {
             "doubledGenus": doubled_genus,
-            "bipartite": args.bipartite,
             "reduced": args.reduced,
             "reducedBipartite": args.reduced_bipartite,
             "contributing": args.contributing,

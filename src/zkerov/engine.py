@@ -848,6 +848,6 @@ def load_cache(cache_dir: str | Path, n: int) -> ScanResult | None:
         raise _unusable(path, exc) from exc
     try:
         return _parse_cache(json.loads(data.decode("utf-8")), n)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"zkerov: warning: ignoring invalid cache file {path}: {exc}", file=sys.stderr)
         return None

@@ -197,15 +197,16 @@ class TestStabilizers:
 
 class TestCensusClasses:
     def test_hexagon_torus_bipartite_family(self):
-        classes = census_classes(3, doubled_genus=2, bipartite_only=True)
+        classes = census_classes(3, doubled_genus=2)
+        assert all(c.bipartite for c in classes)
         assert len(classes) == 2
         assert sorted((c.orbit_size, c.stabilizer_order) for c in classes) == [(1, 3), (3, 1)]
         assert sum(c.orbit_size for c in classes) == 4
 
-    def test_bipartite_filter_selects_only_the_matchings(self):
+    def test_twisted_bipartite_gluings_are_the_matchings(self):
         # a twisted gluing glues to a bipartite map iff every pair carries
-        # its color-preserving flag, so --twisted --bipartite is the matching
-        # universe with explicit flags and --bipartite alone keeps everything
+        # its color-preserving flag: the bipartite gluings are the matchings,
+        # which the default universe lists, so no bipartite filter exists
         for n, matchings in zip(range(1, 6), (1, 3, 15, 105, 945)):
             bipartite = [g for g in enumerate_twisted_gluings(n) if glue(g).bipartite]
             assert len(bipartite) == matchings
@@ -214,7 +215,9 @@ class TestCensusClasses:
             for g in bipartite:
                 assert all(g.twists[i] == bool((i ^ j) & 1) for i, j in enumerate(g.pairing)), g
         for n in range(1, 5):
-            assert census_classes(n, bipartite_only=True) == census_classes(n)
+            assert all(c.bipartite for c in census_classes(n))
+        with pytest.raises(TypeError, match="bipartite_only"):
+            census_classes(3, bipartite_only=True)
 
     def test_orbit_stabilizer_identity(self):
         for n in range(1, 6):

@@ -170,16 +170,8 @@ class TestExpand:
         assert doc["gluings"] == "3"
         assert doc["parts"] == [
             # zonal K_2 = R_3 - R_2: signed raw counts, no power of two
-            {
-                "doubledGenus": 0,
-                "terms": [{"mu": [3], "rawCount": "1", "coefficient": "1"}],
-                "inexactCoefficients": [],
-            },
-            {
-                "doubledGenus": 1,
-                "terms": [{"mu": [2], "rawCount": "1", "coefficient": "-1"}],
-                "inexactCoefficients": [],
-            },
+            {"doubledGenus": 0, "terms": [{"mu": [3], "rawCount": "1", "coefficient": "1"}]},
+            {"doubledGenus": 1, "terms": [{"mu": [2], "rawCount": "1", "coefficient": "-1"}]},
         ]
 
     def test_genus_filter(self, capsys):
@@ -342,25 +334,49 @@ class TestGenus1:
         assert doc["verification"]["status"] == "ok"
         assert doc["verification"]["mismatches"] == []
 
+    def test_closed_form_needs_no_limit(self, capsys):
+        # only the scan holds n to at most 10; the closed form runs past it
+        code, doc, _ = run_json(capsys, "genus1", "--n", "12")
+        assert code == 0
+        assert len(doc["terms"]) == 14
+        assert "verification" not in doc
+
+    def test_verify_past_the_limit_is_a_usage_error(self, capsys):
+        assert main(["genus1", "--n", "12", "--verify", "--threads", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "zkerov: error: n=12 exceeds the hard limit 10\n"
+
 
 class TestCensus:
     def test_hexagon_bipartite_classes(self, capsys):
-        code, doc, _ = run_json(
-            capsys, "census", "--n", "3", "--genus-doubled", "2", "--bipartite"
-        )
+        # every matching glues to a bipartite map: no filter is needed
+        code, doc, _ = run_json(capsys, "census", "--n", "3", "--genus-doubled", "2")
         assert code == 0
         assert doc["classCount"] == 2
         assert sorted((c["orbitSize"], c["stabilizerOrder"]) for c in doc["classes"]) == [
             (1, 3), (3, 1),
         ]
+        assert all(c["bipartite"] for c in doc["classes"])
+        assert "bipartite" not in doc["filters"]
 
     def test_twisted_bipartite_keeps_the_matchings_with_their_flags(self, capsys):
-        code, doc, _ = run_json(capsys, "census", "--n", "3", "--twisted", "--bipartite")
-        assert code == 0 and doc["classCount"] == 7
-        assert sum(c["orbitSize"] for c in doc["classes"]) == 15
-        for c in doc["classes"]:
+        code, doc, _ = run_json(capsys, "census", "--n", "3", "--twisted")
+        assert code == 0
+        bipartite = [c for c in doc["classes"] if c["bipartite"]]
+        assert len(bipartite) == 7
+        assert sum(c["orbitSize"] for c in bipartite) == 15
+        for c in bipartite:
             rep = c["representative"]
             assert rep["twists"] == [bool((i ^ j) & 1) for i, j in enumerate(rep["pairing"])]
+
+    def test_bipartite_is_a_usage_error(self, capsys):
+        # the bipartite gluings are the matchings, which census --n N lists
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--n", "2", "--bipartite"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: --bipartite" in out.err
 
     def test_twisted_universe_unfiltered(self, capsys):
         code, doc, _ = run_json(capsys, "census", "--n", "3", "--twisted")

@@ -710,6 +710,16 @@ class TestCache:
         assert load_cache(tmp_path, 4) is None
         assert "invalid cache file" in capsys.readouterr().err
 
+    def test_too_deeply_nested_file_is_a_miss(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit: a RecursionError
+        path = cache_path(tmp_path, 3)
+        path.write_text("[" * 10000 + "]" * 10000)
+        assert load_cache(tmp_path, 3) is None
+        assert "invalid cache file" in capsys.readouterr().err
+        # rescanned and rewritten
+        assert scan(3, cache_dir=tmp_path).tallies == scan(3).tallies
+        assert load_cache(tmp_path, 3) is not None
+
 
 N3_DOC = {
     "schemaVersion": 1,

@@ -142,3 +142,31 @@ def test_orbit_stabilizer_check_uses_the_direct_count(monkeypatch):
     monkeypatch.setattr(selftest, "stabilizer_order", lambda g: 1)
     result = run_check("orbit-stabilizer", 3, engine.scan)
     assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_oracle_check_catches_a_loose_hall_test(monkeypatch):
+    # the exhaustive Hall test admits a subset with exactly as many white
+    # neighbors as it needs; the orientation walk does not
+    monkeypatch.setattr(selftest, "hall_condition",
+                        _mutant(selftest.hall_condition,
+                                "nbr.bit_count() <= need", "nbr.bit_count() < need"))
+    result = run_check("oracle-equivalence", 5, engine.scan)
+    assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_rotation_check_catches_an_odd_shift(monkeypatch):
+    # an odd shift swaps the corner colors, so black and white counts trade
+    monkeypatch.setattr(selftest, "rotate_gluing",
+                        _mutant(selftest.rotate_gluing,
+                                "shift_gluing(g, 2 * r)", "shift_gluing(g, 2 * r + 1)"))
+    result = run_check("rotation-equivariance", 4, engine.scan)
+    assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_reduction_check_catches_a_single_rule(monkeypatch):
+    # only the first rule of each order runs: leaf-only and smooth-only
+    # reductions disagree
+    monkeypatch.setattr(selftest, "reduce_map",
+                        _mutant(selftest.reduce_map, "rule_order)", "rule_order[:1])"))
+    result = run_check("reduction-closure", 6, engine.scan)
+    assert not result.passed and result.detail.startswith("AssertionError")
