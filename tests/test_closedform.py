@@ -158,6 +158,29 @@ class TestFractionReference:
                 assert all(v.denominator == 1 for v in expected.values()), (n, route)
                 assert terms_dict(route(n)) == expected, (n, route)
 
+    def test_routes_equal_fraction_routes_at_twenty_six(self):
+        # the n the benchmarks time: the grouped integer sums against the
+        # per-tuple Fraction sums
+        assert terms_dict(symmetrized_polynomial(26)) == symmetrized_fraction(26)
+        assert terms_dict(family_sum_polynomial(26)) == family_sum_fraction(26)
+
+
+@pytest.mark.parametrize("route", [symmetrized_polynomial, family_sum_polynomial])
+def test_tuple_routes_read_every_ordered_tuple(monkeypatch, route):
+    """The grouped routes count the orderings of each summand's argument by
+    enumerating them, never by a multinomial."""
+    read = []
+    real = closedform.compositions_any_length
+
+    def counting(total, min_part=2):
+        for tup in real(total, min_part):
+            read.append(tup)
+            yield tup
+
+    monkeypatch.setattr(closedform, "compositions_any_length", counting)
+    assert len(route(26).terms) == 383
+    assert len(read) == len(set(read)) == 46_368
+
 
 class TestIntegralityGuard:
     def test_scaled_sum_off_by_one_raises(self, monkeypatch):

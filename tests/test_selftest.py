@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import zkerov.closedform as closedform
 import zkerov.engine as engine
 import zkerov.selftest as selftest
 from zkerov.selftest import run_check, run_selftest
@@ -169,4 +170,39 @@ def test_reduction_check_catches_a_single_rule(monkeypatch):
     monkeypatch.setattr(selftest, "reduce_map",
                         _mutant(selftest.reduce_map, "rule_order)", "rule_order[:1])"))
     result = run_check("reduction-closure", 6, engine.scan)
+    assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_genus1_check_catches_families_grouped_by_partition(monkeypatch):
+    # the families read a_1 and a_2, so a family route that groups the
+    # tuples by their partition alone evaluates every group at its two
+    # smallest parts
+    monkeypatch.setattr(closedform, "family_sum_polynomial",
+                        _mutant(closedform.family_sum_polynomial,
+                                "tup[:2] + tuple(sorted(tup[2:]))", "tuple(sorted(tup))"))
+    caught = [n for n in range(1, 9) if closedform.genus1_mismatches(n, engine.scan(n))]
+    assert caught == [6, 7, 8]
+    result = run_check("genus1-agreement", 8, engine.scan)
+    assert not result.passed
+    assert result.detail.startswith("AssertionError: n=6: tuple-family sum disagrees")
+
+
+def test_pinned_values_check_catches_a_sign_off_by_one(monkeypatch):
+    # the sign exponent loses its 1, so every genus-one coefficient is
+    # the negated raw count
+    monkeypatch.setattr(selftest, "rescaled_coefficient",
+                        _mutant(engine.rescaled_coefficient,
+                                "(n + 1 + mono.vertex_count)", "(n + mono.vertex_count)"))
+    result = run_check("pinned-values", 6, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: (3, (2,), 4, -4, 4)"
+
+
+def test_degenerate_check_catches_a_genus_read_as_a_bound(monkeypatch):
+    # strata(result, dg) keeps every stratum up to dg, so the planar one
+    # of n=2 comes first
+    monkeypatch.setattr(selftest, "strata",
+                        _mutant(engine.strata, "doubled_genus in (None, dg)",
+                                "doubled_genus is None or dg <= doubled_genus"))
+    result = run_check("degenerate-genus1", 2, engine.scan)
     assert not result.passed and result.detail.startswith("AssertionError")
