@@ -29,17 +29,11 @@ iff the two parts share no vertex.
 Genus-pruned enumeration
 ------------------------
 A census with a doubled-genus filter asks the enumerator for only the
-gluings of that genus, so ``glue()`` runs on those alone (at n=6, 12,798
-of the 665,280 twisted gluings have doubled genus 2; at n=7, 10,612 of the
-135,135 matchings).  The enumerator keeps the corner classes in a
-union-find that undoes its merges on backtrack.  Each side pair makes two
-unions, and a union merges two classes or none, so with L live classes and
-r pairs still to place the map ends with between L - 2r and L vertices; a
-subtree is dropped once V = n + 1 - doubledGenus falls outside that range.
-The bound is exact: a gluing is yielded iff its map has V vertices.  Each
-survivor's genus is still checked after ``glue()``; a mismatch raises
-``InternalConsistencyError``.  Classes do not depend on the enumeration
-order, because representatives are orbit minima and the result is sorted.
+gluings of that genus (``polygon._gluings`` prunes them), so ``glue()``
+runs on those alone.  Each survivor's genus is still checked after
+``glue()``; a mismatch raises ``InternalConsistencyError``.  Classes do
+not depend on the enumeration order, because representatives are orbit
+minima and the result is sorted.
 """
 
 from __future__ import annotations

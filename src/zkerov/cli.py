@@ -49,14 +49,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_mu(text: str) -> tuple[int, ...]:
+def _parse_mu(text: str) -> Monomial:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return Monomial(tuple(int(p) for p in text.split(",")))
     except ValueError as exc:
-        raise ValueError(f"--mu expects comma-separated integers, got {text!r}") from exc
-    if not parts or any(p < 2 for p in parts):
-        raise ValueError(f"--mu parts must all be >= 2, got {text!r}")
-    return tuple(sorted(parts, reverse=True))
+        raise ValueError(f"--mu expects comma-separated integers >= 2, got {text!r}") from exc
 
 
 def build_parser() -> _Parser:
@@ -110,7 +107,7 @@ def build_parser() -> _Parser:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Usage checks argparse cannot express; replaces --mu by its parts."""
+    """Usage checks argparse cannot express; replaces --mu by its Monomial."""
     for name, least in (("n", 1), ("threads", 1), ("max_n", 1), ("genus_doubled", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
@@ -119,8 +116,8 @@ def _validate(args: argparse.Namespace) -> None:
         args.mu = _parse_mu(args.mu)
         # |mu| counts a map's vertices, and a one-face map with n edges has
         # at most n + 1 (doubled genus n + 1 - |mu| >= 0)
-        if sum(args.mu) > args.n + 1:
-            raise ValueError(f"--mu has {sum(args.mu)} vertices, but a map with "
+        if args.mu.vertex_count > args.n + 1:
+            raise ValueError(f"--mu has {args.mu.vertex_count} vertices, but a map with "
                              f"n={args.n} edges has at most {args.n + 1}")
 
 
@@ -133,6 +130,11 @@ def _emit(doc: dict[str, Any], args: argparse.Namespace, table: str) -> None:
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         sys.stdout.write(table if table.endswith("\n") else table + "\n")
+
+
+def _camel(name: str) -> str:
+    first, *rest = name.split("_")
+    return first + "".join(word.title() for word in rest)
 
 
 def _term_rows(poly_terms: dict[Monomial, int], raw: dict[Monomial, int] | None = None):
@@ -149,7 +151,7 @@ def _term_rows(poly_terms: dict[Monomial, int], raw: dict[Monomial, int] | None 
 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
-    mono = Monomial(args.mu)
+    mono = args.mu
     result = scan(args.n, threads=args.threads, cache_dir=args.cache_dir)
     raw = result.tallies.get(mono, 0)
     coeff = rescaled_coefficient(args.n, mono, raw)
@@ -263,24 +265,10 @@ def cmd_census(args: argparse.Namespace) -> int:
         f"ns={list(ns)} classes={len(classes)}"
     ]
     for c in classes:
-        rows.append({
-            "n": c.n,
-            "representative": {
-                "pairing": list(c.representative.pairing),
-                "twists": list(c.representative.twists) if c.representative.twists else None,
-            },
-            "orbitSize": c.orbit_size,
-            "stabilizerOrder": c.stabilizer_order,
-            "groupOrder": c.group_order,
-            "degreeSequence": list(c.degree_sequence),
-            "bipartite": c.bipartite,
-            "blackDegrees": list(c.black_degrees) if c.black_degrees is not None else None,
-            "bridgeless": c.bridgeless,
-            "doubledGenus": c.doubled_genus,
-            "reduced": c.reduced,
-            "reducedBipartite": c.reduced_bipartite,
-            "contributing": c.contributing,
-        })
+        # a row is the class record; json writes its tuples as lists
+        row = {_camel(field): value for field, value in c._asdict().items()}
+        row["representative"] = c.representative._asdict()
+        rows.append(row)
         lines.append(
             f"  n={c.n} orbit={c.orbit_size} stab={c.stabilizer_order} "
             f"degrees={list(c.degree_sequence)} rep={c.representative.pairing}"

@@ -169,17 +169,6 @@ def _check_pinned_values(max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> s
     return f"{hit} pinned genus-one values reproduced by enumeration"
 
 
-def _check_rescale_integrality(max_n: int, scan_of: ScanOf, _census_of: CensusOf) -> str:
-    top = min(max_n, 6)
-    terms = 0
-    for n in range(1, top + 1):
-        for part in strata(scan_of(n)):
-            bad = [m for m, v in part.terms.items() if type(v) is not int]
-            assert not bad, f"non-integer coefficients at n={n}: {bad}"
-            terms += len(part.terms)
-    return f"{terms} rescaled coefficients are exact integers for n<= {top}"
-
-
 def _check_pinned_census_counts(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
     details = []
     if max_n >= 3:
@@ -293,7 +282,6 @@ CHECKS: dict[str, Callable[[int, ScanOf, CensusOf], str]] = {
     "oracle-equivalence": _check_oracle_equivalence,
     "genus1-agreement": _check_genus1_agreement,
     "pinned-values": _check_pinned_values,
-    "rescale-integrality": _check_rescale_integrality,
     "census-pinned-counts": _check_pinned_census_counts,
     "orbit-stabilizer": _check_orbit_stabilizer,
     "decoration-count": _check_decoration_count,

@@ -1,27 +1,28 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Every criterion but 10 runs the checks of the ``selftest`` registry that
-CRITERIA names for it, at max_n=8, so the suite and ``zkerov selftest``
-share one copy of each check; a name the registry lacks fails its
-criterion.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
-lines and timings.  Criterion 9 (rescaling integrality for
-n <= 6) holds by construction: a coefficient is the signed raw count
-(-1)^(n+1+V) * raw, with no power of two.  What shows that this is the
-right normalization is tests/test_kerov_oracle.py, which derives K_1..K_6
-at alpha=2 from Jack polynomials and equates them with the enumeration
-term by term (R_4 -701 and R_2 -1348 at n=6 among them).
+Every criterion but 9 and 10 runs the checks of the ``selftest`` registry
+that CRITERIA names for it, at max_n=8, so the suite and ``zkerov
+selftest`` share one copy of each check; a name the registry lacks fails
+its criterion.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
+the lines and timings.  Criterion 9 (rescaling integrality for n <= 6)
+takes the route of tests/kerov_oracle.py, which shares no model with the
+enumeration: K_1..K_6 at alpha=2 from Jack polynomials must equal the
+published coefficients, the signed raw counts (-1)^(n+1+V) * raw, term by
+term, and have denominator 1.
 """
 
 import json
 import time
 
+from kerov_oracle import kerov_polynomial
 from zkerov.cli import main
-from zkerov.engine import scan
+from zkerov.engine import scan, strata
 from zkerov.selftest import run_check
 
 WORKERS = 4
 MAX_N = 8
-# criterion -> the registry checks that serve it; criterion 10 runs the CLI
+# criterion -> the registry checks that serve it; criterion 9 runs the
+# Jack-polynomial oracle and criterion 10 the CLI
 CRITERIA = {
     1: ("gluing-counts",),
     2: ("genus1-agreement",),
@@ -31,7 +32,6 @@ CRITERIA = {
     6: ("census-pinned-counts",),
     7: ("decoration-count",),
     8: ("orbit-stabilizer", "decoration-accounting"),
-    9: ("rescale-integrality",),
     11: ("degenerate-genus1",),
 }
 
@@ -88,7 +88,18 @@ def test_criterion_08_orbit_stabilizer_and_labeled_accounting():
 
 
 def test_criterion_09_rescaling_integrality():
-    check_criterion(9)
+    t0 = time.perf_counter()
+    terms, bad = 0, []
+    for n in range(1, 7):
+        published = {mono.parts: coeff for part in strata(scan(n, threads=WORKERS))
+                     for mono, coeff in part.terms.items()}
+        oracle = kerov_polynomial(n, 2)
+        if oracle != published or any(c.denominator != 1 for c in oracle.values()):
+            bad.append(n)
+        terms += len(oracle)
+    report(9, not bad, f"K_1..K_6 at alpha=2 from Jack polynomials equal the {terms} published "
+                       f"coefficients, all integers ({time.perf_counter() - t0:.1f}s)")
+    assert not bad, f"the Jack route disagrees or is not integral at n={bad}"
 
 
 def test_criterion_10_expand_determinism(capsys):

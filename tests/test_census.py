@@ -281,6 +281,18 @@ class TestCensusClasses:
                     c for c in everything if c.doubled_genus == dg
                 ]
 
+    def test_presets_admit_no_class_past_their_bound(self):
+        """A one-face map with n edges and doubled genus dg has
+        V = n + 1 - dg vertices.  Under the reduced filter every degree is
+        at least 3, so 2n >= 3V and n <= 3(dg - 1).  In a reduced bipartite
+        map no edge joins two degree-2 vertices, so the 2*V2 edge-ends at
+        degree-2 vertices all land on vertices of degree >= 3: V2 <= n/2,
+        V <= (2n + V2)/3 <= 5n/6, and n <= 6(dg - 1).  At dg=2 both bounds
+        are tight (2 reduced classes at n=3, 2 contributing at n=6)."""
+        for name, ns in (("reduced", range(4, 7)), ("contributing", [7])):
+            _max_n, keywords = census_mod.PRESETS[name]
+            assert census_classes(ns, **keywords) == [], name
+
     def test_genus_mismatch_is_an_internal_error(self, monkeypatch):
         # an enumerator that ignores the genus request yields genus 0 and 1 maps too
         monkeypatch.setattr(census_mod, "enumerate_gluings",

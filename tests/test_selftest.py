@@ -4,13 +4,16 @@ is broken."""
 
 import inspect
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import zkerov.census as census
 import zkerov.closedform as closedform
 import zkerov.engine as engine
+import zkerov.polygon as polygon
 import zkerov.selftest as selftest
 from zkerov.selftest import run_check, run_selftest
 
@@ -58,7 +61,7 @@ def census_calls(monkeypatch):
 
 def test_one_scan_per_n_and_golden_details(scan_calls, census_calls):
     results = run_selftest(6)
-    assert Counter(n for n, _kw in scan_calls) == {n: 1 for n in range(1, 7)}
+    assert Counter(n for n, _kw in scan_calls) == {n: 1 for n in range(2, 7)}
     assert census_calls == ["reduced", "contributing"]
     golden = json.loads((GOLDEN / "selftest-max-n6.json").read_text())["checks"]
     got = [{"name": r.name, "status": "ok" if r.passed else "fail", "detail": r.detail}
@@ -76,7 +79,7 @@ def test_threads_reach_the_scans(scan_calls):
 def test_memo_does_not_outlive_a_run(scan_calls, census_calls):
     run_selftest(2)
     run_selftest(2)
-    assert sorted(n for n, _kw in scan_calls) == [1, 1, 2, 2]
+    assert sorted(n for n, _kw in scan_calls) == [2, 2]
     assert census_calls == ["contributing", "contributing"]
 
 
@@ -206,3 +209,59 @@ def test_degenerate_check_catches_a_genus_read_as_a_bound(monkeypatch):
                                 "doubled_genus is None or dg <= doubled_genus"))
     result = run_check("degenerate-genus1", 2, engine.scan)
     assert not result.passed and result.detail.startswith("AssertionError")
+
+
+def test_gluing_counts_check_catches_a_skipped_neighbor(monkeypatch):
+    # the lowest free side is never paired with the side right after it
+    gluings = _mutant(polygon._gluings, "for j in range(i1, m):", "for j in range(i1 + 1, m):")
+    monkeypatch.setattr(selftest, "enumerate_gluings",
+                        lambda n, doubled_genus=None: gluings(n, False, doubled_genus))
+    result = run_check("gluing-counts", 4, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: n=1: 0 != 1"
+
+
+def test_twisted_counts_check_catches_a_lost_flag(monkeypatch):
+    # every pair is glued straight, so the twisted universe is the matchings
+    gluings = _mutant(polygon._gluings,
+                      "choices = (STRAIGHT, TWISTED) if twisted else (STRAIGHT,)",
+                      "choices = (STRAIGHT,)")
+    monkeypatch.setattr(selftest, "enumerate_twisted_gluings",
+                        lambda n, doubled_genus=None: gluings(n, True, doubled_genus))
+    result = run_check("twisted-counts", 4, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: n=1: 1 != 2"
+
+
+def test_census_counts_check_catches_degree_two_vertices(monkeypatch):
+    # the reduced filter lets degree-2 vertices through
+    monkeypatch.setattr(census, "is_reduced",
+                        _mutant(census.is_reduced, ">= 3", ">= 2"))
+    result = run_check("census-pinned-counts", 6, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: reduced twisted census gave 9 classes, expected 5"
+
+
+def test_decoration_count_check_catches_the_wrong_binomial(monkeypatch):
+    # stars and bars with the bars and the stars confused
+    monkeypatch.setattr(selftest, "decoration_count",
+                        _mutant(census.decoration_count, "edge_count - 1)", "edge_count)"))
+    result = run_check("decoration-count", 6, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: (1, 0, 1)"
+
+
+def test_decoration_accounting_check_catches_a_misplaced_leaf(monkeypatch):
+    # the side at the leaf's corner is not shifted past the new leaf
+    monkeypatch.setattr(census, "insert_leaf",
+                        _mutant(census.insert_leaf, "s >= corner", "s > corner"))
+    result = run_check("decoration-accounting", 4, engine.scan)
+    assert not result.passed
+    assert result.detail.startswith("AssertionError: DecorationReport(")
+
+
+def test_every_check_has_a_committed_mutant():
+    """Each ``run_check`` call in this module runs a check against a mutant
+    of the code it guards, so a new registry check needs a test here."""
+    source = Path(__file__).read_text()
+    assert set(re.findall(r'run_check\("([\w-]+)"', source)) == set(selftest.CHECKS)
