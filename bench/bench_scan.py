@@ -1,7 +1,6 @@
 """Time ``engine.scan``, the census presets, ``glue``, the gluing
-enumerators, the ordered-tuple closed forms and their compositions,
-``selftest`` and the CLI shell on one or more source trees and write
-BENCH_scan.json.
+enumerators, the ordered-tuple closed forms, ``selftest`` and the CLI
+shell on one or more source trees and write BENCH_scan.json.
 
 Usage:
     python bench/bench_scan.py [--side LABEL=SRC_DIR ...] [--repeats R] [--out PATH]
@@ -13,13 +12,13 @@ two sides, for example ``--side parent=/tmp/parent/src --side change=src``,
 to record a before/after pair on the same machine in one file.
 
 Every timing is one call in a fresh interpreter, so no side inherits
-another's imports or warm state, except ``scan_1t_s``, ``glue_us`` and
-``compositions_ms``: their interpreter repeats the call and reports the
-fastest, since one call of 0.001-0.3 s is at the mercy of a busy host (at
-n = 5..7 three scans left the median in one of two modes).  Each side's
-tree is byte-compiled once (``python -m compileall``) before the repeats,
-so no timing includes compiling the package.  Sides alternate within each repeat, and the
-reported figure is the median over repeats:
+another's imports or warm state, except ``scan_1t_s`` and ``glue_us``:
+their interpreter repeats the call and reports the fastest, since one
+call of 0.001-0.3 s is at the mercy of a busy host (at n = 5..7 three
+scans left the median in one of two modes).  Each side's tree is
+byte-compiled once (``python -m compileall``) before the repeats, so no
+timing includes compiling the package.  Sides alternate within each
+repeat, and the reported figure is the median over repeats:
 
 * ``scan_1t_s``: single-thread ``scan(n)`` without a cache, n = 5..8,
   the fastest of the calls in one interpreter (three at n=8, about 200
@@ -57,9 +56,7 @@ reported figure is the median over repeats:
   (n=6): a full pass of the enumerator with no genus requested;
 * ``closedform_symmetrized_s`` and ``closedform_family_sum_s``:
   ``symmetrized_polynomial(26)`` and ``family_sum_polynomial(26)``, the two
-  genus-one routes that sum over every ordered tuple (46,368 at n=26);
-* ``compositions_ms``: one pass over ``compositions_any_length(25, 2)``,
-  those 46,368 tuples, the fastest of five;
+  genus-one routes that sum over ordered tuples (46,368 at n=26);
 * ``selftest_s``: ``selftest --max-n 6 --threads 1``, one ``cli.main``
   call with its JSON discarded (every check of the registry, each n
   scanned as often as the tree's ``run_selftest`` scans it);
@@ -77,23 +74,24 @@ zkerov.cli import main; ..."``, with the side's tree on PYTHONPATH.
 ``--rows`` times only the named samples (``n8_t1``, ``n9_t2``,
 ``census_twisted_s``, ``query_warm_ms``, ``expand_2t``, ...; an unknown
 name lists them all) and merges their figures into the report at
-``--out``: every other row stays, and ``rows`` lists the rows timed apart
-from the full run.  Each side records ``source``, a hash of its
-``zkerov`` sources, so the merge refuses to run (before timing anything)
-when ``--out`` holds other sides, other trees or another ``--repeats``:
-one file then holds one comparison, timed one way.  The ``task_leaves``
-and ``task_s`` set-up runs either way, and replaces those figures.
-Without ``--rows`` every sample is timed.  Many repeats of a few rows, for
-example ``--rows census_twisted_s,census_contrib_s --repeats 10 --out
-FILE`` into a new file, then cost no n=9 or n=10 scans.
+``--out``: every other row stays as it was timed.  The report's ``rows``
+maps each row to the trees it was timed on, ``{side label: source}``,
+where ``source`` is a hash of that side's ``zkerov`` sources, so one file
+can hold rows timed against different parents and says which.  The merge
+refuses to run (before timing anything) only when ``--out`` holds other
+side labels or another ``--repeats``, so every row of a file is timed the
+same way.  The ``task_leaves`` and ``task_s`` set-up (row ``tasks``) runs
+only when a scan row is timed.  Without ``--rows`` every sample is timed.
+Many repeats of a few rows, for example ``--rows
+closedform_symmetrized_s,closedform_family_sum_s --repeats 10``, then cost
+no n=9 or n=10 scans.
 
 The ``counts`` of each side hold the class counts of the census presets,
-the number of gluings glued and enumerated, the number of compositions,
-the number of terms of each closed form, the number of selftest checks
-passed, the raw count of the warm query and the number of terms of each
-expansion, so that two sides can be seen to have done the same work;
-``cli_import_ms`` counts the modules loaded, which is what an import
-change alters.
+the number of gluings glued and enumerated, the number of terms of each
+closed form, the number of selftest checks passed, the raw count of the
+warm query and the number of terms of each expansion, so that two sides
+can be seen to have done the same work; ``cli_import_ms`` counts the
+modules loaded, which is what an import change alters.
 
 Standard library only.
 """
@@ -124,7 +122,6 @@ CENSUS = {
 ENUMERATE = {"enumerate_gluings_s": 7, "enumerate_twisted_gluings_s": 6}
 # the census presets' genus and largest n in each universe
 GLUE_STRATA = ("2", "enumerate_twisted_gluings", "6", "enumerate_gluings", "7")
-COMPOSITIONS = ("25", "2")
 CLOSEDFORM_N = 26
 CLOSEDFORM = {
     "closedform_symmetrized_s": "symmetrized_polynomial",
@@ -197,15 +194,6 @@ elif kind == "glue":
         for g in gluings:
             glue(g)
         times.append(time.perf_counter() - t0)
-elif kind == "compositions":
-    from zkerov.partitions import compositions_any_length
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        count = 0
-        for _tup in compositions_any_length(int(args[0]), int(args[1])):
-            count += 1
-        times.append(time.perf_counter() - t0)
 elif kind == "census":
     from zkerov.cli import main
     out = io.StringIO()
@@ -231,7 +219,7 @@ else:
     enumerate_fn = getattr(polygon, kind)
     t0 = time.perf_counter()
     count = sum(1 for _ in enumerate_fn(int(args[0])))
-elapsed = min(times) if kind in ("scan", "glue", "compositions") else time.perf_counter() - t0
+elapsed = min(times) if kind in ("scan", "glue") else time.perf_counter() - t0
 extra = {}
 if kind == "scan":
     extra["rss_mb"] = peak_rss_mb()
@@ -349,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs[kind] = (kind.removesuffix("_s"), [str(n)])
     for key, route in CLOSEDFORM.items():
         jobs[key] = ("closedform", [route, str(CLOSEDFORM_N)])
-    jobs["compositions_ms"] = ("compositions", list(COMPOSITIONS))
     jobs["selftest_s"] = ("selftest", [SELFTEST_MAX_N])
     jobs["cli_import_ms"] = ("import", [])
     # "cli" jobs are whole processes; {warm} and {cold} stand for the side's
@@ -366,11 +353,12 @@ def main(argv: list[str] | None = None) -> int:
     base: dict = {}
     if args.rows is not None and args.out.is_file():
         base = json.loads(args.out.read_text(encoding="utf-8"))
-        found = {label: side.get("source") for label, side in base.get("sides", {}).items()}
-        wanted = {label: source_id(src) for label, src in sides}
+        found, wanted = list(base.get("sides", {})), [label for label, _src in sides]
         if found != wanted or base.get("repeats") != args.repeats:
             parser.error(f"{args.out} holds sides {found} at --repeats {base.get('repeats')}, "
                          f"not {wanted} at --repeats {args.repeats}; give another --out")
+    scans = any(kind == "scan" for kind, _args in jobs.values())
+    stamp = {label: source_id(src) for label, src in sides}
 
     samples: dict[str, dict[str, list[float]]] = {
         label: {key: [] for key in jobs} for label, _src in sides
@@ -390,9 +378,11 @@ def main(argv: list[str] | None = None) -> int:
             subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)],
                            stdout=subprocess.DEVNULL, check=True)
             run_cli(src, [*QUERY, "--cache", str(warm[label])])
-            tasks = run_child(src, "tasks", [str(n) for n in TASK_NS])
-            task_leaves[label] = tasks["task_leaves"]
-            task_s[label] = {n: [round(x, 4) for x in xs] for n, xs in tasks["task_s"].items()}
+            if scans:
+                tasks = run_child(src, "tasks", [str(n) for n in TASK_NS])
+                task_leaves[label] = tasks["task_leaves"]
+                task_s[label] = {n: [round(x, 4) for x in xs]
+                                 for n, xs in tasks["task_s"].items()}
         for rep in range(args.repeats):
             order = sides if rep % 2 == 0 else sides[::-1]
             for key, (kind, child_args) in jobs.items():
@@ -418,6 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine_info(),
         "repeats": args.repeats,
         "statistic": "median",
+        "rows": {key: stamp for key in [*(["tasks"] if scans else []), *jobs]},
         "sides": {},
     }
     for label, src in sides:
@@ -426,7 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         expand = {t: round(med[f"expand_{t}t"], 4)
                   for t in EXPAND_THREADS if f"expand_{t}t" in med}
         figures = {
-            "source": source_id(src),
             "scan_1t_s": {n: round(med[key], 4) for n, key in single},
             "scan_2t_s": {str(n): round(med[f"n{n}_t{t}"], 4)
                           for n, t in PARALLEL if f"n{n}_t{t}" in med},
@@ -437,16 +427,14 @@ def main(argv: list[str] | None = None) -> int:
             "scan_rss_mb": {key: round(statistics.median(xs), 1)
                             for key, xs in rss[label].items() if xs},
             "leaves": {n: leaves[label][key] for n, key in single},
-            "task_leaves": task_leaves[label],
-            "task_s": task_s[label],
+            "task_leaves": task_leaves.get(label, {}),
+            "task_s": task_s.get(label, {}),
             **{key: {max_n: round(med[key], 4)}
                for key, (max_n, _flags) in CENSUS.items() if key in med},
             **({"glue_us": round(med["glue_us"] / counts[label]["glue_us"] * 1e6, 2)}
                if "glue_us" in med else {}),
             **{key: {str(n): round(med[key], 4)} for key, n in ENUMERATE.items() if key in med},
             **{key: {str(CLOSEDFORM_N): round(med[key], 4)} for key in CLOSEDFORM if key in med},
-            **({"compositions_ms": round(med["compositions_ms"] * 1e3, 2)}
-               if "compositions_ms" in med else {}),
             "selftest_s": {SELFTEST_MAX_N: round(med["selftest_s"], 4)}
             if "selftest_s" in med else {},
             **{key: round(med[key] * 1e3, 1)
@@ -454,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
             "expand_cold_s": {EXPAND_N: expand} if expand else {},
             "counts": {key: counts[label][key]
                        for key in [*CENSUS, "glue_us", *ENUMERATE, *CLOSEDFORM,
-                                   "compositions_ms", "selftest_s",
+                                   "selftest_s",
                                    "cli_import_ms", "query_warm_ms",
                                    *(f"expand_{t}t" for t in EXPAND_THREADS)]
                        if key in counts[label]},
@@ -462,10 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         # a figure whose rows were not timed is left out
         report["sides"][label] = {key: value for key, value in figures.items() if value != {}}
-    if args.rows is not None:
-        earlier = base.get("rows", [])
-        report = merge(base, {"sides": report["sides"]}) if base else report
-        report["rows"] = [*earlier, *(key for key in jobs if key not in earlier)]
+    if base:
+        report = merge(base, {"rows": report["rows"], "sides": report["sides"]})
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

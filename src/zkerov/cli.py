@@ -34,11 +34,19 @@ from .engine import (
     scan,
     strata,
 )
+from .polygon import double_factorial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
+
+# the closed form grows about 4x in time and memory per 10 n: n=60 takes
+# 3.6-4.7 s and 280 MB, so some n in the 80s would be killed instead
+_GENUS1_MAX_N = 60
+# the most gluings a census without --genus-doubled walks: n=8's matchings
+# (45 s, 1.9 GB peak for JSON); n=9 was killed by SIGKILL on an 8 GB host
+_CENSUS_UNIVERSE_LIMIT = double_factorial(15)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,6 +206,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_genus1(args: argparse.Namespace) -> int:
+    if args.n > _GENUS1_MAX_N:
+        raise ValueError(f"n={args.n} exceeds the genus1 limit {_GENUS1_MAX_N}")
+    if args.verify:
+        check_limit(args.n)
     closed = partition_polynomial(args.n)
     rows = [row for _m, row in _term_rows(closed.terms)]
     lines = [f"n={args.n} genus-one closed form:"]
@@ -256,6 +268,12 @@ def cmd_census(args: argparse.Namespace) -> int:
         options = {**defaults, **options}
     check_limit(max(ns))
     doubled_genus = options.get("doubled_genus")
+    if doubled_genus is None:
+        n = max(ns)
+        universe = double_factorial(2 * n - 1) << (n if options["universe"] == "twisted" else 0)
+        if universe > _CENSUS_UNIVERSE_LIMIT:
+            raise ValueError(f"a census at n={n} without --genus-doubled walks {universe:,} "
+                             f"gluings, more than the limit {_CENSUS_UNIVERSE_LIMIT:,}")
     convention = options.setdefault("convention", census_mod.CYCLIC)
 
     classes = census_mod.census_classes(ns, **options)

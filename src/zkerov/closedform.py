@@ -20,29 +20,35 @@ In genus one the enumeration's sign (-1)^(n+1+V) is +1, so these values
 equal raw (M,q) pair counts; genus1_mismatches compares the three routes
 with the genus-one stratum of a scan.
 
-Both tuple routes still enumerate every ordered tuple, but evaluate each
-summand once per distinct argument it reads, times the number of tuples
-that share it: the symmetrized summand reads only the multiset of parts,
-so the tuples are counted per partition; the families read k, a_1, a_2
-and the multiset of the parts after them, so the tuples are counted per
-(a_1, a_2, sorted rest).  The count of orderings comes from that
-enumeration and never from l!/prod l_j!, which is what keeps the
-symmetrized route apart from the per-partition coefficient.  At n=26
-(46,368 tuples in 383 partitions and 3,507 family groups) the symmetrized
-route takes 44 ms and the family route 57 ms in-process, against 118 and
-108 ms summed tuple by tuple (fastest of 5 calls, 2-vCPU Xeon, CPython
-3.11).
+Neither tuple route lists an ordered tuple.  Each evaluates its summand
+once per distinct argument it reads, times the number of ordered tuples
+that share that argument, and the number comes from ``_orderings``: a
+table that maps each partition of s = 0..n-1 into parts >= 2 to its
+number of orderings, built by appending a last part a to the entries of
+s - a.  The symmetrized summand reads only the multiset of parts, so it
+is evaluated once per partition of n-1; the families read k, a_1, a_2
+and the multiset of the parts after them, so the family route takes the
+one tuple (n-1,) and then each (a_1, a_2) with every partition of the
+rest.  The count never comes from l!/prod l_j!, which is what keeps the
+symmetrized route apart from the per-partition coefficient.  The work
+grows with the partitions, exp(O(sqrt n)), where the tuples grow as the
+Fibonacci numbers: at n=26 (46,368 ordered tuples in 383 partitions,
+3,507 family groups) the symmetrized route is about 10 times and the
+family route about 5 times faster than when every tuple was listed
+(``BENCH_scan.json``: medians of 10 calls in fresh interpreters, 2-vCPU
+Xeon, CPython 3.11), and the three routes agree for every n <= 40 in the
+tests.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .admissibility import Monomial
 from .engine import ScanResult, exact_quotient, strata
-from .partitions import compositions_any_length, partitions
+from .partitions import partitions
 
 # what _scaled_bracket and _scaled_families are multiplied by
 BRACKET_DENOMINATOR = 24
@@ -112,15 +118,34 @@ def partition_coefficient(n: int, mu: Monomial) -> int:
     return exact_quotient(scaled, BRACKET_DENOMINATOR, f"coefficient of {mu.parts} at n={n}")
 
 
+def _orderings(total: int) -> list[dict[tuple[int, ...], int]]:
+    """``ways[s]`` for s = 0..total: each ascending tuple of parts >= 2
+    summing to s, mapped to its number of orderings; ``ways[total]`` by
+    length and then by parts.  An ordering ends in some part a after an
+    ordering of s - a, so the counts add up from ``ways[0] = {(): 1}``
+    without listing an ordering or taking a factorial."""
+    ways: list[dict[tuple[int, ...], int]] = [{(): 1}]
+    for s in range(1, total + 1):
+        row: dict[tuple[int, ...], int] = {}
+        for a in range(2, s + 1):
+            for parts, count in ways[s - a].items():
+                i = bisect_right(parts, a)
+                key = parts[:i] + (a,) + parts[i:]
+                row[key] = row.get(key, 0) + count
+        ways.append(row)
+    ways[total] = dict(sorted(ways[total].items(), key=lambda item: (len(item[0]), item[0])))
+    return ways
+
+
 def symmetrized_polynomial(n: int) -> ClosedFormResult:
     """Genus-one polynomial via the symmetrized ordered-tuple sum."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # the summand reads only the multiset of parts: count each one's orderings
-    orderings = Counter(map(tuple, map(sorted, compositions_any_length(n - 1, 2))))
+    # the summand reads only the multiset of parts: once per partition,
+    # times its orderings
     acc = {
         parts[::-1]: count * n * _scaled_bracket(parts) * math.prod(a - 1 for a in parts)
-        for parts, count in orderings.items()
+        for parts, count in _orderings(n - 1)[n - 1].items() if parts
     }
     return _divided_terms(n, acc, BRACKET_DENOMINATOR)
 
@@ -129,12 +154,18 @@ def family_sum_polynomial(n: int) -> ClosedFormResult:
     """Genus-one polynomial via the raw three-family ordered-tuple sum."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # the families read a_1, a_2 and only the multiset of the parts after them
-    groups = Counter(tup[:2] + tuple(sorted(tup[2:])) for tup in compositions_any_length(n - 1, 2))
-    acc: dict[tuple[int, ...], int] = {}
-    for tup, count in groups.items():
-        key = tuple(sorted(tup, reverse=True))
-        acc[key] = acc.get(key, 0) + count * sum(_scaled_families(n, tup))
+    total = n - 1
+    ways = _orderings(total)
+    # keys in the table's order, the one the symmetrized route's terms have
+    acc = {parts[::-1]: 0 for parts in ways[total] if parts}
+    # the families read a_1, a_2 and only the multiset of the parts after
+    # them: the one tuple (n-1,), then (a_1, a_2) before each such rest
+    groups = [((total,), 1)] if total >= 2 else []
+    groups += [((a1, a2) + rest, count)
+               for a1 in range(2, total - 1) for a2 in range(2, total - a1 + 1)
+               for rest, count in ways[total - a1 - a2].items()]
+    for tup, count in groups:
+        acc[tuple(sorted(tup, reverse=True))] += count * sum(_scaled_families(n, tup))
     return _divided_terms(n, acc, FAMILY_DENOMINATOR)
 
 

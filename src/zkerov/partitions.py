@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from operator import add, sub
 from typing import Iterator
 
@@ -20,12 +20,6 @@ def compositions(total: int, parts: int, min_part: int = 1) -> Iterator[tuple[in
     highs = map(add, combinations(range(min_part, room + pad), parts - 1), repeat((room + pad,)))
     lows = combinations(range(room), parts)  # ``map`` stops when ``highs`` does
     return map(tuple, map(map, repeat(sub), highs, lows))
-
-
-def compositions_any_length(total: int, min_part: int = 2) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of any length k >= 1 with parts >= min_part summing to total."""
-    return chain.from_iterable(
-        compositions(total, k, min_part) for k in range(1, total // min_part + 1))
 
 
 def partitions(total: int, min_part: int = 2) -> Iterator[tuple[int, ...]]:

@@ -8,11 +8,12 @@ admissible colorings counted over the distinct assignments of a part
 multiset instead of through enumerate_q; pair insertion that tracks
 every edge's sides through each insertion, where the package inserts
 from the highest first side down; the glued map through a union-find of
-corner classes, where ``glue`` walks each vertex's cycle of corners; and
+corner classes, where ``glue`` walks each vertex's cycle of corners;
 compositions by recursion on the first part, where the package reads
-them off combinations of cut points.  ``validate`` checks that a gluing
-the tests build is well formed; none enters the package from outside,
-since the CLI takes only n and mu.
+them off combinations of cut points; and every ordered tuple listed,
+where ``closedform._orderings`` counts each partition's orderings.
+``validate`` checks that a gluing the tests build is well formed; none
+enters the package from outside, since the CLI takes only n and mu.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterator, Sequence
 
 from zkerov.admissibility import GraphLike, Monomial, bipartite_graph, hall_condition
 from zkerov.census import insert_pair
+from zkerov.partitions import compositions
 from zkerov.polygon import GluedMap, Gluing
 
 
@@ -81,6 +83,13 @@ def recursive_compositions(total: int, parts: int, min_part: int = 1) -> Iterato
     for first in range(min_part, total - min_part * (parts - 1) + 1):
         for rest in recursive_compositions(total - first, parts - 1, min_part):
             yield (first,) + rest
+
+
+def compositions_any_length(total: int, min_part: int = 2) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of any length k >= 1 with parts >= min_part summing to
+    total, by length, each length from ``compositions``."""
+    for k in range(1, total // min_part + 1):
+        yield from compositions(total, k, min_part)
 
 
 def recursive_compositions_any_length(total: int, min_part: int = 2) -> Iterator[tuple[int, ...]]:

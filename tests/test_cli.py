@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zkerov.census as census
 import zkerov.cli as cli
 import zkerov.engine as engine
 from zkerov.cli import main
+from zkerov.closedform import ClosedFormResult
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # the directory that holds the zkerov package
@@ -57,6 +59,10 @@ def vanish_in_worker(_task):
 
 def raise_in_worker(_task):
     raise ZeroDivisionError("no tallies here")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ran past a limit")
 
 
 class TestCoeff:
@@ -347,6 +353,23 @@ class TestGenus1:
         assert out.out == ""
         assert out.err == "zkerov: error: n=12 exceeds the hard limit 10\n"
 
+    def test_n_above_the_closed_form_limit_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "partition_polynomial", refuse)
+        code, out, err = run(capsys, "genus1", "--n", "61")
+        assert code == 1 and out == ""
+        assert err == "zkerov: error: n=61 exceeds the genus1 limit 60\n"
+
+    def test_n_at_the_closed_form_limit_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "partition_polynomial", lambda n: ClosedFormResult(terms={}))
+        code, doc, _ = run_json(capsys, "genus1", "--n", "60")
+        assert code == 0 and doc["terms"] == []
+
+    def test_verify_past_the_scan_limit_exits_before_the_closed_form(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "partition_polynomial", refuse)
+        code, out, err = run(capsys, "genus1", "--n", "11", "--verify", "--threads", "1")
+        assert code == 1 and out == ""
+        assert err == "zkerov: error: n=11 exceeds the hard limit 10\n"
+
 
 class TestCensus:
     def test_hexagon_bipartite_classes(self, capsys):
@@ -434,6 +457,32 @@ class TestCensus:
         code, out, err = run(capsys, "census", "--reduced", "--twisted", "--max-n", "11")
         assert code == 1 and out == ""
         assert err == "zkerov: error: n=11 exceeds the hard limit 10\n"
+
+    @pytest.mark.parametrize("n,flags,gluings", [
+        ("9", [], "34,459,425"),
+        ("7", ["--twisted"], "17,297,280"),
+    ])
+    def test_unfiltered_universe_past_n8s_matchings_exits_one(self, capsys, monkeypatch,
+                                                                 n, flags, gluings):
+        monkeypatch.setattr(census, "census_classes", refuse)
+        code, out, err = run(capsys, "census", "--n", n, *flags)
+        assert code == 1 and out == ""
+        assert err == (f"zkerov: error: a census at n={n} without --genus-doubled walks "
+                       f"{gluings} gluings, more than the limit 2,027,025\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "8"],
+        ["--n", "6", "--twisted"],
+        ["--n", "10", "--genus-doubled", "2"],
+        ["--n", "9", "--twisted", "--genus-doubled", "0"],
+        ["--reduced", "--twisted", "--max-n", "10"],
+        ["--reduced-bipartite", "--contributing", "--max-n", "10"],
+    ])
+    def test_universe_limit_keeps_n8_matchings_and_genus_filters(self, capsys, monkeypatch,
+                                                                  argv):
+        monkeypatch.setattr(census, "census_classes", lambda ns, **options: [])
+        code, doc, _ = run_json(capsys, "census", *argv)
+        assert code == 0 and doc["classCount"] == 0
 
     def test_cache_is_rejected(self, capsys, tmp_path):
         # census keeps no tallies; --cache, even with a path no cache could

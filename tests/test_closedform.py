@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from reference import (
     bracket_combined,
     bracket_fraction,
+    compositions_any_length,
     family_sum_fraction,
     family_values_fraction,
     symmetrized_fraction,
@@ -23,7 +26,7 @@ from zkerov.closedform import (
     symmetrized_polynomial,
 )
 from zkerov.engine import InternalConsistencyError, load_cache, scan, strata, write_cache
-from zkerov.partitions import compositions_any_length, partitions
+from zkerov.partitions import partitions
 from zkerov.selftest import run_check
 
 
@@ -113,6 +116,13 @@ class TestPolynomials:
             c = terms_dict(partition_polynomial(n))
             assert a == b == c, n
 
+    def test_three_way_equality_from_thirteen_to_forty(self):
+        for n in range(13, 41):
+            a = terms_dict(family_sum_polynomial(n))
+            b = terms_dict(symmetrized_polynomial(n))
+            c = terms_dict(partition_polynomial(n))
+            assert a == b == c, n
+
     def test_terms_cover_every_partition(self):
         for n in (5, 8):
             expected = {parts for parts in partitions(n - 1, 2)}
@@ -165,21 +175,29 @@ class TestFractionReference:
         assert terms_dict(family_sum_polynomial(26)) == family_sum_fraction(26)
 
 
-@pytest.mark.parametrize("route", [symmetrized_polynomial, family_sum_polynomial])
-def test_tuple_routes_read_every_ordered_tuple(monkeypatch, route):
-    """The grouped routes count the orderings of each summand's argument by
-    enumerating them, never by a multinomial."""
-    read = []
-    real = closedform.compositions_any_length
+def test_orderings_count_every_ordered_tuple():
+    """The table counts each partition's ordered tuples, in the order in
+    which the listing first meets them."""
+    for s in range(1, 26):
+        ways = closedform._orderings(s)[s]
+        listed = Counter(tuple(sorted(tup)) for tup in compositions_any_length(s, 2))
+        assert ways == listed and list(ways) == list(listed), s
+    assert sum(ways.values()) == 46_368
 
-    def counting(total, min_part=2):
-        for tup in real(total, min_part):
-            read.append(tup)
-            yield tup
 
-    monkeypatch.setattr(closedform, "compositions_any_length", counting)
-    assert len(route(26).terms) == 383
-    assert len(read) == len(set(read)) == 46_368
+def test_tuple_routes_take_no_multinomial(monkeypatch):
+    """The orderings come from the table, never from l!/prod l_j!, which is
+    what keeps the symmetrized route apart from the per-partition one."""
+
+    def refuse(*args):
+        raise AssertionError("multinomial taken")
+
+    monkeypatch.setattr(closedform, "_multiplicity_factor", refuse)
+    monkeypatch.setattr(math, "factorial", refuse)
+    assert len(symmetrized_polynomial(26).terms) == 383
+    assert len(family_sum_polynomial(26).terms) == 383
+    with pytest.raises(AssertionError, match="multinomial taken"):
+        partition_polynomial(26)
 
 
 class TestIntegralityGuard:

@@ -1,7 +1,7 @@
 import pytest
 
-from reference import recursive_compositions
-from zkerov.partitions import compositions, compositions_any_length
+from reference import compositions_any_length, recursive_compositions
+from zkerov.partitions import compositions
 
 
 def by_length(total, min_part, longest):

@@ -177,12 +177,12 @@ def test_reduction_check_catches_a_single_rule(monkeypatch):
 
 
 def test_genus1_check_catches_families_grouped_by_partition(monkeypatch):
-    # the families read a_1 and a_2, so a family route that groups the
-    # tuples by their partition alone evaluates every group at its two
-    # smallest parts
+    # the families read a_1 and a_2, so a family route that evaluates each
+    # tuple as its partition reads every tuple at its two smallest parts
     monkeypatch.setattr(closedform, "family_sum_polynomial",
                         _mutant(closedform.family_sum_polynomial,
-                                "tup[:2] + tuple(sorted(tup[2:]))", "tuple(sorted(tup))"))
+                                "_scaled_families(n, tup)",
+                                "_scaled_families(n, tuple(sorted(tup)))"))
     caught = [n for n in range(1, 9) if closedform.genus1_mismatches(n, engine.scan(n))]
     assert caught == [6, 7, 8]
     result = run_check("genus1-agreement", 8, engine.scan)
