@@ -47,7 +47,10 @@ repeat, and the reported figure is the median over repeats:
 * ``census_twisted_s``: ``census --reduced --twisted --max-n 6`` and
   ``census_contrib_s``: ``census --reduced-bipartite --contributing
   --max-n 7``, each one ``cli.main`` call with its JSON discarded (the
-  ranges the ``reference`` workload of ``perfbench/`` uses);
+  ranges the ``reference`` workload of ``perfbench/`` uses), and
+  ``census_contrib_dg3_s``: ``census --n 8 --genus-doubled 3
+  --reduced-bipartite --contributing``, the contributing census one genus
+  up;
 * ``glue_us``: microseconds per ``glue`` call over the dg=2 strata of
   the census presets' largest n (the twisted gluings at n=6 and the
   matchings at n=7, 23,410 gluings, enumerated before the timing), the
@@ -118,6 +121,8 @@ RSS_SCANS = ("n8_t1", "n9_t2", "n10_t2")
 CENSUS = {
     "census_twisted_s": ("6", ["--reduced", "--twisted", "--max-n", "6"]),
     "census_contrib_s": ("7", ["--reduced-bipartite", "--contributing", "--max-n", "7"]),
+    "census_contrib_dg3_s": ("8", ["--n", "8", "--genus-doubled", "3", "--reduced-bipartite",
+                                   "--contributing"]),
 }
 ENUMERATE = {"enumerate_gluings_s": 7, "enumerate_twisted_gluings_s": 6}
 # the census presets' genus and largest n in each universe

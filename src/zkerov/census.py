@@ -26,14 +26,16 @@ connected, and every other edge lies within one part (an edge traversed
 once in each would have an endpoint in both).  So the edge is a bridge
 iff the two parts share no vertex.
 
-Genus-pruned enumeration
-------------------------
+Pruned enumeration
+------------------
 A census with a doubled-genus filter asks the enumerator for only the
 gluings of that genus (``polygon._gluings`` prunes them), so ``glue()``
 runs on those alone.  Each survivor's genus is still checked after
-``glue()``; a mismatch raises ``InternalConsistencyError``.  Classes do
-not depend on the enumeration order, because representatives are orbit
-minima and the result is sorted.
+``glue()``; a mismatch raises ``InternalConsistencyError``.  A
+contributing census of the matchings also skips the pairs of
+``polygon.black_leaf_pairs``.  Classes do not depend on the enumeration
+order, because representatives are orbit minima and the result is
+sorted.
 """
 
 from __future__ import annotations
@@ -248,7 +250,8 @@ def census_classes(
     classes: list[ReducedMapClass] = []
     for n in ns:
         if universe == "matchings":
-            stream = enumerate_gluings(n, doubled_genus=doubled_genus)
+            stream = enumerate_gluings(n, doubled_genus=doubled_genus,
+                                       skip_black_leaves=contributing_only)
         elif universe == "twisted":
             stream = enumerate_twisted_gluings(n, doubled_genus=doubled_genus)
         else:

@@ -34,7 +34,7 @@ from .engine import (
     scan,
     strata,
 )
-from .polygon import double_factorial
+from .polygon import double_factorial, twisted_gluing_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,8 +44,8 @@ EXIT_INTERNAL = 3
 # the closed form grows about 4x in time and memory per 10 n: n=60 takes
 # 3.6-4.7 s and 280 MB, so some n in the 80s would be killed instead
 _GENUS1_MAX_N = 60
-# the most gluings a census without --genus-doubled walks: n=8's matchings
-# (45 s, 1.9 GB peak for JSON); n=9 was killed by SIGKILL on an 8 GB host
+# the most gluings a census yields at one n: n=8's matchings (45 s, 1.9 GB
+# peak for JSON); n=9 was killed by SIGKILL on an 8 GB host
 _CENSUS_UNIVERSE_LIMIT = double_factorial(15)
 
 
@@ -266,14 +266,27 @@ def cmd_census(args: argparse.Namespace) -> int:
         default_max_n, defaults = census_mod.PRESETS[name]
         ns = range(1, (default_max_n if args.max_n is None else args.max_n) + 1)
         options = {**defaults, **options}
-    check_limit(max(ns))
+    n = max(ns)
+    check_limit(n)
     doubled_genus = options.get("doubled_genus")
+    # the gluings the census yields at its largest n, where its stratum is
+    # largest.  A genus that a preset supplies is not sized: the twisted
+    # preset's reduced filter keeps no class past n=3, so it holds little
+    # at any --max-n.  A matchings census by genus is not sized either,
+    # since its strata need the one-face (b, w) counts.
+    twisted = options["universe"] == "twisted"
     if doubled_genus is None:
-        n = max(ns)
-        universe = double_factorial(2 * n - 1) << (n if options["universe"] == "twisted" else 0)
-        if universe > _CENSUS_UNIVERSE_LIMIT:
-            raise ValueError(f"a census at n={n} without --genus-doubled walks {universe:,} "
-                             f"gluings, more than the limit {_CENSUS_UNIVERSE_LIMIT:,}")
+        walked = sum(twisted_gluing_counts(n)) if twisted else double_factorial(2 * n - 1)
+    elif twisted and args.genus_doubled is not None:
+        counts = twisted_gluing_counts(n)
+        walked = counts[doubled_genus] if doubled_genus <= n else 0
+    else:
+        walked = 0
+    if walked > _CENSUS_UNIVERSE_LIMIT:
+        stratum = ("without --genus-doubled" if doubled_genus is None
+                   else f"of doubled genus {doubled_genus}")
+        raise ValueError(f"a census at n={n} {stratum} walks {walked:,} gluings, "
+                         f"more than the limit {_CENSUS_UNIVERSE_LIMIT:,}")
     convention = options.setdefault("convention", census_mod.CYCLIC)
 
     classes = census_mod.census_classes(ns, **options)

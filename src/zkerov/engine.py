@@ -28,15 +28,12 @@ enumerates only those matchings, pruning pairs of earlier types inside
 the recursion with a precomputed type table, and adds the weight
 L*|O_tau|/c_tau(M) with L = lcm(1..n), an integer since c_tau(M) <= n.
 
-For n >= 2 the kernel also never places a side pair {c-1, c} around a
-black corner c (``_type_table``).  The pair merges corners c-1 and c+1
-and leaves c alone: a black vertex of degree 1 with a single white
-neighbour.  There are at least two black classes, so the leaf has w < b
-or fails Hall's condition at {c}; such a matching has no admissible
-coloring and f(M) = 0.  The n banned pairs are disjoint and form one
-whole G-orbit, the last pair type, so the matchings without one form a
-G-invariant universe and the orbit sum over it keeps its weights.  At
-n=8 the kernel visits 128,733 leaves (213,923 without the ban, 2,027,025
+The kernel also never places a pair of ``polygon.black_leaf_pairs``
+(``_type_table``), whose docstring shows f(M) = 0 for a matching that
+holds one.  The n banned pairs are disjoint and form one whole G-orbit,
+the last pair type, so the matchings without one form a G-invariant
+universe and the orbit sum over it keeps its weights.  At n=8 the
+kernel visits 128,733 leaves (213,923 without the ban, 2,027,025
 matchings in all).  ``scan`` checks that the weights sum to L*A_n, A_n
 the number of matchings with no banned pair (``_unbanned_matchings``),
 and divides every tally by L, raising InternalConsistencyError on a
@@ -141,7 +138,7 @@ from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 from .admissibility import Monomial
 from .partitions import compositions
-from .polygon import double_factorial
+from .polygon import black_leaf_pairs, double_factorial
 
 N_LIMIT = 10
 
@@ -252,16 +249,11 @@ def _pair_types(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[in
 
 
 def _type_table(n: int) -> tuple[list[list[int]], list[tuple[int, int]], list[int]]:
-    """``_pair_types`` with the ban applied: for n >= 2, ``table[a][b]`` is
-    -1 for each of the n side pairs {c-1, c} around a black (even) corner
-    c, which leave c a black vertex of degree 1 (module docstring).  At
-    n = 1 the lone matching is such a pair and has an admissible coloring,
-    so nothing is banned there."""
+    """``_pair_types`` with the ban applied: ``table[a][b]`` is -1 for each
+    pair of ``polygon.black_leaf_pairs(n)`` (none at n = 1)."""
     table, reps, sizes = _pair_types(n)
-    if n >= 2:
-        m = 2 * n
-        for c in range(0, m, 2):
-            table[(c - 1) % m][c] = table[c][(c - 1) % m] = -1
+    for a, b in black_leaf_pairs(n):
+        table[a][b] = table[b][a] = -1
     return table, reps, sizes
 
 

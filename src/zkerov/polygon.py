@@ -18,6 +18,8 @@ Conventions used throughout the package:
 * ``glue`` walks each vertex's cycle of corner identifications, and the
   genus-pruned enumerator keeps a union-find of its own, so the genus it
   filters on checks ``glue``'s by another mechanism.
+* The scan kernel and the contributing census never place a pair of
+  ``black_leaf_pairs``, which says why.
 """
 
 from __future__ import annotations
@@ -35,6 +37,80 @@ def double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
+
+
+def twisted_gluing_counts(n: int) -> tuple[int, ...]:
+    """The number of twisted gluings of the 2n-gon by doubled genus,
+    ``counts[dg]`` for dg = 0..n; the counts sum to (2n-1)!! * 2^n.
+
+    The sum of N^V over the twisted gluings is the GOE moment b_n(N) =
+    E tr X^(2n) (Goulden-Jackson 1997), a polynomial in N, and V = n + 1 -
+    dg.  Ledoux (2009) gives the five-term recursion, for p >= 2 with
+    b_0 = N and b_1 = N^2 + N (terms with a negative index vanish):
+
+        (p+1) b_p = (4p-1)(2N-1) b_{p-1}
+                    + (2p-3)(10p^2 - 9p - 8N^2 + 8N) b_{p-2}
+                    - 5(2p-3)(2p-4)(2p-5)(2N-1) b_{p-3}
+                    - 2(2p-3)(2p-4)(2p-5)(2p-6)(2p-7) b_{p-4}
+
+    It runs on integer coefficient lists in N, so every division by p + 1
+    must be exact; a remainder raises InternalConsistencyError.
+    """
+    from .engine import exact_quotient  # engine imports this module
+
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+    def combine(*terms: tuple[int, list[int]]) -> list[int]:
+        # sum of factor * polynomial, each a coefficient list in N
+        out = [0] * max(len(poly) for _factor, poly in terms)
+        for factor, poly in terms:
+            for k, x in enumerate(poly):
+                out[k] += factor * x
+        return out
+
+    def odd(poly: list[int]) -> list[int]:
+        # (2N - 1) * poly
+        return combine((2, [0, *poly]), (-1, poly))
+
+    b = [[0, 1], [0, 1, 1]]
+    for p in range(2, n + 1):
+        b3 = b[p - 3] if p >= 3 else [0]
+        b4 = b[p - 4] if p >= 4 else [0]
+        c = (2 * p - 3) * (2 * p - 4) * (2 * p - 5)
+        total = combine(
+            (4 * p - 1, odd(b[p - 1])),
+            (2 * p - 3, combine((10 * p * p - 9 * p, b[p - 2]), (-8, [0, 0, *b[p - 2]]),
+                                (8, [0, *b[p - 2]]))),
+            (-5 * c, odd(b3)),
+            (-2 * c * (2 * p - 6) * (2 * p - 7), b4),
+        )
+        b.append([exact_quotient(x, p + 1, f"the twisted moment b_{p}") for x in total])
+    return tuple(b[n][n + 1 - dg] for dg in range(n + 1))
+
+
+def black_leaf_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The side pairs {c-1, c} around the black (even) corners c, as
+    (lower side, higher side) in increasing order: n pairs for n >= 2,
+    none at n = 1.
+
+    No matching that holds one has an admissible coloring.  Sides c-1 and
+    c have opposite parities, so the pair identifies corners c-1 with c+1
+    and c with itself (module docstring): c is a black vertex of degree 1
+    whose one edge goes to the white vertex of c-1 and c+1.  For n >= 2
+    some other black corner is not in c's class, so {c} is a nontrivial
+    set of black vertices, and Hall's condition at {c} asks for more than
+    q(c) - 1 >= 1 white neighbours of c, which has one.  At n = 1 the
+    lone matching is such a pair, its one black vertex is the whole set,
+    and it has an admissible coloring, so nothing is banned there.
+
+    The n pairs are disjoint and the rotations s -> s + 2r permute them,
+    so a census under rotations drops whole orbits.
+    """
+    if n < 2:
+        return ()
+    m = 2 * n
+    return ((0, m - 1), *((c - 1, c) for c in range(2, m, 2)))
 
 
 class Gluing(NamedTuple):
@@ -81,15 +157,18 @@ class GluedMap(NamedTuple):
     bipartite: bool
 
 
-def enumerate_gluings(n: int, *, doubled_genus: int | None = None) -> Iterator[Gluing]:
+def enumerate_gluings(
+    n: int, *, doubled_genus: int | None = None, skip_black_leaves: bool = False
+) -> Iterator[Gluing]:
     """All (2n-1)!! side matchings with the color-preserving identification,
     lowest unmatched side paired first, partners in increasing order.
 
     With ``doubled_genus`` only the matchings whose glued map has that
     doubled genus are generated, in the same relative order (see
-    ``_gluings`` for the pruning).
+    ``_gluings`` for the pruning).  With ``skip_black_leaves`` no matching
+    that holds a pair of ``black_leaf_pairs(n)`` is generated.
     """
-    return _gluings(n, False, doubled_genus)
+    return _gluings(n, False, doubled_genus, skip_black_leaves)
 
 
 def enumerate_twisted_gluings(n: int, *, doubled_genus: int | None = None) -> Iterator[Gluing]:
@@ -103,7 +182,9 @@ def enumerate_twisted_gluings(n: int, *, doubled_genus: int | None = None) -> It
     return _gluings(n, True, doubled_genus)
 
 
-def _gluings(n: int, twisted: bool, doubled_genus: int | None) -> Iterator[Gluing]:
+def _gluings(
+    n: int, twisted: bool, doubled_genus: int | None, skip_black_leaves: bool = False
+) -> Iterator[Gluing]:
     """Depth-first generation of gluings, one side pair per level.
 
     Without a genus, the recursion only fills in partners and flags (a
@@ -116,6 +197,10 @@ def _gluings(n: int, twisted: bool, doubled_genus: int | None) -> Iterator[Gluin
     the subtree is kept while L - 2r <= V <= L.  At a leaf (r = 0) this
     is L == V, so every gluing yielded has the requested doubled genus and
     no gluing that has it is dropped.
+
+    ``skip_black_leaves`` bans the pairs of ``black_leaf_pairs(n)``: each
+    level reads the banned partner of its lowest free side (-1 for none),
+    so a pass without the ban pays one integer compare per partner.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -126,14 +211,19 @@ def _gluings(n: int, twisted: bool, doubled_genus: int | None) -> Iterator[Gluin
     target = None if doubled_genus is None else n + 1 - doubled_genus
     parent = list(range(m))
     size = [1] * m
+    banned = [-1] * m
+    if skip_black_leaves:
+        for a, b in black_leaf_pairs(n):
+            banned[a] = b
     new = tuple.__new__  # skips the Python-level NamedTuple constructor
 
     def rec(i: int, left: int, live: int) -> Iterator[Gluing]:
         # i is the lowest free side, ``left`` the pairs still to place
         # (this one included), ``live`` the corner classes so far
         i1 = i + 1
+        ban = banned[i]
         for j in range(i1, m):
-            if pairing[j] >= 0:
+            if pairing[j] >= 0 or j == ban:
                 continue
             pairing[i] = j
             pairing[j] = i

@@ -25,13 +25,16 @@ from zkerov.census import (
     stabilizer_order,
     verify_decoration_accounting,
 )
+import zkerov.polygon as polygon
 from zkerov.engine import InternalConsistencyError
 from zkerov.polygon import (
     Gluing,
+    black_leaf_pairs,
     double_factorial,
     enumerate_gluings,
     enumerate_twisted_gluings,
     glue,
+    rotate_gluing,
 )
 
 THETA_STAB3 = Gluing((3, 4, 5, 0, 1, 2))
@@ -296,13 +299,85 @@ class TestCensusClasses:
     def test_genus_mismatch_is_an_internal_error(self, monkeypatch):
         # an enumerator that ignores the genus request yields genus 0 and 1 maps too
         monkeypatch.setattr(census_mod, "enumerate_gluings",
-                            lambda n, doubled_genus=None: enumerate_gluings(n))
+                            lambda n, doubled_genus=None, skip_black_leaves=False:
+                            enumerate_gluings(n))
         with pytest.raises(InternalConsistencyError):
             census_classes(3, doubled_genus=2)
 
     def test_contributing_filter_requires_cyclic(self):
         with pytest.raises(ValueError):
             census_classes(3, contributing_only=True, convention=DIHEDRAL)
+
+
+def contributing_mismatches(n):
+    """The genus filters (None, then dg = 0..n) at which the contributing
+    census of the matchings differs from a brute-force filter of every
+    matching: the cyclic orbit minima and orbit sizes of the contributing
+    ones."""
+    by_genus = {}
+    for g in enumerate_gluings(n):
+        m = glue(g)
+        if is_contributing(m):
+            orbit = {rotate_gluing(g, r) for r in range(n)}
+            for key in (None, m.doubled_genus):
+                by_genus.setdefault(key, set()).add((min(orbit), len(orbit)))
+    return [dg for dg in (None, *range(n + 1))
+            if [(c.representative, c.orbit_size)
+                for c in census_classes(n, doubled_genus=dg, contributing_only=True)]
+            != sorted(by_genus.get(dg, ()))]
+
+
+def white_leaf_pairs_too(n):
+    # the ban widened to the pairs around the white (odd) corners
+    m = 2 * n
+    return tuple(sorted({tuple(sorted(((c - 1) % m, c))) for c in range(m)})) if n >= 2 else ()
+
+
+class TestBlackLeafBan:
+    """The contributing census never enumerates a matching that holds a
+    pair of ``black_leaf_pairs``."""
+
+    def test_matchings_with_a_black_leaf_pair_are_not_contributing(self):
+        held = 0
+        for n in range(2, 7):
+            banned = set(black_leaf_pairs(n))
+            for g in enumerate_gluings(n):
+                if not banned.isdisjoint(g.pairs()):
+                    held += 1
+                    assert not is_contributing(glue(g)), g
+        assert held == 4809
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_contributing_census_equals_a_brute_force_filter(self, n):
+        assert contributing_mismatches(n) == []
+
+    def test_a_ban_around_white_corners_loses_contributing_maps(self, monkeypatch):
+        monkeypatch.setattr(polygon, "black_leaf_pairs", white_leaf_pairs_too)
+        assert contributing_mismatches(3) == [None, 0]
+
+    def test_a_ban_at_one_loses_the_lone_matching(self, monkeypatch):
+        # the pairs of every n >= 2, without its n < 2 guard
+        monkeypatch.setattr(polygon, "black_leaf_pairs", lambda n: (
+            (0, 2 * n - 1), *((c - 1, c) for c in range(2, 2 * n, 2))))
+        assert contributing_mismatches(1) == [None, 0]
+        assert census_classes(1, contributing_only=True) == []
+
+    def test_lone_matching_at_one_is_contributing(self):
+        [c] = census_classes(1, contributing_only=True)
+        assert c.representative == Gluing((1, 0)) and c.contributing
+
+    def test_only_the_contributing_census_of_the_matchings_skips(self, monkeypatch):
+        asked = []
+
+        def spy(n, doubled_genus=None, skip_black_leaves=False):
+            asked.append(skip_black_leaves)
+            return enumerate_gluings(n, doubled_genus=doubled_genus)
+
+        monkeypatch.setattr(census_mod, "enumerate_gluings", spy)
+        census_classes(3, contributing_only=True)
+        census_classes(3, reduced_bipartite_only=True)
+        census_classes(3)
+        assert asked == [True, False, False]
 
 
 class TestDecorations:

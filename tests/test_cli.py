@@ -484,6 +484,39 @@ class TestCensus:
         code, doc, _ = run_json(capsys, "census", *argv)
         assert code == 0 and doc["classCount"] == 0
 
+    @pytest.mark.parametrize("n,flags,dg,gluings", [
+        ("10", ["--genus-doubled", "9"], 9, "236,023,790,985"),
+        ("8", ["--genus-doubled", "3"], 3, "2,736,524"),
+        ("8", ["--reduced", "--genus-doubled", "3", "--max-n", "8"], 3, "2,736,524"),
+    ])
+    def test_twisted_stratum_past_the_limit_exits_one(self, capsys, monkeypatch,
+                                                      n, flags, dg, gluings):
+        monkeypatch.setattr(census, "census_classes", refuse)
+        argv = flags if "--max-n" in flags else ["--n", n, *flags]
+        code, out, err = run(capsys, "census", "--twisted", *argv)
+        assert code == 1 and out == ""
+        assert err == (f"zkerov: error: a census at n={n} of doubled genus {dg} walks "
+                       f"{gluings} gluings, more than the limit 2,027,025\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--reduced", "--twisted"],
+        ["--reduced", "--twisted", "--max-n", "6"],
+        ["--n", "8", "--twisted", "--genus-doubled", "2"],
+        ["--n", "6", "--twisted", "--genus-doubled", "3"],
+        ["--n", "5", "--twisted", "--genus-doubled", "7"],
+        ["--n", "10", "--genus-doubled", "9"],
+    ])
+    def test_twisted_strata_under_the_limit_run(self, capsys, monkeypatch, argv):
+        # a matchings census by genus is not sized, so it is never refused
+        monkeypatch.setattr(census, "census_classes", lambda ns, **options: [])
+        code, doc, _ = run_json(capsys, "census", *argv)
+        assert code == 0 and doc["classCount"] == 0
+
+    def test_lone_matching_is_contributing(self, capsys):
+        code, doc, _ = run_json(capsys, "census", "--n", "1", "--contributing")
+        assert code == 0 and doc["classCount"] == 1
+        assert doc["classes"][0]["representative"]["pairing"] == [1, 0]
+
     def test_cache_is_rejected(self, capsys, tmp_path):
         # census keeps no tallies; --cache, even with a path no cache could
         # use, is a usage error rather than silently ignored

@@ -34,6 +34,7 @@ from zkerov.engine import (
     write_cache,
 )
 from zkerov.polygon import (
+    black_leaf_pairs,
     double_factorial,
     enumerate_gluings,
     glue,
@@ -198,6 +199,13 @@ class TestBan:
         assert sizes[tau] == n
         if shift == 0:
             assert tau == len(sizes) - 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_type_table_bans_exactly_the_black_leaf_pairs(self, n):
+        table = engine._type_table(n)[0]
+        m = 2 * n
+        got = {(a, b) for a in range(m) for b in range(a + 1, m) if table[a][b] < 0}
+        assert got == set(black_leaf_pairs(n))
 
     def test_unbanned_matchings_equal_a_brute_count(self):
         for n in range(1, 8):

@@ -7,6 +7,7 @@ from reference import union_find_glue, validate
 from zkerov.polygon import (
     GluedMap,
     Gluing,
+    black_leaf_pairs,
     double_factorial,
     enumerate_gluings,
     enumerate_twisted_gluings,
@@ -14,6 +15,7 @@ from zkerov.polygon import (
     reflect_gluing,
     rotate_gluing,
     shift_gluing,
+    twisted_gluing_counts,
 )
 
 
@@ -21,6 +23,53 @@ def test_double_factorial_values():
     assert [double_factorial(2 * n - 1) for n in range(1, 9)] == [
         1, 3, 15, 105, 945, 10395, 135135, 2027025,
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_twisted_counts_equal_the_enumerated_strata(n):
+    counts = twisted_gluing_counts(n)
+    assert len(counts) == n + 1
+    assert list(counts) == [sum(1 for _ in enumerate_twisted_gluings(n, doubled_genus=dg))
+                            for dg in range(n + 1)]
+
+
+def test_twisted_counts_sum_to_the_twisted_universe():
+    for n in range(1, 13):
+        assert sum(twisted_gluing_counts(n)) == double_factorial(2 * n - 1) << n, n
+
+
+@pytest.mark.parametrize("n,dg,expected", [
+    (6, 2, 12_798), (6, 3, 58_760), (8, 2, 340_828), (8, 3, 2_736_524),
+    (10, 9, 236_023_790_985),
+])
+def test_twisted_counts_are_pinned(n, dg, expected):
+    assert twisted_gluing_counts(n)[dg] == expected
+
+
+def test_twisted_counts_reject_zero():
+    with pytest.raises(ValueError):
+        twisted_gluing_counts(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_black_leaf_pairs_are_the_pairs_around_even_corners(n):
+    m = 2 * n
+    pairs = black_leaf_pairs(n)
+    assert pairs == tuple(sorted(pairs)) and all(a < b for a, b in pairs)
+    assert set(pairs) == ({tuple(sorted(((c - 1) % m, c))) for c in range(0, m, 2)}
+                          if n >= 2 else set())
+    # disjoint, and each rotation maps the set onto itself
+    assert len({s for pair in pairs for s in pair}) == 2 * len(pairs)
+    for r in range(n):
+        assert {tuple(sorted(((a + 2 * r) % m, (b + 2 * r) % m))) for a, b in pairs} == set(pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_skipping_black_leaves_filters_every_stratum_in_order(n):
+    banned = set(black_leaf_pairs(n))
+    for dg in (None, *range(-1, n + 2)):
+        kept = [g for g in enumerate_gluings(n, doubled_genus=dg) if banned.isdisjoint(g.pairs())]
+        assert list(enumerate_gluings(n, doubled_genus=dg, skip_black_leaves=True)) == kept
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (6, 10395)])
