@@ -31,9 +31,10 @@ Pruned enumeration
 A census with a doubled-genus filter asks the enumerator for only the
 gluings of that genus (``polygon._gluings`` prunes them), so ``glue()``
 runs on those alone.  Each survivor's genus is still checked after
-``glue()``; a mismatch raises ``InternalConsistencyError``.  A
-contributing census of the matchings also skips the pairs of
-``polygon.black_leaf_pairs``.  Classes do not depend on the enumeration
+``glue()``; a mismatch raises ``InternalConsistencyError``.  A census of
+the matchings under a reduced filter also skips the pairs of
+``polygon.leaf_pairs``, and one under the contributing filter alone those
+of ``polygon.black_leaf_pairs``.  Classes do not depend on the enumeration
 order, because representatives are orbit minima and the result is
 sorted.
 """
@@ -50,9 +51,11 @@ from .engine import InternalConsistencyError, exact_quotient
 from .polygon import (
     GluedMap,
     Gluing,
+    black_leaf_pairs,
     enumerate_gluings,
     enumerate_twisted_gluings,
     glue,
+    leaf_pairs,
     reflect_gluing,
     rotate_gluing,
     shift_gluing,
@@ -250,8 +253,11 @@ def census_classes(
     classes: list[ReducedMapClass] = []
     for n in ns:
         if universe == "matchings":
-            stream = enumerate_gluings(n, doubled_genus=doubled_genus,
-                                       skip_black_leaves=contributing_only)
+            if reduced_only or reduced_bipartite_only:
+                banned = leaf_pairs(n)
+            else:
+                banned = black_leaf_pairs(n) if contributing_only else ()
+            stream = enumerate_gluings(n, doubled_genus=doubled_genus, banned=banned)
         elif universe == "twisted":
             stream = enumerate_twisted_gluings(n, doubled_genus=doubled_genus)
         else:

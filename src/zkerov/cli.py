@@ -34,7 +34,7 @@ from .engine import (
     scan,
     strata,
 )
-from .polygon import double_factorial, twisted_gluing_counts
+from .polygon import double_factorial, one_face_counts, twisted_gluing_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -270,16 +270,20 @@ def cmd_census(args: argparse.Namespace) -> int:
     check_limit(n)
     doubled_genus = options.get("doubled_genus")
     # the gluings the census yields at its largest n, where its stratum is
-    # largest.  A genus that a preset supplies is not sized: the twisted
-    # preset's reduced filter keeps no class past n=3, so it holds little
-    # at any --max-n.  A matchings census by genus is not sized either,
-    # since its strata need the one-face (b, w) counts.
+    # largest.  A genus that a preset supplies is not sized: each preset's
+    # reduced filter keeps no class past a small n, so it holds little at
+    # any --max-n.
     twisted = options["universe"] == "twisted"
     if doubled_genus is None:
         walked = sum(twisted_gluing_counts(n)) if twisted else double_factorial(2 * n - 1)
-    elif twisted and args.genus_doubled is not None:
-        counts = twisted_gluing_counts(n)
-        walked = counts[doubled_genus] if doubled_genus <= n else 0
+    elif args.genus_doubled is not None:
+        if twisted:
+            counts = twisted_gluing_counts(n)
+            walked = counts[doubled_genus] if doubled_genus <= n else 0
+        else:
+            # a map of b black and w white vertices has V = b + w
+            walked = sum(count for (b, w), count in one_face_counts(n).items()
+                         if b + w == n + 1 - doubled_genus)
     else:
         walked = 0
     if walked > _CENSUS_UNIVERSE_LIMIT:

@@ -18,13 +18,17 @@ Conventions used throughout the package:
 * ``glue`` walks each vertex's cycle of corner identifications, and the
   genus-pruned enumerator keeps a union-find of its own, so the genus it
   filters on checks ``glue``'s by another mechanism.
-* The scan kernel and the contributing census never place a pair of
-  ``black_leaf_pairs``, which says why.
+* A census under a reduced filter never places a pair of ``leaf_pairs``,
+  and the scan kernel and the contributing census never place a pair of
+  ``black_leaf_pairs``; each says why.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+import math
+from typing import Iterable, Iterator, NamedTuple
+
+from .partitions import partitions
 
 STRAIGHT = False
 TWISTED = True
@@ -89,18 +93,91 @@ def twisted_gluing_counts(n: int) -> tuple[int, ...]:
     return tuple(b[n][n + 1 - dg] for dg in range(n + 1))
 
 
+def one_face_counts(n: int) -> dict[tuple[int, int], int]:
+    """The number of matchings of the 2n-gon whose glued map has b black
+    and w white vertices, ``{(b, w): count}`` over the nonzero counts; the
+    counts sum to (2n-1)!! and a cell's doubled genus is n + 1 - b - w.
+
+    This is the one-face case of Goulden-Jackson (1996) at alpha = 2, with
+    theta_lambda and J_lambda(1^N) from Stanley (1989):
+
+        sum over matchings of X^b Y^w
+            = alpha n sum_{lambda |- n} theta_lambda J_lambda(1^X) J_lambda(1^Y) / j_lambda,
+
+    where, over the cells s of lambda with arm a, leg l, arm colength a'
+    and leg colength l',
+
+        theta_lambda = prod_{s != (1,1)} (alpha a' - l'),
+        J_lambda(1^N) = prod_s (N + alpha a' - l'),
+        j_lambda = prod_s (alpha a + l + 1)(alpha a + l + alpha).
+
+    The sum runs over a common denominator, so every cell must divide
+    exactly; a remainder raises InternalConsistencyError.
+    """
+    from .engine import exact_quotient  # engine imports this module
+
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    alpha = 2
+    terms = []
+    for lam in partitions(n, min_part=1):
+        column = [sum(1 for row in lam if row > j) for j in range(lam[0])]
+        theta = j_lam = 1
+        poly = [1]  # J_lambda(1^N), a coefficient list in N
+        for i, row in enumerate(lam):
+            for j in range(row):
+                content = alpha * j - i
+                if i or j:
+                    theta *= content
+                poly = [content * x + y for x, y in zip(poly + [0], [0] + poly)]
+                hook = alpha * (row - 1 - j) + column[j] - 1 - i
+                j_lam *= (hook + 1) * (hook + alpha)
+        terms.append((theta, poly, j_lam))
+    denominator = math.lcm(*(j_lam for _theta, _poly, j_lam in terms))
+    total: dict[tuple[int, int], int] = {}
+    for theta, poly, j_lam in terms:
+        weight = alpha * n * theta * (denominator // j_lam)
+        for b, x in enumerate(poly):
+            for w, y in enumerate(poly):
+                if x and y:
+                    total[b, w] = total.get((b, w), 0) + weight * x * y
+    return {cell: exact_quotient(value, denominator, f"the one-face count of {cell} at n={n}")
+            for cell, value in sorted(total.items()) if value}
+
+
+def leaf_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The side pairs {c-1, c} around every corner c, as (lower side,
+    higher side) in increasing order: 2n pairs, and at n = 1 the one pair
+    (0, 1).
+
+    Every matching that holds one glues to a map with a degree-1 vertex.
+    Sides c-1 and c have opposite parities, so the pair identifies corners
+    c-1 with c+1 and c with itself (module docstring).  Corner c lies on
+    no other side, so it is a vertex of its own with the one edge of the
+    pair, whatever its color.  At n = 1 both corners are such vertices.
+    So the reduced filters (every degree at least 3, or at least 2) keep
+    no such map.
+
+    Every side shift and every reflection maps the set onto itself, so a
+    census under either convention drops whole orbits, and the orbit
+    minima it keeps do not change.
+    """
+    m = 2 * n
+    return tuple(sorted({tuple(sorted(((c - 1) % m, c))) for c in range(m)}))
+
+
 def black_leaf_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The side pairs {c-1, c} around the black (even) corners c, as
     (lower side, higher side) in increasing order: n pairs for n >= 2,
-    none at n = 1.
+    none at n = 1.  For n >= 2 they are the pairs of ``leaf_pairs(n)``
+    around even corners.
 
-    No matching that holds one has an admissible coloring.  Sides c-1 and
-    c have opposite parities, so the pair identifies corners c-1 with c+1
-    and c with itself (module docstring): c is a black vertex of degree 1
-    whose one edge goes to the white vertex of c-1 and c+1.  For n >= 2
-    some other black corner is not in c's class, so {c} is a nontrivial
-    set of black vertices, and Hall's condition at {c} asks for more than
-    q(c) - 1 >= 1 white neighbours of c, which has one.  At n = 1 the
+    No matching that holds one has an admissible coloring.  The pair
+    leaves c a black vertex of degree 1 (``leaf_pairs``) whose one edge
+    goes to the white vertex of c-1 and c+1.  For n >= 2 some other black
+    corner is not in c's class, so {c} is a nontrivial set of black
+    vertices, and Hall's condition at {c} asks for more than q(c) - 1 >= 1
+    white neighbours of c, which has one.  At n = 1 the
     lone matching is such a pair, its one black vertex is the whole set,
     and it has an admissible coloring, so nothing is banned there.
 
@@ -158,17 +235,18 @@ class GluedMap(NamedTuple):
 
 
 def enumerate_gluings(
-    n: int, *, doubled_genus: int | None = None, skip_black_leaves: bool = False
+    n: int, *, doubled_genus: int | None = None, banned: Iterable[tuple[int, int]] = ()
 ) -> Iterator[Gluing]:
     """All (2n-1)!! side matchings with the color-preserving identification,
     lowest unmatched side paired first, partners in increasing order.
 
     With ``doubled_genus`` only the matchings whose glued map has that
     doubled genus are generated, in the same relative order (see
-    ``_gluings`` for the pruning).  With ``skip_black_leaves`` no matching
-    that holds a pair of ``black_leaf_pairs(n)`` is generated.
+    ``_gluings`` for the pruning).  No matching that holds a side pair of
+    ``banned`` is generated (``leaf_pairs`` and ``black_leaf_pairs`` say
+    which pairs a census may ban).
     """
-    return _gluings(n, False, doubled_genus, skip_black_leaves)
+    return _gluings(n, False, doubled_genus, banned)
 
 
 def enumerate_twisted_gluings(n: int, *, doubled_genus: int | None = None) -> Iterator[Gluing]:
@@ -183,7 +261,8 @@ def enumerate_twisted_gluings(n: int, *, doubled_genus: int | None = None) -> It
 
 
 def _gluings(
-    n: int, twisted: bool, doubled_genus: int | None, skip_black_leaves: bool = False
+    n: int, twisted: bool, doubled_genus: int | None,
+    banned: Iterable[tuple[int, int]] = (),
 ) -> Iterator[Gluing]:
     """Depth-first generation of gluings, one side pair per level.
 
@@ -198,9 +277,17 @@ def _gluings(
     is L == V, so every gluing yielded has the requested doubled genus and
     no gluing that has it is dropped.
 
-    ``skip_black_leaves`` bans the pairs of ``black_leaf_pairs(n)``: each
-    level reads the banned partner of its lowest free side (-1 for none),
-    so a pass without the ban pays one integer compare per partner.
+    Each placement is decided before it merges: the roots a, b of its
+    first corner pair and c, d of its second give the number of merges.
+    A root of the second pair that the first merge absorbs counts as the
+    root that absorbs it; only a twisted gluing can meet this, since in a
+    matching the two pairs join corners of different colors.  A rejected
+    placement touches no class, and a kept one merges and undoes its
+    merges after its subtree.
+
+    The side pairs of ``banned`` are never placed: each side holds a
+    bitmask of its banned partners, read once per level for its lowest
+    free side.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -211,19 +298,21 @@ def _gluings(
     target = None if doubled_genus is None else n + 1 - doubled_genus
     parent = list(range(m))
     size = [1] * m
-    banned = [-1] * m
-    if skip_black_leaves:
-        for a, b in black_leaf_pairs(n):
-            banned[a] = b
+    # the partners a side may not take; the lowest free side is a pair's
+    # lower side, so only the lower side holds the bit
+    partners_banned = [0] * m
+    for a, b in banned:
+        a, b = min(a, b), max(a, b)
+        partners_banned[a] |= 1 << b
     new = tuple.__new__  # skips the Python-level NamedTuple constructor
 
     def rec(i: int, left: int, live: int) -> Iterator[Gluing]:
         # i is the lowest free side, ``left`` the pairs still to place
         # (this one included), ``live`` the corner classes so far
         i1 = i + 1
-        ban = banned[i]
+        ban = partners_banned[i]
         for j in range(i1, m):
-            if pairing[j] >= 0 or j == ban:
+            if pairing[j] >= 0 or ban and ban >> j & 1:
                 continue
             pairing[i] = j
             pairing[j] = i
@@ -244,36 +333,44 @@ def _gluings(
                     a, b, c, d = i, j1, i1, j
                 else:
                     a, b, c, d = i, j, i1, j1
-                after = live
-                x = y = -1
                 while parent[a] != a:
                     a = parent[a]
                 while parent[b] != b:
                     b = parent[b]
-                if a != b:
-                    if size[a] < size[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size[a] += size[b]
-                    x = b
-                    after -= 1
                 while parent[c] != c:
                     c = parent[c]
                 while parent[d] != d:
                     d = parent[d]
+                after = live
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    # b is absorbed into a
+                    if c == b:
+                        c = a
+                    if d == b:
+                        d = a
+                    after -= 1
+                if c != d:
+                    after -= 1
+                if not after - 2 * (left - 1) <= target <= after:
+                    continue
+                x = y = -1
+                if a != b:
+                    parent[b] = a
+                    size[a] += size[b]
+                    x = b
                 if c != d:
                     if size[c] < size[d]:
                         c, d = d, c
                     parent[d] = c
                     size[c] += size[d]
                     y = d
-                    after -= 1
-                if after - 2 * (left - 1) <= target <= after:
-                    flags[i] = flags[j] = flag
-                    if k == m:
-                        yield new(Gluing, (tuple(pairing), tuple(flags) if twisted else None))
-                    else:
-                        yield from rec(k, left - 1, after)
+                flags[i] = flags[j] = flag
+                if k == m:
+                    yield new(Gluing, (tuple(pairing), tuple(flags) if twisted else None))
+                else:
+                    yield from rec(k, left - 1, after)
                 if y >= 0:
                     size[parent[y]] -= size[y]
                     parent[y] = y

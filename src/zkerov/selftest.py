@@ -226,9 +226,9 @@ def _check_decoration_accounting(max_n: int, _scan_of: ScanOf, census_of: Census
 def _check_reduction(max_n: int, _scan_of: ScanOf, census_of: CensusOf) -> str:
     """Every contributing genus-one matching of the full enumeration reduces
     confluently to a class of the contributing census.  That census skips
-    the matchings with a pair of ``polygon.black_leaf_pairs``, so if the
-    ban ever dropped one of its classes, the maps that reduce to it would
-    fail here."""
+    the matchings with a pair of ``polygon.leaf_pairs``, its reduced
+    filter's ban, so if the ban ever dropped one of its classes, the maps
+    that reduce to it would fail here."""
     top = min(max_n, 6)
     targets = {canonical_key(bipartite_graph(glue(c.representative))) for c in census_of()}
     reduced_maps = 0

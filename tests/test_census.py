@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -25,7 +26,6 @@ from zkerov.census import (
     stabilizer_order,
     verify_decoration_accounting,
 )
-import zkerov.polygon as polygon
 from zkerov.engine import InternalConsistencyError
 from zkerov.polygon import (
     Gluing,
@@ -34,7 +34,10 @@ from zkerov.polygon import (
     enumerate_gluings,
     enumerate_twisted_gluings,
     glue,
+    leaf_pairs,
+    reflect_gluing,
     rotate_gluing,
+    shift_gluing,
 )
 
 THETA_STAB3 = Gluing((3, 4, 5, 0, 1, 2))
@@ -299,8 +302,7 @@ class TestCensusClasses:
     def test_genus_mismatch_is_an_internal_error(self, monkeypatch):
         # an enumerator that ignores the genus request yields genus 0 and 1 maps too
         monkeypatch.setattr(census_mod, "enumerate_gluings",
-                            lambda n, doubled_genus=None, skip_black_leaves=False:
-                            enumerate_gluings(n))
+                            lambda n, doubled_genus=None, banned=(): enumerate_gluings(n))
         with pytest.raises(InternalConsistencyError):
             census_classes(3, doubled_genus=2)
 
@@ -352,12 +354,12 @@ class TestBlackLeafBan:
         assert contributing_mismatches(n) == []
 
     def test_a_ban_around_white_corners_loses_contributing_maps(self, monkeypatch):
-        monkeypatch.setattr(polygon, "black_leaf_pairs", white_leaf_pairs_too)
-        assert contributing_mismatches(3) == [None, 0]
+        monkeypatch.setattr(census_mod, "black_leaf_pairs", white_leaf_pairs_too)
+        assert contributing_mismatches(3) == [None, 0, 1]
 
     def test_a_ban_at_one_loses_the_lone_matching(self, monkeypatch):
         # the pairs of every n >= 2, without its n < 2 guard
-        monkeypatch.setattr(polygon, "black_leaf_pairs", lambda n: (
+        monkeypatch.setattr(census_mod, "black_leaf_pairs", lambda n: (
             (0, 2 * n - 1), *((c - 1, c) for c in range(2, 2 * n, 2))))
         assert contributing_mismatches(1) == [None, 0]
         assert census_classes(1, contributing_only=True) == []
@@ -366,18 +368,74 @@ class TestBlackLeafBan:
         [c] = census_classes(1, contributing_only=True)
         assert c.representative == Gluing((1, 0)) and c.contributing
 
-    def test_only_the_contributing_census_of_the_matchings_skips(self, monkeypatch):
+    def test_each_census_of_the_matchings_bans_what_its_filters_reject(self, monkeypatch):
         asked = []
 
-        def spy(n, doubled_genus=None, skip_black_leaves=False):
-            asked.append(skip_black_leaves)
+        def spy(n, doubled_genus=None, banned=()):
+            asked.append(tuple(banned))
             return enumerate_gluings(n, doubled_genus=doubled_genus)
 
         monkeypatch.setattr(census_mod, "enumerate_gluings", spy)
         census_classes(3, contributing_only=True)
+        census_classes(3, reduced_bipartite_only=True, contributing_only=True)
         census_classes(3, reduced_bipartite_only=True)
+        census_classes(3, reduced_only=True)
         census_classes(3)
-        assert asked == [True, False, False]
+        census_classes(3, universe="twisted", reduced_only=True)
+        assert asked == [black_leaf_pairs(3), *[leaf_pairs(3)] * 3, ()]
+
+
+@functools.lru_cache(maxsize=None)
+def _glued_matchings(n):
+    # every matching of the unbanned enumeration with its glued map
+    return [(g, glue(g)) for g in enumerate_gluings(n)]
+
+
+def _orbit_minimum(g, convention):
+    # rotations are the even shifts; the dihedral group adds the odd shifts
+    # and the reflections
+    m = 2 * g.n
+    orbit = {shift_gluing(g, t) for t in range(0, m, 1 if convention == DIHEDRAL else 2)}
+    if convention == DIHEDRAL:
+        orbit |= {reflect_gluing(g, k) for k in range(m)}
+    return min(orbit), len(orbit)
+
+
+def reduced_mismatches(n, convention, **filters):
+    """The genus filters (None, then dg = 0..n) at which the census of the
+    matchings under ``filters`` differs from a brute-force filter of every
+    matching: the orbit minima and orbit sizes of the kept ones."""
+    keep = [
+        (pred, filters.get(name, False)) for name, pred in (
+            ("reduced_only", is_reduced), ("reduced_bipartite_only", is_reduced_bipartite),
+            ("contributing_only", is_contributing))
+    ]
+    by_genus = {}
+    for g, m in _glued_matchings(n):
+        if all(pred(m) for pred, wanted in keep if wanted):
+            for key in (None, m.doubled_genus):
+                by_genus.setdefault(key, set()).add(_orbit_minimum(g, convention))
+    return [dg for dg in (None, *range(n + 1))
+            if [(c.representative, c.orbit_size)
+                for c in census_classes(n, doubled_genus=dg, convention=convention, **filters)]
+            != sorted(by_genus.get(dg, ()))]
+
+
+class TestLeafBan:
+    """A census of the matchings under a reduced filter never enumerates a
+    matching that holds a pair of ``leaf_pairs``."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("convention,filters", [
+        (CYCLIC, {"reduced_only": True}),
+        (DIHEDRAL, {"reduced_only": True}),
+        (CYCLIC, {"reduced_bipartite_only": True}),
+        (DIHEDRAL, {"reduced_bipartite_only": True}),
+        (CYCLIC, {"reduced_only": True, "contributing_only": True}),
+        (CYCLIC, {"reduced_bipartite_only": True, "contributing_only": True}),
+    ])
+    def test_reduced_census_equals_a_brute_force_filter(self, n, convention, filters):
+        assert reduced_mismatches(n, convention, **filters) == []
 
 
 class TestDecorations:

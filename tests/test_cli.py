@@ -504,10 +504,33 @@ class TestCensus:
         ["--n", "8", "--twisted", "--genus-doubled", "2"],
         ["--n", "6", "--twisted", "--genus-doubled", "3"],
         ["--n", "5", "--twisted", "--genus-doubled", "7"],
-        ["--n", "10", "--genus-doubled", "9"],
     ])
     def test_twisted_strata_under_the_limit_run(self, capsys, monkeypatch, argv):
-        # a matchings census by genus is not sized, so it is never refused
+        monkeypatch.setattr(census, "census_classes", lambda ns, **options: [])
+        code, doc, _ = run_json(capsys, "census", *argv)
+        assert code == 0 and doc["classCount"] == 0
+
+    @pytest.mark.parametrize("n,dg,gluings", [
+        ("10", "7", "192,130,280"),
+        ("9", "4", "3,669,162"),
+        ("10", "9", "51,290,496"),
+    ])
+    def test_matchings_stratum_past_the_limit_exits_one(self, capsys, monkeypatch,
+                                                        n, dg, gluings):
+        monkeypatch.setattr(census, "census_classes", refuse)
+        code, out, err = run(capsys, "census", "--n", n, "--genus-doubled", dg)
+        assert code == 1 and out == ""
+        assert err == (f"zkerov: error: a census at n={n} of doubled genus {dg} walks "
+                       f"{gluings} gluings, more than the limit 2,027,025\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "9", "--genus-doubled", "2"],
+        ["--n", "9", "--genus-doubled", "3"],
+        ["--n", "10", "--genus-doubled", "2"],
+        ["--n", "8", "--genus-doubled", "4"],
+        ["--n", "8", "--genus-doubled", "9"],
+    ])
+    def test_matchings_strata_under_the_limit_run(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(census, "census_classes", lambda ns, **options: [])
         code, doc, _ = run_json(capsys, "census", *argv)
         assert code == 0 and doc["classCount"] == 0
@@ -516,6 +539,10 @@ class TestCensus:
         code, doc, _ = run_json(capsys, "census", "--n", "1", "--contributing")
         assert code == 0 and doc["classCount"] == 1
         assert doc["classes"][0]["representative"]["pairing"] == [1, 0]
+
+    def test_lone_matching_is_not_reduced_bipartite(self, capsys):
+        code, doc, _ = run_json(capsys, "census", "--n", "1", "--reduced-bipartite")
+        assert code == 0 and doc["classCount"] == 0
 
     def test_cache_is_rejected(self, capsys, tmp_path):
         # census keeps no tallies; --cache, even with a path no cache could

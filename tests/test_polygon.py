@@ -12,6 +12,8 @@ from zkerov.polygon import (
     enumerate_gluings,
     enumerate_twisted_gluings,
     glue,
+    leaf_pairs,
+    one_face_counts,
     reflect_gluing,
     rotate_gluing,
     shift_gluing,
@@ -46,6 +48,35 @@ def test_twisted_counts_are_pinned(n, dg, expected):
     assert twisted_gluing_counts(n)[dg] == expected
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_face_counts_equal_the_enumerated_cells(n):
+    cells = {}
+    for g in enumerate_gluings(n):
+        m = glue(g)
+        cell = (len(m.black_vertices), len(m.white_vertices))
+        cells[cell] = cells.get(cell, 0) + 1
+    assert one_face_counts(n) == cells
+
+
+def test_one_face_counts_sum_to_the_matchings():
+    for n in range(1, 13):
+        assert sum(one_face_counts(n).values()) == double_factorial(2 * n - 1), n
+
+
+@pytest.mark.parametrize("n,dg,expected", [
+    (8, 3, 185_236), (8, 4, 427_190), (9, 2, 286_383), (9, 3, 1_199_880),
+    (9, 4, 3_669_162), (10, 2, 1_412_000), (10, 7, 192_130_280), (10, 9, 51_290_496),
+])
+def test_one_face_strata_are_pinned(n, dg, expected):
+    assert sum(count for (b, w), count in one_face_counts(n).items()
+               if b + w == n + 1 - dg) == expected
+
+
+def test_one_face_counts_reject_zero():
+    with pytest.raises(ValueError):
+        one_face_counts(0)
+
+
 def test_twisted_counts_reject_zero():
     with pytest.raises(ValueError):
         twisted_gluing_counts(0)
@@ -64,12 +95,47 @@ def test_black_leaf_pairs_are_the_pairs_around_even_corners(n):
         assert {tuple(sorted(((a + 2 * r) % m, (b + 2 * r) % m))) for a, b in pairs} == set(pairs)
 
 
+def _filters_every_stratum_in_order(n, banned):
+    for dg in (None, *range(-1, n + 2)):
+        kept = [g for g in enumerate_gluings(n, doubled_genus=dg)
+                if set(banned).isdisjoint(g.pairs())]
+        assert list(enumerate_gluings(n, doubled_genus=dg, banned=banned)) == kept
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_skipping_black_leaves_filters_every_stratum_in_order(n):
-    banned = set(black_leaf_pairs(n))
-    for dg in (None, *range(-1, n + 2)):
-        kept = [g for g in enumerate_gluings(n, doubled_genus=dg) if banned.isdisjoint(g.pairs())]
-        assert list(enumerate_gluings(n, doubled_genus=dg, skip_black_leaves=True)) == kept
+    _filters_every_stratum_in_order(n, black_leaf_pairs(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_banning_leaf_pairs_filters_every_stratum_in_order(n):
+    # side 0 has two banned partners, 1 and 2n - 1
+    _filters_every_stratum_in_order(n, leaf_pairs(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_leaf_pairs_are_the_pairs_around_every_corner(n):
+    m = 2 * n
+    pairs = leaf_pairs(n)
+    assert pairs == tuple(sorted(pairs)) and all(a < b for a, b in pairs)
+    assert set(pairs) == {tuple(sorted(((c - 1) % m, c))) for c in range(m)}
+    assert len(pairs) == (2 * n if n >= 2 else 1)
+    assert set(black_leaf_pairs(n)) <= set(pairs)
+    # every side shift and every reflection maps the set onto itself
+    for t in range(m):
+        assert {tuple(sorted(((a + t) % m, (b + t) % m))) for a, b in pairs} == set(pairs)
+        assert {tuple(sorted(((t - 1 - a) % m, (t - 1 - b) % m))) for a, b in pairs} == set(pairs)
+
+
+def test_matchings_with_a_leaf_pair_have_a_degree_one_vertex():
+    held = 0
+    for n in range(1, 7):
+        banned = set(leaf_pairs(n))
+        for g in enumerate_gluings(n):
+            if not banned.isdisjoint(g.pairs()):
+                held += 1
+                assert min(glue(g).degree.values()) == 1, g
+    assert held == 7809
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 3), (6, 10395)])
