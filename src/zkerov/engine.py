@@ -34,14 +34,17 @@ holds one.  The n banned pairs are disjoint and form one whole G-orbit,
 the last pair type, so the matchings without one form a G-invariant
 universe and the orbit sum over it keeps its weights.  At n=8 the
 kernel visits 128,733 leaves (213,923 without the ban, 2,027,025
-matchings in all).  ``scan`` checks that the weights sum to L*A_n, A_n
-the number of matchings with no banned pair (``_unbanned_matchings``),
-and divides every tally by L, raising InternalConsistencyError on a
+matchings in all).
+A statistic kept beside the monomial must be G-invariant for the same
+sum to hold; the map's numbers b and w of black and white vertices are,
+and so is orientability (a future per-map key).  The kernel adds each
+leaf's weight to the (b, w) cell of its map as well, a count over
+matchings rather than admissible colorings, so ``scan`` checks every
+cell against L times the number of matchings in it with no banned pair
+(``_unbanned_cells``, from the one-face formula
+``polygon.one_face_counts``; 26 cells at n=8, 40 at n=10), and divides
+every tally by L, raising InternalConsistencyError on a wrong cell or a
 remainder; both checks run on every scan.
-A statistic kept beside the monomial (a future per-map key) must be
-G-invariant for the same sum to hold; orientability is.  A count over
-matchings rather than admissible colorings (leaves per (b, w), say) sees
-only the matchings without a banned pair.
 
 The scan kernel (_scan_branch) recurses over the tuple of still-free
 sides.  A side pair merges one pair of black and one pair of white corners,
@@ -76,15 +79,16 @@ of six and 967 of four (42,317, 2,925, 2,786 and 1,355 at n=9).  A leaf
 only adds its weight to a table keyed by (black state, white state),
 inline in that frame and kept across branches and types.  After a branch
 that leaves it with more than TABLE_BOUND pairs, and at the end of the
-call, one pass reads each state pair once and empties the table.  One
-black vertex has the one monomial (w+1), and w < b has none, so such a
-pair's weight goes there, or to the weighted total alone; any other pair's
-goes to the call's weight of (w, black/white adjacency masks), read off
-the two states, with the white blocks next to each black element read once
-per white state until the table empties.  At the end Hall's condition runs
-once per distinct (w, masks) and gives that weight to each admissible
-monomial.  At n=8 the 128,733 leaves give 15,051 state pairs in two
-passes, 4,453 of them forced, 2,361 white-bit lists and 577 distinct (w,
+call, one pass reads each state pair once and empties the table.  It
+adds each pair's weight to its (b, w) cell.  One black vertex has the one
+monomial (w+1), read off the (1, w) cell at the end of the call, and
+w < b has none; any other pair's weight also goes to the call's weight of
+(w, black/white adjacency masks), read off the two states, with the white
+blocks next to each black element read once per white state until the
+table empties.  At the end Hall's condition runs once per distinct
+(w, masks) and gives that weight to each admissible monomial.  At n=8 the
+128,733 leaves give 15,051 state pairs in two passes, 4,453 of them with
+one black vertex or w < b, 2,361 white-bit lists and 577 distinct (w,
 masks); a pass after every branch read 23,789 pairs and built 5,207 lists
 (n=9: 174,302 pairs in 18 passes against 206,854).  The bound, 2^13, keeps
 the peak RSS where a pass after every branch kept it: 55.1 against 55.0 MB
@@ -132,13 +136,13 @@ import marshal
 import math
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 from .admissibility import Monomial
 from .partitions import compositions
-from .polygon import black_leaf_pairs, double_factorial
+from .polygon import black_leaf_pairs, double_factorial, one_face_counts
 
 N_LIMIT = 10
 
@@ -162,8 +166,8 @@ TABLE_BOUND = 1 << 13
 
 
 class InternalConsistencyError(RuntimeError):
-    """A quantity that must be exact (a matching total, an integral
-    rational sum) came out wrong; signals an implementation bug."""
+    """A quantity that must be exact (a weighted matching count, an
+    integral rational sum) came out wrong; signals an implementation bug."""
 
 
 class WorkerDiedError(RuntimeError):
@@ -277,15 +281,23 @@ def _branches(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _unbanned_matchings(n: int) -> int:
-    """The number of matchings with no banned pair: for n >= 2,
-    A_n = sum_k (-1)^k C(n,k) (2n-2k-1)!! (OEIS A053871), by inclusion and
-    exclusion over the n disjoint banned pairs; 1 at n = 1."""
-    if n < 2:
-        return 1
-    return sum(
-        (-1) ** k * math.comb(n, k) * double_factorial(2 * (n - k) - 1) for k in range(n + 1)
-    )
+def _unbanned_cells(n: int) -> dict[tuple[int, int], int]:
+    """The number of matchings with no banned pair whose map has b black and
+    w white vertices, ``{(b, w): count}`` over the nonzero counts.
+
+    Inclusion and exclusion over the k of the n disjoint banned pairs that
+    a matching holds.  A banned pair {c-1, c} leaves black corner c a vertex
+    of its own and joins the white corners c-1 and c+1, so the matchings
+    that hold k given ones are the matchings of the 2(n-k)-gon, with k more
+    black vertices: N(b, w) = sum_k (-1)^k C(n,k) N_{n-k}(b-k, w), with
+    N_m = ``polygon.one_face_counts(m)`` and N_0 = {(0, 1): 1}.  Nothing is
+    banned at n = 1.  The counts sum to OEIS A053871 from n = 2 on."""
+    banned = len(black_leaf_pairs(n))
+    out: Counter[tuple[int, int]] = Counter()
+    for k in range(banned + 1):
+        for (b, w), count in (one_face_counts(n - k) if k < n else {(0, 1): 1}).items():
+            out[b + k, w] += (-1) ** k * math.comb(banned, k) * count
+    return {cell: count for cell, count in sorted(out.items()) if count}
 
 
 def _weight_denominator(n: int) -> int:
@@ -377,7 +389,7 @@ _Plan = list[tuple[Any, ...]]
 
 def _scan_branch(
     task: tuple[int, tuple[tuple[tuple[int, int], ...], ...]],
-) -> tuple[int, int, dict[tuple[int, ...], int]]:
+) -> tuple[int, dict[tuple[int, int], int], dict[tuple[int, ...], int]]:
     """Weighted tallies of the matchings on the given branches.
 
     ``task`` is ``(n, branches)`` with branches from ``_branches(n)``; a
@@ -387,19 +399,20 @@ def _scan_branch(
     L*|O_tau|/c_tau(M) (module docstring).
 
     A leaf adds its weight to ``agg[black state][white state]``, a table
-    kept across branches; a pass moves each pair's weight to its monomial
-    (one black vertex), to the total alone (w < b) or to
-    ``graphs[(w, masks)]``, which ``_hall_keys`` classifies once per call
-    (module docstring).
+    kept across branches; a pass moves each pair's weight to its (b, w)
+    cell, ``grid[b][w]``, and, unless b = 1 or w < b, to
+    ``graphs[(w, masks)]``, which ``_hall_keys`` classifies once per call.
+    The single-part tallies are the (1, w) cells (module docstring).
 
-    Returns (leaves, weighted matching total, {monomial parts: weighted
-    raw count}); ``_exact_tallies`` divides the totals of all branches by L.
+    Returns (leaves, {(b, w): weighted matching count}, {monomial parts:
+    weighted raw count}); ``_exact_tallies`` checks the cells of all
+    branches and divides their tallies by L.
     """
     n, branches = task
     m = 2 * n
     table, _reps, sizes = _type_table(n)
     denominator = _weight_denominator(n)
-    leaves = forced = 0  # forced: the weight of pairs that skip graphs
+    leaves = 0
     # per type tau: step[a][b] is -1 for a banned pair or one of an earlier
     # type, else the number of type-tau pairs it adds; weights[c] the
     # weight at c of them; agg[bs][ws] the weight of the leaves at (bs, ws)
@@ -422,10 +435,10 @@ def _scan_branch(
     white = [[code(i, j, 1) for j in range(m)] for i in range(m)]
     # the white elements next to each black element
     around = [(((c - 1) % m) // 2, (c + 1) % m // 2) for c in range(0, m, 2)]
-    # over all branches: weight by (w, masks), and the call's tally, which
-    # a pair with one black vertex enters directly
+    # over all branches: weight by (b, w) cell, as grid[b][w], and by
+    # (w, masks)
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
     graphs: dict[tuple[int, tuple[int, ...]], int] = {}
-    tally: dict[tuple[int, ...], int] = {}
     # the plan of each eight or fewer free sides (``plan_of``), kept while
     # the branches of one type run; emptied with agg: the white-block bits
     # next to each black element, per white state
@@ -524,20 +537,13 @@ def _scan_branch(
 
     def move() -> None:
         # the pass over agg, which it empties (module docstring)
-        nonlocal forced
         for bs, row in agg.items():
             b = blocks[bs]
-            if b == 1:
-                forced += sum(row.values())
-                for ws, weight in row.items():
-                    parts = (blocks[ws] + 1,)
-                    tally[parts] = tally.get(parts, 0) + weight
-                continue
-            black_labels = strings[bs]
+            black_labels, cell_row = strings[bs], grid[b]
             for ws, weight in row.items():
                 w = blocks[ws]
-                if w < b:
-                    forced += weight
+                cell_row[w] += weight
+                if b == 1 or w < b:
                     continue
                 bits = white_bits.get(ws)
                 if bits is None:
@@ -572,10 +578,13 @@ def _scan_branch(
     move()
 
     del rec, plan_of  # they refer to themselves: free the tables now, not at the next gc
+    cells = {(b, w): weight for b, row in enumerate(grid) for w, weight in enumerate(row) if weight}
+    # one black vertex has the one monomial (w+1)
+    tally = {(w + 1,): weight for w, weight in enumerate(grid[1]) if weight}
     for (w, masks), weight in graphs.items():
         for parts in _hall_keys(w, masks):
             tally[parts] = tally.get(parts, 0) + weight
-    return leaves, forced + sum(graphs.values()), tally
+    return leaves, cells, tally
 
 
 def _tasks(n: int, count: int) -> list[tuple[int, tuple[tuple[tuple[int, int], ...], ...]]]:
@@ -670,26 +679,28 @@ def _child(fn: Callable[[Any], Any], task: Any, w: int, cpu: int | None) -> NoRe
 
 
 def _exact_tallies(
-    n: int, results: list[tuple[int, int, dict[tuple[int, ...], int]]],
+    n: int, results: list[tuple[int, dict[tuple[int, int], int], dict[tuple[int, ...], int]]],
 ) -> dict[tuple[int, ...], int]:
     """Merge the weighted branch results of n and divide by L exactly.
 
-    The weighted matching total must be L*A_n (``_unbanned_matchings``) and
-    every weighted tally a multiple of L; anything else is an
+    Each weighted (b, w) cell must be L times the number of matchings with
+    no banned pair and b black and w white vertices (``_unbanned_cells``),
+    and every weighted tally a multiple of L; anything else is an
     InternalConsistencyError.
     """
     denominator = _weight_denominator(n)
-    total = 0
-    merged: dict[tuple[int, ...], int] = {}
-    for _leaves, weighted, tal in results:
-        total += weighted
-        for key, c in tal.items():
-            merged[key] = merged.get(key, 0) + c
-    expected = denominator * _unbanned_matchings(n)
-    if total != expected:
-        raise InternalConsistencyError(
-            f"weighted matching total {total} at n={n}, expected {expected}"
-        )
+    cells: Counter[tuple[int, int]] = Counter()
+    merged: Counter[tuple[int, ...]] = Counter()
+    for _leaves, branch_cells, branch_tally in results:
+        cells.update(branch_cells)
+        merged.update(branch_tally)
+    expected = Counter({cell: denominator * c for cell, c in _unbanned_cells(n).items()})
+    for cell in sorted(cells.keys() | expected.keys()):
+        if cells[cell] != expected[cell]:
+            raise InternalConsistencyError(
+                f"weighted count {cells[cell]} of the (b, w) = {cell} cell at n={n}, "
+                f"expected {expected[cell]}"
+            )
     return {
         key: exact_quotient(c, denominator, f"raw count of mu={key} at n={n}")
         for key, c in merged.items()
@@ -817,6 +828,10 @@ def _parse_cache(doc: Any, n: int) -> ScanResult:
         if mono.vertex_count > n + 1 or raw < 1 or mono in tallies:
             raise ValueError(f"impossible entry mu={entry['mu']} rawCount={raw}")
         tallies[mono] = raw
+    # R_(w+1) counts the matchings with one black vertex and w white ones
+    single = {mono.parts[0] - 1: raw for mono, raw in tallies.items() if len(mono.parts) == 1}
+    if single != {w: c for (b, w), c in one_face_counts(n).items() if b == 1}:
+        raise ValueError("a single-part raw count disagrees with the one-face counts")
     result = ScanResult(n=n, gluing_count=gluings, tallies=tallies)
     if genus1_mismatches(n, result):
         raise ValueError("genus-one stratum disagrees with the closed form")
@@ -827,8 +842,9 @@ def load_cache(cache_dir: str | Path, n: int) -> ScanResult | None:
     """Tallies of one n from the cache, or None on a miss.
 
     A file that does not parse or fails validation (schema, n, gluing total,
-    part and vertex bounds, genus-one stratum by ``genus1_mismatches``) is
-    a miss too, reported on stderr.  Any other OSError reading the file (a
+    part and vertex bounds, single-part counts by the b = 1 cells of
+    ``polygon.one_face_counts``, genus-one stratum by ``genus1_mismatches``)
+    is a miss too, reported on stderr.  Any other OSError reading the file (a
     path that cannot hold it, a denied permission) raises ValueError.
     """
     path = cache_path(cache_dir, n)

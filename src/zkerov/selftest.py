@@ -50,6 +50,7 @@ from .polygon import (
     glue,
     rotate_gluing,
     shift_gluing,
+    twisted_gluing_counts,
 )
 
 ScanOf = Callable[[int], ScanResult]
@@ -82,12 +83,16 @@ def _check_gluing_counts(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> 
 
 
 def _check_twisted_counts(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:
+    # each genus-pruned stratum, and the full pass, against Ledoux's recursion
     top = min(max_n, 4)
     for n in range(1, top + 1):
-        got = sum(1 for _ in enumerate_twisted_gluings(n))
-        expected = double_factorial(2 * n - 1) << n
-        assert got == expected, f"n={n}: {got} != {expected}"
-    return f"twisted counts match (2n-1)!!*2^n for n<= {top}"
+        expected = twisted_gluing_counts(n)
+        got = tuple(sum(1 for _ in enumerate_twisted_gluings(n, doubled_genus=dg))
+                    for dg in range(n + 1))
+        assert got == expected, f"n={n}: strata {got} != {expected}"
+        full = sum(1 for _ in enumerate_twisted_gluings(n))
+        assert full == sum(expected), f"n={n}: {full} != {sum(expected)}"
+    return f"twisted counts match the GOE-moment recursion per genus and in total for n<= {top}"
 
 
 def _check_glue_invariants(max_n: int, _scan_of: ScanOf, _census_of: CensusOf) -> str:

@@ -35,9 +35,9 @@ from zkerov.engine import (
 )
 from zkerov.polygon import (
     black_leaf_pairs,
-    double_factorial,
     enumerate_gluings,
     glue,
+    one_face_counts,
     reflect_gluing,
     rotate_gluing,
     shift_gluing,
@@ -85,13 +85,17 @@ class TestScanAgainstBruteForce:
 
 
 def merged(results):
-    total = 0
-    tally: dict[tuple[int, ...], int] = {}
+    cells: Counter[tuple[int, int]] = Counter()
+    tally: Counter[tuple[int, ...]] = Counter()
     for _leaves, weighted, part in results:
-        total += weighted
-        for key, c in part.items():
-            tally[key] = tally.get(key, 0) + c
-    return total, tally
+        cells.update(weighted)
+        tally.update(part)
+    return cells, tally
+
+
+def vertex_cell(m):
+    """The (b, w) cell of a glued map: its black and white vertex counts."""
+    return len(m.black_vertices), len(m.white_vertices)
 
 
 def monomial_multiset(g):
@@ -166,14 +170,17 @@ class TestBan:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_gluings_with_a_banned_pair_have_no_admissible_coloring(self, n):
+        """Also: the matchings with a banned pair fill, cell by cell, what
+        ``_unbanned_cells`` leaves of the one-face counts."""
         banned = banned_pairs(n, 0)
-        held = 0
+        held: Counter[tuple[int, int]] = Counter()
         for g in enumerate_gluings(n):
             if banned.isdisjoint(g.pairs()):
                 continue
-            held += 1
-            assert next(enumerate_q(glue(g)), None) is None, g
-        assert held == double_factorial(2 * n - 1) - engine._unbanned_matchings(n)
+            m = glue(g)
+            held[vertex_cell(m)] += 1
+            assert next(enumerate_q(m), None) is None, g
+        assert held == Counter(one_face_counts(n)) - Counter(engine._unbanned_cells(n))
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_lone_matching_at_one_is_not_banned(self, shift):
@@ -208,16 +215,28 @@ class TestBan:
         assert got == set(black_leaf_pairs(n))
 
     def test_unbanned_matchings_equal_a_brute_count(self):
+        """``_unbanned_cells`` against the glued maps of every matching
+        with no banned pair, cell by cell."""
         for n in range(1, 8):
             banned = banned_pairs(n, 0) if n >= 2 else set()
-            brute = sum(1 for g in enumerate_gluings(n) if banned.isdisjoint(g.pairs()))
-            assert engine._unbanned_matchings(n) == brute, n
+            brute = Counter(vertex_cell(glue(g)) for g in enumerate_gluings(n)
+                            if banned.isdisjoint(g.pairs()))
+            assert engine._unbanned_cells(n) == brute, n
 
     def test_unbanned_matchings_are_pinned(self):
-        # OEIS A053871 from n=2 on
-        assert [engine._unbanned_matchings(n) for n in range(1, 9)] == [
+        # the row sums are OEIS A053871 from n=2 on; a matching with one
+        # black vertex holds no banned pair, and below n=4 no other does
+        cells = [engine._unbanned_cells(n) for n in range(1, 9)]
+        assert [sum(c.values()) for c in cells] == [
             1, 2, 8, 60, 544, 6040, 79008, 1190672,
         ]
+        assert cells[:4] == [
+            {(1, 1): 1}, {(1, 1): 1, (1, 2): 1}, {(1, 1): 4, (1, 2): 3, (1, 3): 1},
+            {(1, 1): 20, (1, 2): 21, (1, 3): 6, (1, 4): 1, (2, 1): 5, (2, 2): 5, (2, 3): 2},
+        ]
+        for n, c in enumerate(cells, 1):
+            assert {w: k for (b, w), k in c.items() if b == 1} == \
+                {w: k for (b, w), k in one_face_counts(n).items() if b == 1}, n
 
 
 class TestScanKernel:
@@ -296,8 +315,8 @@ class TestScanKernel:
         single = engine._scan_branch((n, tuple(branches)))
         by_branch = merged(engine._scan_branch((n, (branch,))) for branch in branches)
         by_thirds = merged(engine._scan_branch((n, tuple(branches[k::3]))) for k in range(3))
-        assert by_branch == single[1:]
-        assert by_thirds == single[1:]
+        assert by_branch == merged([single])
+        assert by_thirds == merged([single])
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_pool_tasks_cover_every_branch_once(self, monkeypatch, threads):
@@ -341,20 +360,24 @@ class TestScanKernel:
         kernel calls over the branches up to it and up to the one before,
         so it runs after every earlier branch in one call, as in a scan: a
         kernel table wrongly kept from an earlier branch shows there, where
-        the summed totals of a whole scan could hide it.  n = 1..6 leave
+        the summed cells of a whole scan could hide it.  The branch's
+        weighted (b, w) cells are read off the same maps.  n = 1..6 leave
         0, 2, 4, 6 and 8 sides to the kernel's plans after a branch."""
         types, _reps, sizes = engine._pair_types(n)
         banned = banned_pairs(n, 0) if n >= 2 else set()
         denominator = engine._weight_denominator(n)
-        colorings = {g: Counter(mono.parts for _q, mono in enumerate_q(glue(g)))
-                     for g in enumerate_gluings(n)}
+        colorings = {}
+        for g in enumerate_gluings(n):
+            m = glue(g)
+            colorings[g] = vertex_cell(m), Counter(mono.parts for _q, mono in enumerate_q(m))
         branches = engine._branches(n)
-        before = (0, 0, Counter())
+        before = (0, Counter(), Counter())
         for k, branch in enumerate(branches):
             tau = types[branch[0][0]][branch[0][1]]
-            leaves = total = 0
+            leaves = 0
+            cells: Counter[tuple[int, int]] = Counter()
             tally: Counter[tuple[int, ...]] = Counter()
-            for g, parts in colorings.items():
+            for g, (cell, parts) in colorings.items():
                 pairs = set(g.pairs())
                 if not pairs >= set(branch) or pairs & banned:
                     continue
@@ -362,13 +385,13 @@ class TestScanKernel:
                     continue
                 weight = sizes[tau] * denominator // sum(types[a][b] == tau for a, b in pairs)
                 leaves += 1
-                total += weight
+                cells[cell] += weight
                 for key, count in parts.items():
                     tally[key] += weight * count
-            got_leaves, got_total, got_tally = engine._scan_branch((n, tuple(branches[:k + 1])))
-            after = (got_leaves, got_total, Counter(got_tally))
+            got_leaves, got_cells, got_tally = engine._scan_branch((n, tuple(branches[:k + 1])))
+            after = (got_leaves, Counter(got_cells), Counter(got_tally))
             share = (after[0] - before[0], after[1] - before[1], after[2] - before[2])
-            assert share == (leaves, total, tally), branch
+            assert share == (leaves, cells, tally), branch
             before = after
 
     @pytest.mark.parametrize("bound", [0, 1 << 30])
@@ -381,9 +404,9 @@ class TestScanKernel:
         monkeypatch.setattr(engine, "TABLE_BOUND", bound)
         assert engine._scan_branch(task) == expected
 
-    # the two facts the kernel's pass relies on when it gives a state pair
-    # with one black vertex the monomial (w+1), and one with w < b nothing,
-    # without calling _hall_keys
+    # the two facts the kernel relies on when it reads the monomial (w+1)
+    # off a (1, w) cell, and gives a state pair with w < b nothing, without
+    # calling _hall_keys
     @pytest.mark.parametrize("w", range(1, 7))
     def test_one_black_vertex_has_the_one_monomial_w_plus_one(self, w):
         for mask in range(1 << w):
@@ -606,27 +629,47 @@ class TestFullExpansion:
 
 
 class TestExactnessGuard:
+    # the 8 matchings of n=3 with no banned pair (the 15 less the 7 with
+    # one), by (b, w), each weighted by L = 6
+    CELLS_3 = {(1, 1): 24, (1, 2): 18, (1, 3): 6}
+
     def test_remainder_raises(self):
         denominator = engine._weight_denominator(3)
         assert denominator == 6
-        total = denominator * 8  # A_3: the 15 matchings less the 7 with a banned pair
-        assert engine._exact_tallies(3, [(0, total, {(2,): 4 * denominator})]) == {(2,): 4}
+        assert {cell: c * denominator for cell, c in engine._unbanned_cells(3).items()} \
+            == self.CELLS_3
+        assert engine._exact_tallies(3, [(0, self.CELLS_3, {(2,): 4 * denominator})]) == {(2,): 4}
         with pytest.raises(InternalConsistencyError, match="not a multiple of 6"):
-            engine._exact_tallies(3, [(0, total, {(2,): 4 * denominator + 1})])
+            engine._exact_tallies(3, [(0, self.CELLS_3, {(2,): 4 * denominator + 1})])
 
     def test_wrong_weighted_total_raises(self):
-        with pytest.raises(InternalConsistencyError, match="weighted matching total 89"):
-            engine._exact_tallies(3, [(0, 89, {})])
-        # the total over every matching, banned ones included, is wrong too
-        with pytest.raises(InternalConsistencyError, match="total 90 at n=3, expected 48"):
-            engine._exact_tallies(3, [(0, 6 * 15, {})])
+        # a cell off by one; a cell missing
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape("count 17 of the (b, w) = (1, 2) cell at n=3, "
+                                           "expected 18")):
+            engine._exact_tallies(3, [(0, {**self.CELLS_3, (1, 2): 17}, {})])
+        with pytest.raises(InternalConsistencyError, match=re.escape("count 0 of the (b, w) = (1, 3)")):
+            engine._exact_tallies(3, [(0, {(1, 1): 24, (1, 2): 18}, {})])
+        # the cells over every matching, banned ones included, are wrong too
+        every = {cell: 6 * c for cell, c in one_face_counts(3).items()}
+        with pytest.raises(InternalConsistencyError,
+                           match=re.escape("count 18 of the (b, w) = (2, 1) cell at n=3, "
+                                           "expected 0")):
+            engine._exact_tallies(3, [(0, every, {})])
+
+    def test_weight_moved_between_cells_raises(self):
+        # the right weighted total in the wrong cells
+        moved = {**self.CELLS_3, (1, 1): 30, (1, 2): 12}
+        assert sum(moved.values()) == sum(self.CELLS_3.values())
+        with pytest.raises(InternalConsistencyError, match=re.escape("count 30 of the (b, w) = (1, 1)")):
+            engine._exact_tallies(3, [(0, moved, {})])
 
     def test_cli_maps_the_error_to_exit_3(self, monkeypatch, capsys):
         real = engine._scan_branch
 
         def off_by_one(task):
-            leaves, total, tally = real(task)
-            return leaves, total, {key: c + 1 for key, c in tally.items()}
+            leaves, cells, tally = real(task)
+            return leaves, cells, {key: c + 1 for key, c in tally.items()}
 
         monkeypatch.setattr(engine, "_scan_branch", off_by_one)
         assert main(["expand", "--n", "3", "--threads", "1"]) == 3
@@ -647,13 +690,29 @@ class TestCache:
         assert loaded.tallies == result.tallies
 
     def test_cache_is_used_on_reload(self, tmp_path):
+        expected = scan(4, cache_dir=tmp_path).tallies[Monomial((2, 2))]
+        # corrupt a tally that validation cannot check (R2^2 has more than
+        # one part and lies outside the genus-one stratum); the loaded (not
+        # recomputed) value must surface
+        path = cache_path(tmp_path, 4)
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["tallies"] if e["mu"] == [2, 2])
+        entry["rawCount"] = str(expected + 30)
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        reloaded = scan(4, cache_dir=tmp_path)
+        assert reloaded.tallies[Monomial((2, 2))] == expected + 30
+
+    def test_single_part_count_off_the_formula_is_rescanned(self, tmp_path, capsys):
+        # R3 at n=3 lies outside the genus-one stratum, but every
+        # single-part count is the (1, w) cell of polygon.one_face_counts
         scan(3, cache_dir=tmp_path)
-        # corrupt a tally that validation cannot check (R3 lies outside the
-        # genus-one stratum); the loaded (not recomputed) value must surface
         path = cache_path(tmp_path, 3)
         path.write_text(path.read_text().replace('"rawCount": "3"', '"rawCount": "31"'))
-        reloaded = scan(3, cache_dir=tmp_path)
-        assert reloaded.tallies[Monomial((3,))] == 31
+        capsys.readouterr()
+        assert scan(3, cache_dir=tmp_path).tallies[Monomial((3,))] == 3
+        assert "disagrees with the one-face counts" in capsys.readouterr().err
+        assert '"rawCount": "31"' not in path.read_text()
+        assert load_cache(tmp_path, 3).tallies == scan(3).tallies
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cache(tmp_path, 5) is None

@@ -11,6 +11,7 @@ import pytest
 
 from kerov_oracle import jack_polynomials, kerov_polynomial
 from zkerov.engine import rescaled_coefficient, scan
+from zkerov.polygon import one_face_counts
 
 # Biane 2003; also the orientable half of the gluing tallies
 CLASSICAL = {
@@ -40,6 +41,14 @@ def test_alpha_two_equals_the_enumeration(n):
     result = scan(n)
     enumerated = {m.parts: rescaled_coefficient(n, m, raw) for m, raw in result.tallies.items()}
     assert kerov_polynomial(n, 2) == enumerated
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_one_black_vertex_column_is_the_linear_part(n):
+    """[R_(w+1)] K_n = (-1)^(n+w) N_n(1, w): the oracle's single-part
+    coefficients against the b = 1 cells of the one-face formula."""
+    linear = {mu[0] - 1: c for mu, c in kerov_polynomial(n, 2).items() if len(mu) == 1}
+    assert linear == {w: (-1) ** (n + w) * c for (b, w), c in one_face_counts(n).items() if b == 1}
 
 
 def test_zonal_k6_has_integer_coefficients():

@@ -137,8 +137,22 @@ def test_determinism_check_catches_a_lost_branch(monkeypatch):
     monkeypatch.setattr(engine, "_tasks", short_tasks)
     result = run_check("parallel-determinism", 5, engine.scan)
     assert not result.passed
-    assert result.detail == ("InternalConsistencyError: weighted matching total 32580 at n=5, "
-                             "expected 32640")
+    assert result.detail == ("InternalConsistencyError: weighted count 8820 of the (b, w) = (1, 1) "
+                             "cell at n=5, expected 8880")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_guard_catches_swapped_merge_tables(monkeypatch, n):
+    """A kernel that merges the white corners where it should merge the
+    black ones, and the black where the white: every weighted total still
+    comes out right at n = 2..4, and L divides every tally until n = 5, but
+    the (b, w) cells differ."""
+    monkeypatch.setattr(engine, "_scan_branch", _mutant(
+        engine._scan_branch,
+        "(i, j, 0) for j in range(m)] for i in range(m)]\n    white = [[code(i, j, 1)",
+        "(i, j, 1) for j in range(m)] for i in range(m)]\n    white = [[code(i, j, 0)"))
+    with pytest.raises(engine.InternalConsistencyError, match=f"cell at n={n}, expected"):
+        engine.scan(n)
 
 
 def test_orbit_stabilizer_check_uses_the_direct_count(monkeypatch):
@@ -230,7 +244,24 @@ def test_twisted_counts_check_catches_a_lost_flag(monkeypatch):
                         lambda n, doubled_genus=None: gluings(n, True, doubled_genus))
     result = run_check("twisted-counts", 4, engine.scan)
     assert not result.passed
-    assert result.detail == "AssertionError: n=1: 1 != 2"
+    assert result.detail == "AssertionError: n=1: strata (0, 1) != (1, 1)"
+
+
+def test_twisted_counts_check_catches_a_lost_root_absorption(monkeypatch):
+    """The genus-pruned enumerator forgets that the first merge of a
+    placement can absorb a root of its second corner pair, so it counts
+    one merge too many there; the full pass, which merges nothing, still
+    yields (2n-1)!!*2^n gluings."""
+    gluings = _mutant(polygon._gluings,
+                      "if c == b:\n                        c = a\n"
+                      "                    if d == b:\n                        d = a",
+                      "pass")
+    assert sum(1 for _ in gluings(3, True, None)) == 15 << 3
+    monkeypatch.setattr(selftest, "enumerate_twisted_gluings",
+                        lambda n, doubled_genus=None: gluings(n, True, doubled_genus))
+    result = run_check("twisted-counts", 4, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: n=1: strata (1, 0) != (1, 1)"
 
 
 def test_census_counts_check_catches_degree_two_vertices(monkeypatch):
