@@ -3,22 +3,24 @@
 Shares no model with the gluing enumeration: no polygons, maps or
 colorings, only symmetric functions, in exact rational arithmetic.
 
-1. The integral-form Jack polynomials J_lambda^(alpha) in the power-sum
-   basis: Gram-Schmidt on the monomial functions, taken in lexicographic
-   order (which extends dominance), under the scalar product
-   <p_lambda, p_mu> = delta z_lambda alpha^len(lambda), then scaled by
-   c_lambda = prod (alpha*arm + leg + 1) over the cells.
-2. The Jack character
-       Ch_k(lambda) = alpha * binom(|lambda|-k+m_1, m_1) * k * [p_(k,1^(|lambda|-k))] J_lambda,
-   with m_1 = 1 for k = 1 and 0 otherwise (so Ch_1 = alpha*|lambda|).
-3. The free cumulants R_j(lambda) of the transition measure of lambda
+1. The Jack character Ch_k at a diagram lambda: zero when |lambda| < k,
+   and alpha * k * theta_lambda when |lambda| = k (Stanley 1989), with
+       theta_lambda = prod over the cells s != (1,1) of (alpha*a'(s) - l'(s)),
+   where a'(s) = j-1 and l'(s) = i-1 for the cell in row i and column j.
+2. The free cumulants R_j(lambda) of the transition measure of lambda
    drawn with boxes alpha wide and 1 high.  Its Cauchy transform is
    prod (z - y) / prod (z - x), with x = alpha*(c-1) - (r-1) over the
    addable cells (r, c) and y = alpha*c - r over the removable cells.
-4. K_k, the polynomial in R_2, ..., R_(k+1) with Ch_k = K_k(R_2, R_3, ...)
+3. K_k, the polynomial in R_2, ..., R_(k+1) with Ch_k = K_k(R_2, R_3, ...)
    on every diagram, by exact interpolation over all lambda with
-   |lambda| <= k+2.  The system is overdetermined; a point that does not
-   fit, or too few points to fix every coefficient, raises.
+   |lambda| <= k.  The system is overdetermined for k >= 2; a point that
+   does not fit, or too few points to fix every coefficient, raises.
+4. Off the route, only to check theta_lambda = [p_n] J_lambda, the identity
+   step 1 rests on: the integral-form Jack polynomials J_lambda^(alpha) in
+   the power-sum basis, by Gram-Schmidt on the monomial functions in
+   lexicographic order (which extends dominance) under the scalar product
+   <p_lambda, p_mu> = delta z_lambda alpha^len(lambda), then scaled by
+   c_lambda = prod (alpha*arm + leg + 1) over the cells.
 
 At alpha = 1 these are the classical Kerov polynomials (Biane 2003); at
 alpha = 2 the zonal ones (Lassalle, "Jack polynomials and free
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 
@@ -45,6 +47,75 @@ def partitions(n: int, largest: int | None = None):
             yield (first, *rest)
 
 
+def theta(la: Partition, alpha: Fraction) -> Fraction:
+    """theta_lambda = prod over the cells s != (1,1) of (alpha*a'(s) - l'(s))."""
+    return prod((alpha * j - i for i, part in enumerate(la) for j in range(part) if i or j),
+                start=Fraction(1))
+
+
+def free_cumulants(la: Partition, alpha: Fraction, top: int) -> list[Fraction]:
+    """[R_0, R_1, ..., R_top] of the alpha-anisotropic diagram of la (R_0 = 0)."""
+    rows = (*la, 0)
+    xs = [alpha * rows[r] - r for r in range(len(rows)) if r == 0 or rows[r - 1] > rows[r]]
+    ys = [alpha * rows[r] - (r + 1) for r in range(len(la)) if rows[r] > rows[r + 1]]
+    # moments: sum M_k t^k = prod (1 - y t) / prod (1 - x t), with t = 1/z
+    moments = [Fraction(1)] + [Fraction(0)] * top
+    for y in ys:
+        moments = [moments[0]] + [moments[i] - y * moments[i - 1] for i in range(1, top + 1)]
+    for x in xs:
+        for i in range(1, top + 1):
+            moments[i] += x * moments[i - 1]
+
+    def times(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+        return [sum((a[i] * b[d - i] for i in range(d + 1)), start=Fraction(0)) for d in range(top + 1)]
+
+    # M(t) = 1 + sum_j R_j t^j M(t)^j; the j = k term is the only one with R_k at order k
+    powers = [[Fraction(1)] + [Fraction(0)] * top]
+    for _ in range(top):
+        powers.append(times(powers[-1], moments))
+    cumulants = [Fraction(0)] * (top + 1)
+    for k in range(1, top + 1):
+        cumulants[k] = moments[k] - sum((cumulants[j] * powers[j][k - j] for j in range(1, k)),
+                                        start=Fraction(0))
+    return cumulants
+
+
+def _solve(rows: list[list[Fraction]], unknowns: int) -> list[Fraction]:
+    """The one solution of an overdetermined linear system given as
+    augmented rows; raises ValueError when it has none or several."""
+    rows = [list(r) for r in rows]
+    for col in range(unknowns):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            raise ValueError(f"the points do not determine coefficient {col}")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        head[:] = [x / head[col] for x in head]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                f = row[col]
+                row[:] = [a - f * b for a, b in zip(row, head)]
+    if any(row[-1] for row in rows[unknowns:]):
+        raise ValueError("no polynomial fits every point")
+    return [rows[i][-1] for i in range(unknowns)]
+
+
+@lru_cache(maxsize=None)
+def kerov_polynomial(k: int, alpha: int | Fraction) -> dict[Partition, Fraction]:
+    """K_k^(alpha) as {parts of mu: coefficient of R_mu}, nonzero terms only."""
+    alpha = Fraction(alpha)
+    monos = [mu for d in range(k + 2) for mu in partitions(d) if all(p >= 2 for p in mu)]
+    rows = []
+    for n in range(k + 1):
+        for la in partitions(n):
+            r = free_cumulants(la, alpha, k + 1)
+            rows.append([prod((r[p] for p in mu), start=Fraction(1)) for mu in monos]
+                        + [alpha * k * theta(la, alpha) if n == k else Fraction(0)])
+    coeffs = _solve(rows, len(monos))
+    return {mu: c for mu, c in zip(monos, coeffs) if c}
+
+
+# step 4, off the route: Gram-Schmidt, only to check theta_lambda = [p_n] J_lambda
 def z(la: Partition) -> int:
     return prod(part ** la.count(part) * factorial(la.count(part)) for part in set(la))
 
@@ -120,76 +191,3 @@ def jack_polynomials(n: int, alpha: Fraction) -> dict[Partition, dict[Partition,
                 vec[rho] = vec.get(rho, 0) - c * x
         monic[la] = {rho: x for rho, x in vec.items() if x}
     return {la: {rho: _hook_scale(la, alpha) * x for rho, x in p.items()} for la, p in monic.items()}
-
-
-def character(k: int, la: Partition, alpha: Fraction) -> Fraction:
-    """The Jack character Ch_k at the diagram la; zero when |la| < k."""
-    n = sum(la)
-    if n < k:
-        return Fraction(0)
-    m1 = 1 if k == 1 else 0
-    rho = (k,) + (1,) * (n - k)
-    coeff = jack_polynomials(n, alpha)[la].get(rho, Fraction(0))
-    return alpha * comb(n - k + m1, m1) * k * coeff
-
-
-def free_cumulants(la: Partition, alpha: Fraction, top: int) -> list[Fraction]:
-    """[R_0, R_1, ..., R_top] of the alpha-anisotropic diagram of la (R_0 = 0)."""
-    rows = (*la, 0)
-    xs = [alpha * rows[r] - r for r in range(len(rows)) if r == 0 or rows[r - 1] > rows[r]]
-    ys = [alpha * rows[r] - (r + 1) for r in range(len(la)) if rows[r] > rows[r + 1]]
-    # moments: sum M_k t^k = prod (1 - y t) / prod (1 - x t), with t = 1/z
-    moments = [Fraction(1)] + [Fraction(0)] * top
-    for y in ys:
-        moments = [moments[0]] + [moments[i] - y * moments[i - 1] for i in range(1, top + 1)]
-    for x in xs:
-        for i in range(1, top + 1):
-            moments[i] += x * moments[i - 1]
-
-    def times(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        return [sum((a[i] * b[d - i] for i in range(d + 1)), start=Fraction(0)) for d in range(top + 1)]
-
-    # M(t) = 1 + sum_j R_j t^j M(t)^j; the j = k term is the only one with R_k at order k
-    powers = [[Fraction(1)] + [Fraction(0)] * top]
-    for _ in range(top):
-        powers.append(times(powers[-1], moments))
-    cumulants = [Fraction(0)] * (top + 1)
-    for k in range(1, top + 1):
-        cumulants[k] = moments[k] - sum((cumulants[j] * powers[j][k - j] for j in range(1, k)),
-                                        start=Fraction(0))
-    return cumulants
-
-
-def _solve(rows: list[list[Fraction]], unknowns: int) -> list[Fraction]:
-    """The one solution of an overdetermined linear system given as
-    augmented rows; raises ValueError when it has none or several."""
-    rows = [list(r) for r in rows]
-    for col in range(unknowns):
-        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            raise ValueError(f"the points do not determine coefficient {col}")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col]
-        head[:] = [x / head[col] for x in head]
-        for i, row in enumerate(rows):
-            if i != col and row[col]:
-                f = row[col]
-                row[:] = [a - f * b for a, b in zip(row, head)]
-    if any(row[-1] for row in rows[unknowns:]):
-        raise ValueError("no polynomial fits every point")
-    return [rows[i][-1] for i in range(unknowns)]
-
-
-@lru_cache(maxsize=None)
-def kerov_polynomial(k: int, alpha: int | Fraction) -> dict[Partition, Fraction]:
-    """K_k^(alpha) as {parts of mu: coefficient of R_mu}, nonzero terms only."""
-    alpha = Fraction(alpha)
-    monos = [mu for d in range(k + 2) for mu in partitions(d) if all(p >= 2 for p in mu)]
-    rows = []
-    for n in range(k + 3):
-        for la in partitions(n):
-            r = free_cumulants(la, alpha, k + 1)
-            rows.append([prod((r[p] for p in mu), start=Fraction(1)) for mu in monos]
-                        + [character(k, la, alpha)])
-    coeffs = _solve(rows, len(monos))
-    return {mu: c for mu, c in zip(monos, coeffs) if c}

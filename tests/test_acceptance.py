@@ -6,9 +6,9 @@ selftest`` share one copy of each check; a name the registry lacks fails
 its criterion.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
 the lines and timings.  Criterion 9 (rescaling integrality for n <= 6)
 takes the route of tests/kerov_oracle.py, which shares no model with the
-enumeration: K_1..K_6 at alpha=2 from Jack polynomials must equal the
-published coefficients, the signed raw counts (-1)^(n+1+V) * raw, term by
-term, and have denominator 1.
+enumeration: K_1..K_6 at alpha=2, interpolated from theta_lambda and the
+free cumulants, must equal the published coefficients, the signed raw
+counts (-1)^(n+1+V) * raw, term by term, and have denominator 1.
 """
 
 import json
@@ -22,7 +22,7 @@ from zkerov.selftest import run_check
 WORKERS = 4
 MAX_N = 8
 # criterion -> the registry checks that serve it; criterion 9 runs the
-# Jack-polynomial oracle and criterion 10 the CLI
+# Kerov oracle and criterion 10 the CLI
 CRITERIA = {
     1: ("gluing-counts",),
     2: ("genus1-agreement",),
@@ -97,9 +97,9 @@ def test_criterion_09_rescaling_integrality():
         if oracle != published or any(c.denominator != 1 for c in oracle.values()):
             bad.append(n)
         terms += len(oracle)
-    report(9, not bad, f"K_1..K_6 at alpha=2 from Jack polynomials equal the {terms} published "
+    report(9, not bad, f"K_1..K_6 at alpha=2 from theta_lambda equal the {terms} published "
                        f"coefficients, all integers ({time.perf_counter() - t0:.1f}s)")
-    assert not bad, f"the Jack route disagrees or is not integral at n={bad}"
+    assert not bad, f"the oracle disagrees or is not integral at n={bad}"
 
 
 def test_criterion_10_expand_determinism(capsys):
