@@ -47,7 +47,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .admissibility import BipartiteGraph, bipartite_graph, enumerate_q
-from .engine import InternalConsistencyError, exact_quotient
+from .partitions import InternalConsistencyError, exact_quotient
 from .polygon import (
     GluedMap,
     Gluing,

@@ -15,7 +15,8 @@ must agree term by term:
 Arithmetic is in integers: each formula is evaluated times a fixed
 denominator (24 for the bracket, 12 for the families), the tuple routes
 add these scaled values per partition, and every total is divided once
-by ``engine.exact_quotient``, a remainder raising InternalConsistencyError.
+by ``partitions.exact_quotient``, a remainder raising
+InternalConsistencyError.
 In genus one the enumeration's sign (-1)^(n+1+V) is +1, so these values
 equal raw (M,q) pair counts; genus1_mismatches compares the three routes
 with the genus-one stratum of a scan.
@@ -47,8 +48,8 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .admissibility import Monomial
-from .engine import ScanResult, exact_quotient, strata
-from .partitions import partitions
+from .engine import ScanResult, strata
+from .partitions import exact_quotient, partitions
 
 # what _scaled_bracket and _scaled_families are multiplied by
 BRACKET_DENOMINATOR = 24

@@ -41,7 +41,7 @@ and so is orientability (a future per-map key).  The kernel adds each
 leaf's weight to the (b, w) cell of its map as well, a count over
 matchings rather than admissible colorings, so ``scan`` checks every
 cell against L times the number of matchings in it with no banned pair
-(``_unbanned_cells``, from the one-face formula
+(``polygon.unbanned_cells``, from the one-face formula
 ``polygon.one_face_counts``; 26 cells at n=8, 40 at n=10), and divides
 every tally by L, raising InternalConsistencyError on a wrong cell or a
 remainder; both checks run on every scan.
@@ -141,8 +141,8 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 from .admissibility import Monomial
-from .partitions import compositions
-from .polygon import black_leaf_pairs, double_factorial, one_face_counts
+from .partitions import InternalConsistencyError, compositions, exact_quotient
+from .polygon import black_leaf_pairs, double_factorial, one_face_counts, unbanned_cells
 
 N_LIMIT = 10
 
@@ -165,25 +165,9 @@ POOL_MIN_N = 8
 TABLE_BOUND = 1 << 13
 
 
-class InternalConsistencyError(RuntimeError):
-    """A quantity that must be exact (a weighted matching count, an
-    integral rational sum) came out wrong; signals an implementation bug."""
-
-
 class WorkerDiedError(RuntimeError):
     """A worker process of the scan died, or its kernel raised, before it
     returned its tallies."""
-
-
-def exact_quotient(total: int, denominator: int, what: str) -> int:
-    """``total // denominator`` for a quotient that must be an integer;
-    a remainder raises InternalConsistencyError."""
-    quotient, remainder = divmod(total, denominator)
-    if remainder:
-        raise InternalConsistencyError(
-            f"{what} is not an integer: {total} is not a multiple of {denominator}"
-        )
-    return quotient
 
 
 def rescaled_coefficient(n: int, mono: Monomial, raw_count: int) -> int:
@@ -279,25 +263,6 @@ def _branches(n: int) -> list[tuple[tuple[int, int], ...]]:
             out.append(((a, b),))
         out.extend(((a, b), (free[0], k)) for k in free[1:] if table[free[0]][k] >= tau)
     return out
-
-
-def _unbanned_cells(n: int) -> dict[tuple[int, int], int]:
-    """The number of matchings with no banned pair whose map has b black and
-    w white vertices, ``{(b, w): count}`` over the nonzero counts.
-
-    Inclusion and exclusion over the k of the n disjoint banned pairs that
-    a matching holds.  A banned pair {c-1, c} leaves black corner c a vertex
-    of its own and joins the white corners c-1 and c+1, so the matchings
-    that hold k given ones are the matchings of the 2(n-k)-gon, with k more
-    black vertices: N(b, w) = sum_k (-1)^k C(n,k) N_{n-k}(b-k, w), with
-    N_m = ``polygon.one_face_counts(m)`` and N_0 = {(0, 1): 1}.  Nothing is
-    banned at n = 1.  The counts sum to OEIS A053871 from n = 2 on."""
-    banned = len(black_leaf_pairs(n))
-    out: Counter[tuple[int, int]] = Counter()
-    for k in range(banned + 1):
-        for (b, w), count in (one_face_counts(n - k) if k < n else {(0, 1): 1}).items():
-            out[b + k, w] += (-1) ** k * math.comb(banned, k) * count
-    return {cell: count for cell, count in sorted(out.items()) if count}
 
 
 def _weight_denominator(n: int) -> int:
@@ -684,9 +649,9 @@ def _exact_tallies(
     """Merge the weighted branch results of n and divide by L exactly.
 
     Each weighted (b, w) cell must be L times the number of matchings with
-    no banned pair and b black and w white vertices (``_unbanned_cells``),
-    and every weighted tally a multiple of L; anything else is an
-    InternalConsistencyError.
+    no banned pair and b black and w white vertices
+    (``polygon.unbanned_cells``), and every weighted tally a multiple of L;
+    anything else is an InternalConsistencyError.
     """
     denominator = _weight_denominator(n)
     cells: Counter[tuple[int, int]] = Counter()
@@ -694,7 +659,7 @@ def _exact_tallies(
     for _leaves, branch_cells, branch_tally in results:
         cells.update(branch_cells)
         merged.update(branch_tally)
-    expected = Counter({cell: denominator * c for cell, c in _unbanned_cells(n).items()})
+    expected = Counter({cell: denominator * c for cell, c in unbanned_cells(n).items()})
     for cell in sorted(cells.keys() | expected.keys()):
         if cells[cell] != expected[cell]:
             raise InternalConsistencyError(

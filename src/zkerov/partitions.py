@@ -1,10 +1,27 @@
-"""Small exact-combinatorics helpers: partitions and compositions."""
+"""Small exact-combinatorics helpers: partitions, compositions and exact
+quotients."""
 
 from __future__ import annotations
 
 from itertools import combinations, repeat
 from operator import add, sub
 from typing import Iterator
+
+
+class InternalConsistencyError(RuntimeError):
+    """A quantity that must be exact (a weighted matching count, an
+    integral rational sum) came out wrong; signals an implementation bug."""
+
+
+def exact_quotient(total: int, denominator: int, what: str) -> int:
+    """``total // denominator`` for a quotient that must be an integer;
+    a remainder raises InternalConsistencyError."""
+    quotient, remainder = divmod(total, denominator)
+    if remainder:
+        raise InternalConsistencyError(
+            f"{what} is not an integer: {total} is not a multiple of {denominator}"
+        )
+    return quotient
 
 
 def compositions(total: int, parts: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:

@@ -21,14 +21,20 @@ Conventions used throughout the package:
 * A census under a reduced filter never places a pair of ``leaf_pairs``,
   and the scan kernel and the contributing census never place a pair of
   ``black_leaf_pairs``; each says why.
+* Every gluing universe is sized here, exactly: ``gluing_counts`` the
+  matchings and ``twisted_gluing_counts`` the twisted gluings by doubled
+  genus, ``unbanned_cells`` the matchings the black-leaf ban keeps by
+  (b, w).  The census limit, the scan's cell guard and the selftest
+  count checks read these tables.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .partitions import partitions
+from .partitions import exact_quotient, partitions
 
 STRAIGHT = False
 TWISTED = True
@@ -60,8 +66,6 @@ def twisted_gluing_counts(n: int) -> tuple[int, ...]:
     It runs on integer coefficient lists in N, so every division by p + 1
     must be exact; a remainder raises InternalConsistencyError.
     """
-    from .engine import exact_quotient  # engine imports this module
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
@@ -114,8 +118,6 @@ def one_face_counts(n: int) -> dict[tuple[int, int], int]:
     The sum runs over a common denominator, so every cell must divide
     exactly; a remainder raises InternalConsistencyError.
     """
-    from .engine import exact_quotient  # engine imports this module
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = 2
@@ -143,6 +145,17 @@ def one_face_counts(n: int) -> dict[tuple[int, int], int]:
                     total[b, w] = total.get((b, w), 0) + weight * x * y
     return {cell: exact_quotient(value, denominator, f"the one-face count of {cell} at n={n}")
             for cell, value in sorted(total.items()) if value}
+
+
+def gluing_counts(n: int) -> tuple[int, ...]:
+    """The number of matchings of the 2n-gon by doubled genus, ``counts[dg]``
+    for dg = 0..n, the twin of ``twisted_gluing_counts``; the counts sum to
+    (2n-1)!!.  A map of b black and w white vertices has V = b + w, so a
+    stratum sums the ``one_face_counts`` cells with b + w = n + 1 - dg."""
+    counts = [0] * (n + 1)
+    for (b, w), count in one_face_counts(n).items():
+        counts[n + 1 - b - w] += count
+    return tuple(counts)
 
 
 def leaf_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -188,6 +201,26 @@ def black_leaf_pairs(n: int) -> tuple[tuple[int, int], ...]:
         return ()
     m = 2 * n
     return ((0, m - 1), *((c - 1, c) for c in range(2, m, 2)))
+
+
+def unbanned_cells(n: int) -> dict[tuple[int, int], int]:
+    """The number of matchings with no pair of ``black_leaf_pairs(n)`` whose
+    map has b black and w white vertices, ``{(b, w): count}`` over the
+    nonzero counts.
+
+    Inclusion and exclusion over the k of the n disjoint banned pairs that
+    a matching holds.  A banned pair {c-1, c} leaves black corner c a vertex
+    of its own and joins the white corners c-1 and c+1, so the matchings
+    that hold k given ones are the matchings of the 2(n-k)-gon, with k more
+    black vertices: N(b, w) = sum_k (-1)^k C(n,k) N_{n-k}(b-k, w), with
+    N_m = ``one_face_counts(m)`` and N_0 = {(0, 1): 1}.  Nothing is banned
+    at n = 1.  The counts sum to OEIS A053871 from n = 2 on."""
+    banned = len(black_leaf_pairs(n))
+    out: Counter[tuple[int, int]] = Counter()
+    for k in range(banned + 1):
+        for (b, w), count in (one_face_counts(n - k) if k < n else {(0, 1): 1}).items():
+            out[b + k, w] += (-1) ** k * math.comb(banned, k) * count
+    return {cell: count for cell, count in sorted(out.items()) if count}
 
 
 class Gluing(NamedTuple):

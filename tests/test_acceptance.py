@@ -32,7 +32,7 @@ CRITERIA = {
     6: ("census-pinned-counts",),
     7: ("decoration-count",),
     8: ("orbit-stabilizer", "decoration-accounting"),
-    11: ("degenerate-genus1",),
+    11: ("genus1-agreement",),
 }
 
 

@@ -41,6 +41,7 @@ from zkerov.polygon import (
     reflect_gluing,
     rotate_gluing,
     shift_gluing,
+    unbanned_cells,
 )
 
 
@@ -171,7 +172,7 @@ class TestBan:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_gluings_with_a_banned_pair_have_no_admissible_coloring(self, n):
         """Also: the matchings with a banned pair fill, cell by cell, what
-        ``_unbanned_cells`` leaves of the one-face counts."""
+        ``polygon.unbanned_cells`` leaves of the one-face counts."""
         banned = banned_pairs(n, 0)
         held: Counter[tuple[int, int]] = Counter()
         for g in enumerate_gluings(n):
@@ -180,7 +181,7 @@ class TestBan:
             m = glue(g)
             held[vertex_cell(m)] += 1
             assert next(enumerate_q(m), None) is None, g
-        assert held == Counter(one_face_counts(n)) - Counter(engine._unbanned_cells(n))
+        assert held == Counter(one_face_counts(n)) - Counter(unbanned_cells(n))
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_lone_matching_at_one_is_not_banned(self, shift):
@@ -215,18 +216,18 @@ class TestBan:
         assert got == set(black_leaf_pairs(n))
 
     def test_unbanned_matchings_equal_a_brute_count(self):
-        """``_unbanned_cells`` against the glued maps of every matching
+        """``polygon.unbanned_cells`` against the glued maps of every matching
         with no banned pair, cell by cell."""
         for n in range(1, 8):
             banned = banned_pairs(n, 0) if n >= 2 else set()
             brute = Counter(vertex_cell(glue(g)) for g in enumerate_gluings(n)
                             if banned.isdisjoint(g.pairs()))
-            assert engine._unbanned_cells(n) == brute, n
+            assert unbanned_cells(n) == brute, n
 
     def test_unbanned_matchings_are_pinned(self):
         # the row sums are OEIS A053871 from n=2 on; a matching with one
         # black vertex holds no banned pair, and below n=4 no other does
-        cells = [engine._unbanned_cells(n) for n in range(1, 9)]
+        cells = [unbanned_cells(n) for n in range(1, 9)]
         assert [sum(c.values()) for c in cells] == [
             1, 2, 8, 60, 544, 6040, 79008, 1190672,
         ]
@@ -636,7 +637,7 @@ class TestExactnessGuard:
     def test_remainder_raises(self):
         denominator = engine._weight_denominator(3)
         assert denominator == 6
-        assert {cell: c * denominator for cell, c in engine._unbanned_cells(3).items()} \
+        assert {cell: c * denominator for cell, c in unbanned_cells(3).items()} \
             == self.CELLS_3
         assert engine._exact_tallies(3, [(0, self.CELLS_3, {(2,): 4 * denominator})]) == {(2,): 4}
         with pytest.raises(InternalConsistencyError, match="not a multiple of 6"):

@@ -215,14 +215,15 @@ def test_pinned_values_check_catches_a_sign_off_by_one(monkeypatch):
     assert result.detail == "AssertionError: (3, (2,), 4, -4, 4)"
 
 
-def test_degenerate_check_catches_a_genus_read_as_a_bound(monkeypatch):
+def test_genus1_check_catches_a_genus_read_as_a_bound(monkeypatch):
     # strata(result, dg) keeps every stratum up to dg, so the planar one
-    # of n=2 comes first
-    monkeypatch.setattr(selftest, "strata",
+    # of n=2 comes first, where the closed forms have no term
+    monkeypatch.setattr(closedform, "strata",
                         _mutant(engine.strata, "doubled_genus in (None, dg)",
                                 "doubled_genus is None or dg <= doubled_genus"))
-    result = run_check("degenerate-genus1", 2, engine.scan)
-    assert not result.passed and result.detail.startswith("AssertionError")
+    result = run_check("genus1-agreement", 2, engine.scan)
+    assert not result.passed
+    assert result.detail.startswith("AssertionError: n=2: enumeration disagrees")
 
 
 def test_gluing_counts_check_catches_a_skipped_neighbor(monkeypatch):
@@ -233,6 +234,19 @@ def test_gluing_counts_check_catches_a_skipped_neighbor(monkeypatch):
     result = run_check("gluing-counts", 4, engine.scan)
     assert not result.passed
     assert result.detail == "AssertionError: n=1: 0 != 1"
+
+
+def test_gluing_counts_check_catches_a_pruned_stratum(monkeypatch):
+    """The pruned enumerator keeps a subtree only while V is below its
+    number of live classes, so it yields no leaf, where the two are equal.
+    The full pass prunes nothing and still yields every matching, so only
+    the per-genus comparison sees it."""
+    gluings = _mutant(polygon._gluings, "<= target <= after:", "<= target < after:")
+    monkeypatch.setattr(selftest, "enumerate_gluings",
+                        lambda n, doubled_genus=None: gluings(n, False, doubled_genus))
+    result = run_check("gluing-counts", 4, engine.scan)
+    assert not result.passed
+    assert result.detail == "AssertionError: n=1: strata (0, 0) != (1, 0)"
 
 
 def test_twisted_counts_check_catches_a_lost_flag(monkeypatch):
